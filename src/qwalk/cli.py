@@ -2,16 +2,14 @@
 
 Subcommands: simulate, exact, oracle, limit, approx, verify, figure, sweep.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 I/O
-failure. QWALK_THREADS overrides sweep parallelism.
+failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +17,6 @@ from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_at, density_at
 from .closed_form import (
     ExactParams,
-    FormulaDomainError,
     Precision,
     PRECISION_WARN_T,
     PrecisionError,
@@ -28,9 +25,9 @@ from .closed_form import (
 from .core import Coin, WalkKind, make_coin, make_coin_pi
 from .evolution import distribution, evolve
 from .harness import OutputTable, emit, figure_data, run_checks, table_from_exact
-from .qfield import OracleLimitError, q2_oracle_distribution
+from .qfield import q2_oracle_distribution
 
-_PI_FORM = re.compile(r"^(\d*)pi(?:/(\d+))?$")
+_PI_FORM = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
 _PRECISIONS = {
     "double": Precision.DOUBLE,
@@ -44,13 +41,16 @@ class UsageError(ValueError):
 
 
 def parse_theta(text: str) -> Coin:
-    """Angle in radians, or an exact pi fraction like 'pi/4' or '2pi/5'."""
+    """Angle in radians, or an exact pi fraction like 'pi/4', '-pi/4' or '2pi/5'."""
     text = text.strip().lower().replace(" ", "")
     m = _PI_FORM.match(text)
     if m:
-        num = int(m.group(1)) if m.group(1) else 1
-        den = int(m.group(2)) if m.group(2) else 1
-        return make_coin_pi(Fraction(num, den))
+        sign, num, den = m.groups()
+        num = int(num) if num else 1
+        den = int(den) if den else 1
+        if den == 0:
+            raise UsageError(f"cannot parse theta {text!r}: zero denominator")
+        return make_coin_pi(Fraction(-num if sign == "-" else num, den))
     try:
         return make_coin(float(text))
     except ValueError as exc:
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("sweep", help="run many configurations concurrently")
+    p = sub.add_parser("sweep", help="run many configurations, one file each")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
     p.add_argument("--route", choices=("evolve", "exact", "approx"),
                    default="evolve")
@@ -155,7 +155,7 @@ def _exact_table(coin: Coin, walk: WalkKind, t: int,
     if walk is WalkKind.LINE:
         dist = line_exact(coin, t, params)
         return harness.table_from_distribution(dist, "exact", coin.theta)
-    return harness.half_line_exact_table(coin, t, "")
+    return harness.half_line_exact_table(coin, t, "", params)
 
 
 def _cmd_simulate(args) -> int:
@@ -276,22 +276,15 @@ def _cmd_sweep(args) -> int:
     precision = _PRECISIONS[args.precision]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("QWALK_THREADS") or os.cpu_count() or 1)
     jobs = []
     for text, coin in coins:
         tag = re.sub(r"[^0-9a-zA-Z._-]", "_", text)
         for t in ts:
             name = f"{args.route}_{args.walk}_theta-{tag}_t-{t}.{args.format}"
-            jobs.append(((coin.theta, t), name, coin, t))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [
-            pool.submit(_sweep_one, coin, walk, t, args.route, precision,
-                        args.format, outdir / name)
-            for _, name, coin, t in jobs
-        ]
-        for fut in futures:
-            fut.result()
-    manifest = "\n".join(name for _, name, _, _ in
+            _sweep_one(coin, walk, t, args.route, precision, args.format,
+                       outdir / name)
+            jobs.append(((coin.theta, t), name))
+    manifest = "\n".join(name for _, name in
                          sorted(jobs, key=lambda j: j[0])) + "\n"
     (outdir / "manifest.txt").write_text(manifest, encoding="utf-8")
     return 0
@@ -313,10 +306,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, FormulaDomainError, OracleLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
+    # UsageError, FormulaDomainError and OracleLimitError are ValueErrors
+    except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -46,6 +46,7 @@ __all__ = [
     "Precision",
     "PrecisionError",
     "binomial_table",
+    "half_line_exact",
     "half_line_exact_by_inner",
     "half_line_exact_total",
     "half_line_exact_values",
@@ -469,38 +470,46 @@ def half_line_exact_values(coin: Coin, t: int,
     return out
 
 
+def half_line_exact(coin: Coin, t: int,
+                    params: Optional[ExactParams] = None) -> Distribution:
+    """Both inner columns and the total from one closed-form evaluation.
+
+    ``p0`` is None on the frontier pair, where only inner 1 is positive.
+    """
+    ctx = _resolve(coin, t, params)
+    vals = half_line_exact_values(coin, t, params)
+    rows = tuple(
+        DistributionRow(
+            x=x,
+            p0=None if v0 is None else _to_prob(ctx, v0),
+            p1=_to_prob(ctx, v1),
+            p=_to_prob(ctx, vt),
+        )
+        for x, (v0, v1, vt) in sorted(vals.items())
+    )
+    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)
+
+
 def half_line_exact_by_inner(coin: Coin, t: int, inner: int,
                              params: Optional[ExactParams] = None
                              ) -> Distribution:
     """Positive probabilities of one inner component at time t."""
     if inner not in (0, 1):
         raise ValueError(f"inner must be 0 or 1, got {inner}")
-    ctx = _resolve(coin, t, params)
-    vals = half_line_exact_values(coin, t, params)
-    rows = []
-    for x in sorted(vals):
-        v = vals[x][inner]
-        if v is None:
-            continue
-        p = _to_prob(ctx, v)
-        rows.append(
-            DistributionRow(
-                x=x,
-                p0=p if inner == 0 else None,
-                p1=p if inner == 1 else None,
-                p=p,
-            )
-        )
-    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=tuple(rows))
+    column = half_line_exact(coin, t, params).inner_dict(inner)
+    rows = tuple(
+        DistributionRow(x=x, p0=p if inner == 0 else None,
+                        p1=p if inner == 1 else None, p=p)
+        for x, p in column.items()
+    )
+    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)
 
 
 def half_line_exact_total(coin: Coin, t: int,
                           params: Optional[ExactParams] = None) -> Distribution:
     """Total probabilities (inner states summed) via the combined weights."""
-    ctx = _resolve(coin, t, params)
-    vals = half_line_exact_values(coin, t, params)
     rows = tuple(
-        DistributionRow(x=x, p0=None, p1=None, p=_to_prob(ctx, vals[x][2]))
-        for x in sorted(vals)
+        DistributionRow(x=r.x, p0=None, p1=None, p=r.p)
+        for r in half_line_exact(coin, t, params).rows
     )
     return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)

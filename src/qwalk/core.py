@@ -212,11 +212,15 @@ class DistributionRow:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-position probability table of a walk at one time."""
+    """Per-position probability table of a walk at one time.
+
+    Rows are DistributionRow (floats) or, from the exact oracle,
+    qfield.ExactDistributionRow (Fractions); both carry x, p0, p1 and p.
+    """
 
     kind: WalkKind
     t: int
-    rows: tuple[DistributionRow, ...]
+    rows: tuple
 
     def total(self) -> float:
         return sum(r.p for r in self.rows)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,24 +24,12 @@ from .asymptotics import ApproxKind, DensityKind, LimitDensity
 from .closed_form import (
     ExactParams,
     FormulaDomainError,
-    Precision,
-    half_line_exact_by_inner,
+    half_line_exact,
     half_line_exact_total,
     line_exact,
 )
 from .core import Coin, Distribution, WalkKind, make_coin, make_coin_pi
 from .evolution import distribution, evolve, iter_states, probability_arrays
-from .qfield import ExactDistribution
-
-SUITES = (
-    "lemma1",
-    "lemma2",
-    "theorem1",
-    "exactVsSim",
-    "innerSplit",
-    "limitNorm",
-    "ksConvergence",
-)
 
 TOLERANCES = {
     "lemma1": 1e-12,
@@ -65,6 +53,8 @@ _KS_DECAY = 0.45
 
 
 def ks_tolerance(t: int) -> float:
+    if t < 1:
+        raise ValueError(f"KS tolerance needs t >= 1, got {t}")
     if t >= 1000:
         return KS_TOL_AT_1000
     return _KS_ANCHOR * (1000.0 / t) ** _KS_DECAY
@@ -130,37 +120,83 @@ def _error_check(name: str, coin: Coin, t: int, tol: float, msg: str) -> CheckRe
     )
 
 
-def _sin_zero(coin: Coin) -> bool:
+def _check(name: str, coin: Coin, t: int, tol: float,
+           residual: Callable[..., float], *args) -> CheckResult:
+    """Check ``residual(*args)``; a closed-form domain error is an error entry."""
+    try:
+        res = residual(*args)
+    except FormulaDomainError as exc:
+        return _error_check(name, coin, t, tol, str(exc))
+    return CheckResult(name=name, theta=coin.theta, t=t, max_residual=res,
+                       tolerance=tol)
+
+
+def _sin_zero(coin: Coin) -> Optional[str]:
     # identity angles (multiples of pi) break the mirror/copy identities
     if coin.pi_fraction is not None:
-        return (coin.pi_fraction % 1) == 0
-    return abs(coin.s) < 1e-12
+        zero = (coin.pi_fraction % 1) == 0
+    else:
+        zero = abs(coin.s) < 1e-12
+    return "theta excluded (sin = 0)" if zero else None
 
 
-def _line_probs(state) -> np.ndarray:
-    p0, p1 = probability_arrays(state)
-    return p0 + p1
+def _degenerate(coin: Coin) -> Optional[str]:
+    return "theta excluded (degenerate coin)" if coin.is_degenerate() else None
 
 
-def _suite_lemma1(coins, ts) -> list[CheckResult]:
-    tol = TOLERANCES["lemma1"]
-    out = []
-    for coin in coins:
-        if _sin_zero(coin):
-            out.extend(
-                _error_check("lemma1", coin, t, tol, "theta excluded (sin = 0)")
-                for t in ts
-            )
-            continue
+def _never(coin: Coin) -> Optional[str]:
+    return None
+
+
+# a suite's checks for one coin: (coin, sorted times) -> checks
+_SuiteChecks = Callable[[Coin, Sequence[int]], list[CheckResult]]
+
+_BOTH_WALKS = (WalkKind.LINE, WalkKind.HALF_LINE)
+
+
+def _walk_suite(name: str, residual: Callable[..., float],
+                walks: tuple[WalkKind, ...] = _BOTH_WALKS,
+                excluded: Callable[[Coin], Optional[str]] = _sin_zero,
+                min_t: int = 0) -> _SuiteChecks:
+    """Checks fed by one ``iter_states`` pass per walk and coin.
+
+    ``residual(coin, *states)`` runs at every requested time >= min_t, with
+    the states in the order of ``walks``; an angle for which ``excluded``
+    gives a reason gets an error entry at each of those times instead.
+    """
+    tol = TOLERANCES[name]
+
+    def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
+        ts = [t for t in ts if t >= min_t]
+        reason = excluded(coin)
+        if reason:
+            return [_error_check(name, coin, t, tol, reason) for t in ts]
+        if not ts:
+            return []
         wanted = set(ts)
-        for t, state in iter_states(WalkKind.LINE, coin, max(ts)):
-            if t not in wanted:
-                continue
-            out.append(CheckResult(
-                name="lemma1", theta=coin.theta, t=t,
-                max_residual=_lemma1_residual(state, coin), tolerance=tol,
-            ))
-    return out
+        passes = zip(*((state for _, state in iter_states(kind, coin, ts[-1]))
+                       for kind in walks))
+        return [_check(name, coin, states[0].t, tol, residual, coin, *states)
+                for states in passes if states[0].t in wanted]
+
+    return checks
+
+
+def _grid_suite(name: str, residual: Callable[[Coin, int], float],
+                tolerance: Optional[Callable[[int], float]] = None,
+                excluded: Callable[[Coin], Optional[str]] = _never,
+                min_t: int = 1) -> _SuiteChecks:
+    """Checks of ``residual(coin, t)`` at every requested time t >= min_t."""
+    tol = tolerance or (lambda t: TOLERANCES[name])
+
+    def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
+        ts = [t for t in ts if t >= min_t]
+        reason = excluded(coin)
+        if reason:
+            return [_error_check(name, coin, t, tol(t), reason) for t in ts]
+        return [_check(name, coin, t, tol(t), residual, coin, t) for t in ts]
+
+    return checks
 
 
 def _padded_line(state) -> tuple[np.ndarray, np.ndarray, int]:
@@ -192,30 +228,6 @@ def _lemma1_residual(state, coin: Coin) -> float:
     return float(max(res1.max(), res2.max()))
 
 
-def _suite_lemma2(coins, ts) -> list[CheckResult]:
-    tol = TOLERANCES["lemma2"]
-    out = []
-    for coin in coins:
-        if _sin_zero(coin):
-            out.extend(
-                _error_check("lemma2", coin, t, tol, "theta excluded (sin = 0)")
-                for t in ts
-            )
-            continue
-        wanted = set(ts)
-        line_iter = iter_states(WalkKind.LINE, coin, max(ts))
-        half_iter = iter_states(WalkKind.HALF_LINE, coin, max(ts))
-        for (t, line_state), (_, half_state) in zip(line_iter, half_iter):
-            if t not in wanted:
-                continue
-            out.append(CheckResult(
-                name="lemma2", theta=coin.theta, t=t,
-                max_residual=_lemma2_residual(half_state, line_state),
-                tolerance=tol,
-            ))
-    return out
-
-
 def _lemma2_residual(half_state, line_state) -> float:
     """Amplitude copy identities between the two walks at one time."""
     t = half_state.t
@@ -237,135 +249,99 @@ def _lemma2_residual(half_state, line_state) -> float:
     return float(max(np.abs(a - exp_a).max(), np.abs(b - exp_b).max()))
 
 
-def _suite_theorem1(coins, ts) -> list[CheckResult]:
-    tol = TOLERANCES["theorem1"]
-    out = []
-    for coin in coins:
-        if _sin_zero(coin):
-            out.extend(
-                _error_check("theorem1", coin, t, tol, "theta excluded (sin = 0)")
-                for t in ts
-            )
-            continue
-        wanted = set(ts)
-        line_iter = iter_states(WalkKind.LINE, coin, max(ts))
-        half_iter = iter_states(WalkKind.HALF_LINE, coin, max(ts))
-        for (t, line_state), (_, half_state) in zip(line_iter, half_iter):
-            if t not in wanted:
-                continue
-            out.append(CheckResult(
-                name="theorem1", theta=coin.theta, t=t,
-                max_residual=_theorem1_residual(half_state, line_state),
-                tolerance=tol,
-            ))
-    return out
-
-
 def _theorem1_residual(half_state, line_state) -> float:
     """Probability copy: inner 0 matches x >= 0, inner 1 matches -x-1."""
     t = half_state.t
     p0, p1 = probability_arrays(half_state)
-    pl = _line_probs(line_state)
+    lp0, lp1 = probability_arrays(line_state)
+    pl = lp0 + lp1
     right = pl[t + 1:]
     left_rev = pl[t::-1]
     return float(max(np.abs(p0 - right).max(), np.abs(p1 - left_rev).max()))
 
 
-def _suite_exact_vs_sim(coins, ts, precision=Precision.DOUBLE_DOUBLE
-                        ) -> list[CheckResult]:
-    tol = TOLERANCES["exactVsSim"]
-    out = []
-    for coin in coins:
-        for t in ts:
-            if t < 1:
-                continue
-            try:
-                params = ExactParams.for_coin(coin, t, precision)
-                cf_line = line_exact(coin, t, params).as_dict()
-                cf_half = half_line_exact_total(coin, t, params).as_dict()
-            except FormulaDomainError as exc:
-                out.append(_error_check("exactVsSim", coin, t, tol, str(exc)))
-                continue
-            sim_line = distribution(evolve(WalkKind.LINE, coin, t)).as_dict()
-            sim_half = distribution(evolve(WalkKind.HALF_LINE, coin, t)).as_dict()
-            res = 0.0
-            for table, sim in ((cf_line, sim_line), (cf_half, sim_half)):
-                for x in set(table) | set(sim):
-                    res = max(res, abs(table.get(x, 0.0) - sim.get(x, 0.0)))
-            out.append(CheckResult(
-                name="exactVsSim", theta=coin.theta, t=t,
-                max_residual=res, tolerance=tol,
-            ))
-    return out
+def _exact_vs_sim_residual(coin: Coin, line_state, half_state) -> float:
+    """Double-double closed forms of both walks against the evolved states."""
+    t = line_state.t
+    params = ExactParams.for_coin(coin, t)
+    res = 0.0
+    for table, state in ((line_exact(coin, t, params), line_state),
+                         (half_line_exact_total(coin, t, params), half_state)):
+        cf = table.as_dict()
+        sim = distribution(state).as_dict()
+        for x in set(cf) | set(sim):
+            res = max(res, abs(cf.get(x, 0.0) - sim.get(x, 0.0)))
+    return res
 
 
-def _suite_inner_split(coins, ts) -> list[CheckResult]:
-    tol = TOLERANCES["innerSplit"]
-    out = []
-    for coin in coins:
-        for t in ts:
-            if t < 1:
-                continue
-            try:
-                params = ExactParams.for_coin(coin, t)
-                total = half_line_exact_total(coin, t, params).as_dict()
-                i0 = half_line_exact_by_inner(coin, t, 0, params).as_dict()
-                i1 = half_line_exact_by_inner(coin, t, 1, params).as_dict()
-            except FormulaDomainError as exc:
-                out.append(_error_check("innerSplit", coin, t, tol, str(exc)))
-                continue
-            res = max(
-                abs(total.get(x, 0.0) - i0.get(x, 0.0) - i1.get(x, 0.0))
-                for x in set(total) | set(i0) | set(i1)
-            )
-            out.append(CheckResult(
-                name="innerSplit", theta=coin.theta, t=t,
-                max_residual=res, tolerance=tol,
-            ))
-    return out
+def _inner_split_residual(coin: Coin, t: int) -> float:
+    """Total column against the sum of the inner columns, one evaluation."""
+    rows = half_line_exact(coin, t).rows
+    return max(abs(r.p - (0.0 if r.p0 is None else r.p0) - r.p1) for r in rows)
 
 
-def _suite_limit_norm(coins, ts) -> list[CheckResult]:
+def _ks_residual(coin: Coin, t: int) -> float:
+    return asymptotics.ks_distance(coin, t, DensityKind.HALF_TOTAL).ks
+
+
+def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
+    """Total mass of each limit law; one entry per law, at t = 0."""
     tol = TOLERANCES["limitNorm"]
-    out = []
-    for coin in coins:
-        if coin.is_degenerate():
-            out.append(_error_check(
-                "limitNorm", coin, 0, tol, "theta excluded (degenerate coin)"
-            ))
-            continue
-        for name, mass in (
-            ("limitNorm[lineTotal]",
-             asymptotics.total_mass(LimitDensity(coin, DensityKind.LINE_TOTAL))),
-            ("limitNorm[halfTotal]",
-             asymptotics.total_mass(LimitDensity(coin, DensityKind.HALF_TOTAL))),
+    reason = _degenerate(coin)
+    if reason:
+        return [_error_check("limitNorm", coin, 0, tol, reason)]
+
+    def mass(kind: DensityKind) -> float:
+        return asymptotics.total_mass(LimitDensity(coin, kind))
+
+    return [
+        CheckResult(name=name, theta=coin.theta, t=0,
+                    max_residual=abs(m - 1.0), tolerance=tol)
+        for name, m in (
+            ("limitNorm[lineTotal]", mass(DensityKind.LINE_TOTAL)),
+            ("limitNorm[halfTotal]", mass(DensityKind.HALF_TOTAL)),
             ("limitNorm[halfInner0+halfInner1]",
-             asymptotics.total_mass(LimitDensity(coin, DensityKind.HALF_INNER0))
-             + asymptotics.total_mass(LimitDensity(coin, DensityKind.HALF_INNER1))),
-        ):
-            out.append(CheckResult(
-                name=name, theta=coin.theta, t=0,
-                max_residual=abs(mass - 1.0), tolerance=tol,
-            ))
-    return out
+             mass(DensityKind.HALF_INNER0) + mass(DensityKind.HALF_INNER1)),
+        )
+    ]
 
 
-def _suite_ks(coins, ts) -> list[CheckResult]:
-    out = []
-    for coin in coins:
-        for t in ts:
-            if coin.is_degenerate():
-                out.append(_error_check(
-                    "ksConvergence[halfTotal]", coin, t, ks_tolerance(t),
-                    "theta excluded (degenerate coin)",
-                ))
-                continue
-            report = asymptotics.ks_distance(coin, t, DensityKind.HALF_TOTAL)
-            out.append(CheckResult(
-                name="ksConvergence[halfTotal]", theta=coin.theta, t=t,
-                max_residual=report.ks, tolerance=ks_tolerance(t),
-            ))
-    return out
+def _any_t(t: int) -> bool:
+    return True
+
+
+def _closed_form_range(t: int) -> bool:
+    return t <= EXACT_VS_SIM_MAX_T
+
+
+def _ks_range(t: int) -> bool:
+    # the KS diagnostic only means something once the law has started to
+    # settle; small times are skipped inside the combined run
+    return t >= 100
+
+
+# suite -> (checks for one coin, the times it keeps inside 'all'); the
+# order is the report order of 'all'
+_REGISTRY: dict[str, tuple[_SuiteChecks, Callable[[int], bool]]] = {
+    "lemma1": (_walk_suite("lemma1",
+                           lambda coin, line: _lemma1_residual(line, coin),
+                           (WalkKind.LINE,)), _any_t),
+    "lemma2": (_walk_suite("lemma2", lambda coin, line, half:
+                           _lemma2_residual(half, line)), _any_t),
+    "theorem1": (_walk_suite("theorem1", lambda coin, line, half:
+                             _theorem1_residual(half, line)), _any_t),
+    "exactVsSim": (_walk_suite("exactVsSim", _exact_vs_sim_residual,
+                               excluded=_never, min_t=1), _closed_form_range),
+    "innerSplit": (_grid_suite("innerSplit", _inner_split_residual),
+                   _closed_form_range),
+    "limitNorm": (_limit_norm_checks, _any_t),
+    "ksConvergence": (_grid_suite("ksConvergence[halfTotal]", _ks_residual,
+                                  tolerance=ks_tolerance,
+                                  excluded=_degenerate, min_t=0),
+                      _ks_range),
+}
+
+SUITES = tuple(_REGISTRY)
 
 
 def run_checks(suite: str, thetas: Sequence[Union[Coin, float]],
@@ -375,35 +351,20 @@ def run_checks(suite: str, thetas: Sequence[Union[Coin, float]],
     ts = sorted(set(int(t) for t in ts))
     if not ts:
         raise ValueError("at least one time is required")
+    if ts[0] < 0:
+        raise ValueError(f"times must be >= 0, got {ts[0]}")
     if suite == "all":
-        checks: list[CheckResult] = []
-        checks += _suite_lemma1(coins, ts)
-        checks += _suite_lemma2(coins, ts)
-        checks += _suite_theorem1(coins, ts)
-        checks += _suite_exact_vs_sim(
-            coins, [t for t in ts if t <= EXACT_VS_SIM_MAX_T])
-        checks += _suite_inner_split(
-            coins, [t for t in ts if t <= EXACT_VS_SIM_MAX_T])
-        checks += _suite_limit_norm(coins, ts)
-        # the KS diagnostic only means something once the law has started to
-        # settle; small times are skipped inside the combined run
-        checks += _suite_ks(coins, [t for t in ts if t >= 100])
-        return VerificationReport(checks=tuple(checks))
-    if suite == "lemma1":
-        return VerificationReport(tuple(_suite_lemma1(coins, ts)))
-    if suite == "lemma2":
-        return VerificationReport(tuple(_suite_lemma2(coins, ts)))
-    if suite == "theorem1":
-        return VerificationReport(tuple(_suite_theorem1(coins, ts)))
-    if suite == "exactVsSim":
-        return VerificationReport(tuple(_suite_exact_vs_sim(coins, ts)))
-    if suite == "innerSplit":
-        return VerificationReport(tuple(_suite_inner_split(coins, ts)))
-    if suite == "limitNorm":
-        return VerificationReport(tuple(_suite_limit_norm(coins, ts)))
-    if suite == "ksConvergence":
-        return VerificationReport(tuple(_suite_ks(coins, ts)))
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+        plan = [(checks, [t for t in ts if keep(t)])
+                for checks, keep in _REGISTRY.values()]
+    elif suite in _REGISTRY:
+        plan = [(_REGISTRY[suite][0], ts)]
+    else:
+        raise ValueError(
+            f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+    return VerificationReport(checks=tuple(
+        check for checks, suite_ts in plan for coin in coins
+        for check in checks(coin, suite_ts)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +395,7 @@ def table_from_distribution(dist: Distribution, route: str, theta: float,
     )
 
 
-def table_from_exact(dist: ExactDistribution, theta: float,
+def table_from_exact(dist: Distribution, theta: float,
                      label: str = "") -> OutputTable:
     rows = tuple(
         (r.x, float(r.p0), float(r.p1), float(r.p)) for r in dist.rows
@@ -556,14 +517,12 @@ def _evolve_table(coin: Coin, kind: WalkKind, t: int, label: str) -> OutputTable
     return table_from_distribution(dist, "evolve", coin.theta, label)
 
 
-def half_line_exact_table(coin: Coin, t: int, label: str) -> OutputTable:
+def half_line_exact_table(coin: Coin, t: int, label: str,
+                          params: Optional[ExactParams] = None) -> OutputTable:
     """Half-line closed-form table with both inner columns and the total."""
-    params = ExactParams.for_coin(coin, t)
-    i0 = half_line_exact_by_inner(coin, t, 0, params).inner_dict(0)
-    i1 = half_line_exact_by_inner(coin, t, 1, params).inner_dict(1)
-    tot = half_line_exact_total(coin, t, params).as_dict()
     rows = tuple(
-        (x, i0.get(x, 0.0), i1.get(x, 0.0), tot[x]) for x in sorted(tot)
+        (r.x, 0.0 if r.p0 is None else r.p0, r.p1, r.p)
+        for r in half_line_exact(coin, t, params).rows
     )
     return OutputTable(
         kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=t, route="exact",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import WalkKind
+from .core import Distribution, WalkKind
 
 ORACLE_MAX_T = 200
 
@@ -105,6 +105,8 @@ class QFieldComplex:
 
 @dataclass(frozen=True)
 class ExactDistributionRow:
+    """Exact rational probabilities at one position; ``p`` is summed on use."""
+
     x: int
     p0: Fraction
     p1: Fraction
@@ -112,30 +114,6 @@ class ExactDistributionRow:
     @property
     def p(self) -> Fraction:
         return self.p0 + self.p1
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Distribution with exact rational probabilities (theta = pi/4 oracle)."""
-
-    kind: WalkKind
-    t: int
-    rows: tuple[ExactDistributionRow, ...]
-
-    def total(self) -> Fraction:
-        return sum((r.p for r in self.rows), Fraction(0))
-
-    def prob(self, x: int) -> Fraction:
-        for r in self.rows:
-            if r.x == x:
-                return r.p
-        return Fraction(0)
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return {r.x: r.p for r in self.rows}
-
-    def inner_dict(self, inner: int) -> dict[int, Fraction]:
-        return {r.x: (r.p0 if inner == 0 else r.p1) for r in self.rows}
 
 
 def _initial(kind: WalkKind) -> tuple[list, list, int]:
@@ -171,17 +149,17 @@ def _step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
     return an[:n], bn[:n]
 
 
-def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> ExactDistribution:
+def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> Distribution:
     rows = tuple(
         ExactDistributionRow(
             x=offset + i, p0=a[i].abs2_rational(), p1=b[i].abs2_rational()
         )
         for i in range(len(a))
     )
-    return ExactDistribution(kind=kind, t=t, rows=rows)
+    return Distribution(kind=kind, t=t, rows=rows)
 
 
-def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[ExactDistribution]:
+def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:
     """Yield the exact distribution at every t = 0..t_max (one evolution pass)."""
     kind = WalkKind(kind)
     if t_max > ORACLE_MAX_T:
@@ -199,7 +177,7 @@ def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[ExactDistribution]:
         yield _snapshot(kind, t, a, b, offset)
 
 
-def q2_oracle_distribution(kind: WalkKind, t: int) -> ExactDistribution:
+def q2_oracle_distribution(kind: WalkKind, t: int) -> Distribution:
     """Exact rational distribution of the theta = pi/4 walk at time t."""
     out = None
     for out in q2_oracle_series(kind, t):

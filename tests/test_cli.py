@@ -14,6 +14,8 @@ class TestParseTheta:
         assert parse_theta("2pi/5").pi_fraction == Fraction(2, 5)
         assert parse_theta("pi").pi_fraction == Fraction(1)
         assert parse_theta("3pi/2").pi_fraction == Fraction(3, 2)
+        assert parse_theta("-pi/4").pi_fraction == Fraction(-1, 4)
+        assert parse_theta("+2pi/3").pi_fraction == Fraction(2, 3)
 
     def test_radians(self):
         coin = parse_theta("0.75")
@@ -25,6 +27,10 @@ class TestParseTheta:
 
         with pytest.raises(UsageError):
             parse_theta("tau/4")
+        with pytest.raises(UsageError):
+            parse_theta("pi/0")
+        with pytest.raises(UsageError):
+            parse_theta("--pi/4")
 
 
 class TestExitCodes:
@@ -39,6 +45,19 @@ class TestExitCodes:
         rc = main(["exact", "--walk", "line", "--theta", "pi/2",
                    "--steps", "5"])
         assert rc == 2
+
+    def test_exact_precision_needs_pi4(self, capsys):
+        for walk in ("line", "halfline"):
+            rc = main(["exact", "--walk", walk, "--theta", "pi/3",
+                       "--steps", "5", "--precision", "exact"])
+            assert rc == 2, walk
+
+    def test_theta_forms(self, capsys):
+        assert main(["simulate", "--theta=-pi/4", "--steps", "2"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--theta", "pi/0", "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_oracle_requires_pi4(self, capsys):
         rc = main(["oracle", "--walk", "line", "--theta", "pi/3",
@@ -141,15 +160,16 @@ class TestOutputs:
 
     def test_exact_beyond_threshold_ok_with_exact_precision(self, tmp_path,
                                                             capsys):
-        out = tmp_path / "exact400.csv"
-        rc = main(["exact", "--walk", "line", "--theta", "pi/4",
-                   "--steps", "310", "--precision", "exact",
-                   "--out", str(out)])
-        assert rc == 0
-        assert "warning" not in capsys.readouterr().err
-        rows = out.read_text().splitlines()[1:]
-        total = sum(float(ln.split(",")[-1]) for ln in rows)
-        assert abs(total - 1.0) < 1e-12
+        for walk in ("line", "halfline"):
+            out = tmp_path / f"exact400_{walk}.csv"
+            rc = main(["exact", "--walk", walk, "--theta", "pi/4",
+                       "--steps", "310", "--precision", "exact",
+                       "--out", str(out)])
+            assert rc == 0, walk
+            assert "warning" not in capsys.readouterr().err
+            rows = out.read_text().splitlines()[1:]
+            total = sum(float(ln.split(",")[-1]) for ln in rows)
+            assert abs(total - 1.0) < 1e-12, walk
 
     def test_figure_writes_files(self, tmp_path):
         rc = main(["figure", "--id", "fig4", "--out", str(tmp_path)])
@@ -179,8 +199,7 @@ class TestOutputs:
 
 
 class TestSweep:
-    def test_sweep_writes_manifest_in_lex_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QWALK_THREADS", "2")
+    def test_sweep_writes_manifest_in_lex_order(self, tmp_path):
         rc = main(["sweep", "--walk", "halfline", "--route", "evolve",
                    "--thetas", "pi/3,pi/4", "--ts", "4,2",
                    "--out", str(tmp_path)])

@@ -19,6 +19,8 @@ from qwalk import (
     run_checks,
 )
 from qwalk.harness import (
+    EXACT_VS_SIM_MAX_T,
+    SUITES,
     CheckResult,
     approx_table,
     canonical_coins,
@@ -103,9 +105,42 @@ class TestRunChecks:
         assert "ksConvergence[halfTotal]" in names
         assert "exactVsSim" in names
 
+    def test_all_is_the_suites_under_their_filters(self):
+        """'all' equals the per-suite runs under the 'all' time filters."""
+        coins = [make_coin_pi(0), make_coin_pi(Fraction(1, 2)),
+                 make_coin_pi(Fraction(1, 4)), make_coin(1.0)]
+        ts = [0, 1, 2, 60, 61, 100]
+        keep = {
+            "exactVsSim": lambda t: t <= EXACT_VS_SIM_MAX_T,
+            "innerSplit": lambda t: t <= EXACT_VS_SIM_MAX_T,
+            "ksConvergence": lambda t: t >= 100,
+        }
+
+        def fields(checks):
+            return [(c.name, c.theta, c.t, repr(c.max_residual), c.tolerance,
+                     c.error) for c in checks]
+
+        expected = []
+        for suite in SUITES:
+            suite_ts = [t for t in ts if keep.get(suite, lambda t: True)(t)]
+            expected += fields(run_checks(suite, coins, suite_ts).checks)
+        assert fields(run_checks("all", coins, ts).checks) == expected
+        errors = {name for name, _, _, _, _, error in expected if error}
+        assert {"lemma1", "exactVsSim", "innerSplit", "limitNorm",
+                "ksConvergence[halfTotal]"} <= errors
+
     def test_unknown_suite(self, pi4_coin):
         with pytest.raises(ValueError):
             run_checks("nope", [pi4_coin], [1])
+
+    def test_bad_times_rejected(self, pi4_coin):
+        for suite in ("lemma1", "exactVsSim"):
+            with pytest.raises(ValueError):
+                run_checks(suite, [pi4_coin], [-3, 2])
+        # the KS tolerance curve is undefined at t = 0, excluded angle or not
+        for coin in (pi4_coin, make_coin_pi(Fraction(1, 2))):
+            with pytest.raises(ValueError):
+                run_checks("ksConvergence", [coin], [0])
 
     def test_pass_iff_residual_within_tolerance(self):
         good = CheckResult("x", 1.0, 1, 1e-13, 1e-12)
