@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time the evolution layer and write the numbers as one JSON record.
+
+Measured, each as the median process time of --runs runs:
+
+- ns per site-step of `evolve` at t = 10^4, both walks, theta = pi/4 and 1.0
+  (a site-step is one site of the support window advanced by one step);
+- `evolve` and a full `iter_states` pass to t = 200, the same four walks
+  (each run the mean of 20 calls);
+- `ks_distance` at t = 1000 (half-line total, theta = pi/4);
+- `run_checks("ksConvergence", canonical_coins(), 100..200)`.
+
+The record also names the git commit of the measured qwalk tree, the machine
+and the Python and numpy versions. --tiny shrinks every size so a test can
+run the script in about a second. Run from a checkout:
+
+    PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+import qwalk
+from qwalk import WalkKind, evolve, iter_states, ks_distance, make_coin, make_coin_pi
+from qwalk.harness import canonical_coins, run_checks
+
+# (long walk t, short walk t, KS t, KS suite times)
+SIZES = {
+    "full": (10_000, 200, 1000, range(100, 201)),
+    "tiny": (200, 20, 50, range(10, 13)),
+}
+
+# a short walk takes about a millisecond, so each of its runs averages this
+# many calls
+SHORT_CALLS = 20
+
+
+def _coins():
+    return {"pi/4": make_coin_pi(Fraction(1, 4)), "1.0": make_coin(1.0)}
+
+
+def _site_steps(kind: WalkKind, t: int) -> int:
+    """Sum of window sizes over the steps 0 -> t."""
+    return sum(s + 1 if kind is WalkKind.HALF_LINE else 2 * s + 2
+               for s in range(t))
+
+
+def _median_s(fn, runs: int, calls: int) -> tuple[float, list[float]]:
+    """Median and all runs of the time per call; a run makes ``calls`` calls."""
+    times = []
+    for _ in range(runs):
+        start = time.process_time()
+        for _ in range(calls):
+            fn()
+        times.append((time.process_time() - start) / calls)
+    return statistics.median(times), times
+
+
+def _drain(kind: WalkKind, coin, t: int) -> None:
+    for _ in iter_states(kind, coin, t):
+        pass
+
+
+def _git(tree: Path) -> dict:
+    def run(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(tree), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        return {"sha": run("rev-parse", "HEAD"),
+                "dirty": bool(run("status", "--porcelain", "--", "src"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"sha": None, "dirty": None}
+
+
+def measure(size: str, runs: int) -> dict:
+    t_long, t_short, t_ks, ks_ts = SIZES[size]
+    results: dict = {}
+    raw: dict = {}
+
+    def record(metric: str, key: str, fn, scale: float, calls: int = 1) -> None:
+        median, times = _median_s(fn, runs, calls)
+        results.setdefault(metric, {})[key] = median * scale
+        raw.setdefault(metric, {})[key] = times
+
+    for name, coin in _coins().items():
+        for kind in (WalkKind.HALF_LINE, WalkKind.LINE):
+            key = f"{kind.value}@{name}"
+            record(f"evolve_t{t_long}.ns_per_site_step", key,
+                   lambda: evolve(kind, coin, t_long),
+                   1e9 / _site_steps(kind, t_long))
+            record(f"evolve_t{t_short}.ms", key,
+                   lambda: evolve(kind, coin, t_short), 1e3, SHORT_CALLS)
+            record(f"iter_states_t{t_short}.ms", key,
+                   lambda: _drain(kind, coin, t_short), 1e3, SHORT_CALLS)
+    pi4 = _coins()["pi/4"]
+    record(f"ks_distance_t{t_ks}.ms", "halfTotal@pi/4",
+           lambda: ks_distance(pi4, t_ks), 1e3)
+    record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
+           lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+
+    tree = Path(qwalk.__file__).resolve().parents[2]
+    return {
+        "about": "evolution-layer timings; medians of process time",
+        "git": _git(tree),
+        "machine": {"platform": platform.platform(),
+                    "processor": platform.processor() or platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "size": size,
+        "runs": runs,
+        "results": results,
+        "raw_s": raw,
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--tiny", action="store_true",
+                    help="small sizes, for a quick test of the script")
+    ap.add_argument("--out", default="-", help="JSON path, '-' for stdout")
+    args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be >= 1")
+    doc = json.dumps(measure("tiny" if args.tiny else "full", args.runs),
+                     indent=1) + "\n"
+    if args.out == "-":
+        sys.stdout.write(doc)
+    else:
+        Path(args.out).write_text(doc, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

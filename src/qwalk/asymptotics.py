@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .core import Coin, WalkKind
-from .evolution import evolve, probability_arrays
+from .core import Coin, HalfLineState, LineState, WalkKind
+from .evolution import State, evolve, probability_arrays
 
 CDF_ABS_TOL = 1e-10
 
@@ -219,18 +220,30 @@ class KSReport:
 
 
 def ks_distance(coin: Coin, t: int,
-                kind: DensityKind = DensityKind.HALF_TOTAL) -> KSReport:
+                kind: DensityKind = DensityKind.HALF_TOTAL, *,
+                state: Optional[State] = None) -> KSReport:
     """Kolmogorov-Smirnov distance of the evolved walk at time t.
 
     The empirical CDF is right-continuous with jumps at x/t for every
     support position; the sup is attained at a jump, so both sides of every
     jump are inspected.
+
+    ``state`` is the walk already evolved to time t with ``coin`` (the line
+    walk for ``lineTotal``, the half line otherwise); without it the walk is
+    evolved here. A state of the other walk or of another time raises
+    ``ValueError``; the coin is not checked.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     d = LimitDensity(coin=coin, kind=kind)
     walk = WalkKind.LINE if kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
-    state = evolve(walk, coin, t)
+    if state is None:
+        state = evolve(walk, coin, t)
+    elif (not isinstance(state, LineState if walk is WalkKind.LINE
+                         else HalfLineState) or state.t != t):
+        raise ValueError(
+            f"state must be the {walk.value} walk at t = {t}, got "
+            f"{type(state).__name__} at t = {getattr(state, 't', None)}")
     p0, p1 = probability_arrays(state)
     if kind is DensityKind.HALF_INNER0:
         weights = p0

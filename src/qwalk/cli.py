@@ -272,6 +272,8 @@ def _cmd_sweep(args) -> int:
     theta_texts = [v for v in args.thetas.split(",") if v]
     coins = [(text, parse_theta(text)) for text in theta_texts]
     ts = _parse_int_list(args.ts)
+    if not coins or not ts:
+        raise UsageError("sweep needs at least one angle and one time")
     walk = _walk_kind(args.walk)
     precision = _PRECISIONS[args.precision]
     outdir = Path(args.out)

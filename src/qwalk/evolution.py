@@ -1,14 +1,29 @@
 """Unitary time evolution for both walks and probability extraction.
 
 One step applies the coin at every site and then the shift. On the line the
-shift is homogeneous (inner 0 moves left, inner 1 moves right); on the half
-line a left-mover at the boundary is turned into a right-mover in place.
-Steps allocate a fresh window, so states are shareable values and identical
-inputs give bit-identical outputs.
+shift is homogeneous (inner 0 moves left, inner 1 moves right) and the window
+is re-based one position further left; on the half line the window stays at
+x = 0 and a left-mover at the boundary is turned into a right-mover in place.
+
+Both walks run through one coin-and-shift kernel. The window is held as two
+float64 rows, inner 0 and inner 1, in one of two buffers allocated once per
+walk; each step writes the other buffer, and the buffers swap roles, so no
+step allocates. The shift is where the kernel writes, not a separate copy.
+Because the coin is real it acts on real and imaginary parts independently:
+the half line runs on the float64 view of complex rows, and the line, whose
+start is real, runs on real rows and skips an imaginary half that stays
+zero. Every amplitude is the same product and sum the complex step computes,
+so results are bit-identical to it apart from the sign of some zeros.
+
+States own frozen copies of their window, so they stay shareable values and
+identical inputs give bit-identical outputs. Outside the light cone
+|x| < |c| t the amplitudes decay into subnormal floats, which the processor
+handles slowly; they set how the cost per step varies with the angle. They
+are computed, not flushed to zero, so results stay exact.
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -30,68 +45,101 @@ State = Union[HalfLineState, LineState]
 _PROB_FLOOR = 1e-300
 
 
+def _windows(kind: WalkKind, amps: np.ndarray, coin: Coin,
+             steps: int) -> Iterator[np.ndarray]:
+    """Yield the window as (inner 0, inner 1) rows after each step from ``amps``.
+
+    A yielded view is overwritten two steps later. Each buffer row spans
+    ``cap`` sites, the last window, from ``base`` sites in; the coin's output
+    rows go to buffer sites 0 and cap + 2, which is the shift. On the line
+    (base 0) inner 0 keeps its index and inner 1 moves two on, as the window
+    starts one position further left. On the half line (base 1) inner 0
+    moves one down and inner 1 one up, and the left-mover leaving x = 0
+    lands in spare site 0, to be handed to inner 1 at x = 0. The rest of a
+    new window was never written, so it holds the buffers' zeros.
+    """
+    half = kind is WalkKind.HALF_LINE
+    # a complex line window (only step_line can pass one) keeps its
+    # imaginary part; the line's own start is real
+    dtype = np.complex128 if half or amps.imag.any() else np.float64
+    w = np.dtype(dtype).itemsize // 8  # floats per site
+    base, grow = (1, 1) if half else (0, 2)
+    n = amps.shape[0]
+    cap = n + grow * steps
+    bufs = [np.zeros(2 * cap + 4, dtype) for _ in range(2)]
+    rows = [b[base:base + 2 * cap].reshape(2, cap) for b in bufs]
+    flat = [r.view(np.float64) for r in rows]
+    outs = [b.view(np.float64)[:2 * (cap + 2) * w].reshape(2, (cap + 2) * w)
+            for b in bufs]
+    src = np.ascontiguousarray(amps.T if w == 2 else amps.real.T,
+                               dtype).view(np.float64)
+    coef = coin.matrix()[:, :, None]
+    tmp = np.empty((2, 2, cap * w))
+    for i in range(steps):
+        k = i & 1
+        m = n * w
+        # out[r] = coef[r, 0] * inner0 + coef[r, 1] * inner1, the coin
+        np.multiply(coef, src, out=tmp[:, :, :m])
+        np.add(tmp[:, 0, :m], tmp[:, 1, :m], out=outs[k][:, :m])
+        if half:
+            rows[k][1, 0] = bufs[k][0]
+        n += grow
+        src = flat[k][:, :n * w]
+        yield rows[k][:, :n]
+
+
+def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
+    """A state owning a complex copy of the (inner 0, inner 1) rows."""
+    amps = window.T.astype(np.complex128, order="C")
+    if kind is WalkKind.HALF_LINE:
+        return HalfLineState(t=t, amps=amps)
+    return LineState(t=t, amps=amps)
+
+
+def _step(kind: WalkKind, state: State, coin: Coin) -> State:
+    window = next(_windows(kind, state.amps, coin, 1))
+    return _state(kind, state.t + 1, window)
+
+
 def step_half_line(state: HalfLineState, coin: Coin) -> HalfLineState:
     """Advance one step: coin everywhere, then the boundary-respecting shift.
 
     Post-coin inner 0 at x >= 1 moves to x-1; at x = 0 it becomes inner 1 in
     place; inner 1 moves from x to x+1.
     """
-    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
-    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
-    n = state.t + 2
-    amps = np.zeros((n, 2), dtype=np.complex128)
-    amps[: n - 2, 0] = a0[1:]
-    amps[0, 1] = a0[0]
-    amps[1:, 1] = a1
-    return HalfLineState(t=state.t + 1, amps=amps)
+    return _step(WalkKind.HALF_LINE, state, coin)
 
 
 def step_line(state: LineState, coin: Coin) -> LineState:
     """Advance one step: coin everywhere, then the homogeneous shift."""
-    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
-    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
-    old = state.amps.shape[0]
-    amps = np.zeros((old + 2, 2), dtype=np.complex128)
-    # new window starts one position further left: new_index = old_index for
-    # the left-movers, old_index + 2 for the right-movers
-    amps[:old, 0] = a0
-    amps[2 : old + 2, 1] = a1
-    return LineState(t=state.t + 1, amps=amps)
+    return _step(WalkKind.LINE, state, coin)
+
+
+def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[WalkKind, State]:
+    """The walk kind and its initial state, once ``steps`` is checked."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    kind = WalkKind(kind)
+    if kind is WalkKind.HALF_LINE:
+        return kind, initial_half_line(coin)
+    return kind, initial_line(coin)
 
 
 def evolve(kind: WalkKind, coin: Coin, steps: int) -> State:
     """Evolve the appropriate initial state for the given number of steps."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    kind = WalkKind(kind)
-    if kind is WalkKind.HALF_LINE:
-        state: State = initial_half_line(coin)
-        for _ in range(steps):
-            state = step_half_line(state, coin)
-    else:
-        state = initial_line(coin)
-        for _ in range(steps):
-            state = step_line(state, coin)
-    return state
+    kind, state = _start(kind, coin, steps)
+    window = None
+    for window in _windows(kind, state.amps, coin, steps):
+        pass
+    return state if window is None else _state(kind, steps, window)
 
 
 def iter_states(kind: WalkKind, coin: Coin, steps: int):
     """Yield (t, state) for t = 0..steps without re-evolving from scratch."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    kind = WalkKind(kind)
-    if kind is WalkKind.HALF_LINE:
-        state: State = initial_half_line(coin)
-        yield 0, state
-        for t in range(1, steps + 1):
-            state = step_half_line(state, coin)
-            yield t, state
-    else:
-        state = initial_line(coin)
-        yield 0, state
-        for t in range(1, steps + 1):
-            state = step_line(state, coin)
-            yield t, state
+    kind, state = _start(kind, coin, steps)
+    yield 0, state
+    for t, window in enumerate(_windows(kind, state.amps, coin, steps), 1):
+        yield t, _state(kind, t, window)
 
 
 def probability_arrays(state: State) -> tuple[np.ndarray, np.ndarray]:

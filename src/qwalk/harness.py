@@ -156,6 +156,7 @@ _BOTH_WALKS = (WalkKind.LINE, WalkKind.HALF_LINE)
 
 def _walk_suite(name: str, residual: Callable[..., float],
                 walks: tuple[WalkKind, ...] = _BOTH_WALKS,
+                tolerance: Optional[Callable[[int], float]] = None,
                 excluded: Callable[[Coin], Optional[str]] = _sin_zero,
                 min_t: int = 0) -> _SuiteChecks:
     """Checks fed by one ``iter_states`` pass per walk and coin.
@@ -163,38 +164,34 @@ def _walk_suite(name: str, residual: Callable[..., float],
     ``residual(coin, *states)`` runs at every requested time >= min_t, with
     the states in the order of ``walks``; an angle for which ``excluded``
     gives a reason gets an error entry at each of those times instead.
+    ``tolerance(t)`` defaults to the suite's entry in TOLERANCES.
     """
-    tol = TOLERANCES[name]
+    tol = tolerance or (lambda t: TOLERANCES[name])
 
     def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
-        ts = [t for t in ts if t >= min_t]
+        tols = {t: tol(t) for t in ts if t >= min_t}
         reason = excluded(coin)
         if reason:
-            return [_error_check(name, coin, t, tol, reason) for t in ts]
-        if not ts:
+            return [_error_check(name, coin, t, tols[t], reason) for t in tols]
+        if not tols:
             return []
-        wanted = set(ts)
-        passes = zip(*((state for _, state in iter_states(kind, coin, ts[-1]))
+        passes = zip(*((state for _, state in iter_states(kind, coin, max(tols)))
                        for kind in walks))
-        return [_check(name, coin, states[0].t, tol, residual, coin, *states)
-                for states in passes if states[0].t in wanted]
+        return [_check(name, coin, states[0].t, tols[states[0].t], residual,
+                       coin, *states)
+                for states in passes if states[0].t in tols]
 
     return checks
 
 
 def _grid_suite(name: str, residual: Callable[[Coin, int], float],
-                tolerance: Optional[Callable[[int], float]] = None,
-                excluded: Callable[[Coin], Optional[str]] = _never,
                 min_t: int = 1) -> _SuiteChecks:
     """Checks of ``residual(coin, t)`` at every requested time t >= min_t."""
-    tol = tolerance or (lambda t: TOLERANCES[name])
+    tol = TOLERANCES[name]
 
     def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
-        ts = [t for t in ts if t >= min_t]
-        reason = excluded(coin)
-        if reason:
-            return [_error_check(name, coin, t, tol(t), reason) for t in ts]
-        return [_check(name, coin, t, tol(t), residual, coin, t) for t in ts]
+        return [_check(name, coin, t, tol, residual, coin, t)
+                for t in ts if t >= min_t]
 
     return checks
 
@@ -280,8 +277,9 @@ def _inner_split_residual(coin: Coin, t: int) -> float:
     return max(abs(r.p - (0.0 if r.p0 is None else r.p0) - r.p1) for r in rows)
 
 
-def _ks_residual(coin: Coin, t: int) -> float:
-    return asymptotics.ks_distance(coin, t, DensityKind.HALF_TOTAL).ks
+def _ks_residual(coin: Coin, half_state) -> float:
+    return asymptotics.ks_distance(coin, half_state.t, DensityKind.HALF_TOTAL,
+                                   state=half_state).ks
 
 
 def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
@@ -335,9 +333,10 @@ _REGISTRY: dict[str, tuple[_SuiteChecks, Callable[[int], bool]]] = {
     "innerSplit": (_grid_suite("innerSplit", _inner_split_residual),
                    _closed_form_range),
     "limitNorm": (_limit_norm_checks, _any_t),
-    "ksConvergence": (_grid_suite("ksConvergence[halfTotal]", _ks_residual,
+    "ksConvergence": (_walk_suite("ksConvergence[halfTotal]", _ks_residual,
+                                  (WalkKind.HALF_LINE,),
                                   tolerance=ks_tolerance,
-                                  excluded=_degenerate, min_t=0),
+                                  excluded=_degenerate),
                       _ks_range),
 }
 
@@ -348,6 +347,8 @@ def run_checks(suite: str, thetas: Sequence[Union[Coin, float]],
                ts: Sequence[int]) -> VerificationReport:
     """Execute one verification suite (or 'all') over a theta and time grid."""
     coins = [_as_coin(th) for th in thetas]
+    if not coins:
+        raise ValueError("at least one angle is required")
     ts = sorted(set(int(t) for t in ts))
     if not ts:
         raise ValueError("at least one time is required")

@@ -12,6 +12,8 @@ from qwalk import (
     approx_prob,
     cdf_at,
     density_at,
+    WalkKind,
+    evolve,
     ks_distance,
     make_coin,
     total_mass,
@@ -212,3 +214,24 @@ class TestKS:
     def test_bad_t(self, pi4_coin):
         with pytest.raises(ValueError):
             ks_distance(pi4_coin, 0)
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_supplied_state_gives_the_same_report(self, pi4_coin, kind):
+        walk = (WalkKind.LINE if kind is DensityKind.LINE_TOTAL
+                else WalkKind.HALF_LINE)
+        state = evolve(walk, pi4_coin, 120)
+        assert (ks_distance(pi4_coin, 120, kind, state=state)
+                == ks_distance(pi4_coin, 120, kind))
+
+    def test_supplied_state_must_match(self, pi4_coin):
+        half = evolve(WalkKind.HALF_LINE, pi4_coin, 30)
+        line = evolve(WalkKind.LINE, pi4_coin, 30)
+        with pytest.raises(ValueError):
+            ks_distance(pi4_coin, 31, state=half)
+        with pytest.raises(ValueError):
+            ks_distance(pi4_coin, 30, state=line)
+        with pytest.raises(ValueError):
+            ks_distance(pi4_coin, 30, DensityKind.LINE_TOTAL, state=half)
+        with pytest.raises(ValueError):
+            ks_distance(pi4_coin, 0, state=evolve(WalkKind.HALF_LINE,
+                                                   pi4_coin, 0))

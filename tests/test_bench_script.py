@@ -1,0 +1,33 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_script_tiny(tmp_path):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--tiny",
+         "--runs", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["size"] == "tiny" and doc["runs"] == 1
+    assert set(doc["git"]) == {"sha", "dirty"}
+    assert doc["python"] and doc["numpy"] and doc["machine"]["cpus"]
+    walks = {f"{k}@{c}" for k in ("halfline", "line") for c in ("pi/4", "1.0")}
+    results = doc["results"]
+    assert set(results) == {
+        "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
+        "ks_distance_t50.ms", "ks_suite_t10-12.s"}
+    for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
+                   "iter_states_t20.ms"):
+        assert set(results[metric]) == walks
+    for per_key in results.values():
+        assert all(v >= 0 for v in per_key.values())

@@ -69,6 +69,16 @@ class TestExitCodes:
                    "--ts", "10"])
         assert rc == 1
 
+    @pytest.mark.parametrize("option,value", [("--thetas", ","),
+                                              ("--ts", ",")])
+    def test_verify_empty_lists_exit_2(self, capsys, option, value):
+        rc = main(["verify", "--suite", "lemma1", option, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and len(captured.err.splitlines()) == 1)
+
     def test_verify_pass_is_exit_0(self, capsys):
         rc = main(["verify", "--suite", "theorem1", "--thetas", "pi/4",
                    "--ts", "1,2"])
@@ -212,6 +222,16 @@ class TestSweep:
         assert manifest[2] == "evolve_halfline_theta-pi_3_t-2.csv"
         for name in manifest:
             assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("thetas,ts", [(",", "5"), ("pi/4", ","),
+                                           ("", "")])
+    def test_sweep_empty_lists_exit_2(self, tmp_path, capsys, thetas, ts):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--thetas", thetas, "--ts", ts, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_sweep_deterministic_files(self, tmp_path):
         a = tmp_path / "a"

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from qwalk import (
+    HalfLineState,
+    LineState,
     WalkKind,
     distribution,
     evolve,
@@ -12,11 +15,75 @@ from qwalk import (
     initial_line,
     iter_states,
     make_coin,
+    make_coin_pi,
     step_half_line,
     step_line,
 )
+from qwalk.evolution import probability_arrays
 
 SQRT1_2 = math.sqrt(0.5)
+
+EXACTNESS_COINS = (
+    make_coin_pi(Fraction(1, 6)),
+    make_coin_pi(Fraction(1, 4)),
+    make_coin_pi(Fraction(1, 3)),
+    make_coin_pi(Fraction(2, 5)),
+    make_coin_pi(Fraction(-1, 4)),
+    make_coin(1.0),
+    make_coin(0.99),
+    make_coin(1.01),
+    make_coin(-0.7),
+    make_coin(2.5),
+)
+
+
+def reference_step_half_line(state, coin):
+    """Complex-arithmetic step, one fresh window per step."""
+    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
+    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
+    n = state.t + 2
+    amps = np.zeros((n, 2), dtype=np.complex128)
+    amps[: n - 2, 0] = a0[1:]
+    amps[0, 1] = a0[0]
+    amps[1:, 1] = a1
+    return HalfLineState(t=state.t + 1, amps=amps)
+
+
+def reference_step_line(state, coin):
+    """Complex-arithmetic step, one fresh window per step."""
+    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
+    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
+    old = state.amps.shape[0]
+    amps = np.zeros((old + 2, 2), dtype=np.complex128)
+    # new window starts one position further left: new_index = old_index for
+    # the left-movers, old_index + 2 for the right-movers
+    amps[:old, 0] = a0
+    amps[2 : old + 2, 1] = a1
+    return LineState(t=state.t + 1, amps=amps)
+
+
+REFERENCE = {
+    WalkKind.HALF_LINE: (initial_half_line, reference_step_half_line),
+    WalkKind.LINE: (initial_line, reference_step_line),
+}
+
+
+def reference_states(kind, coin, steps):
+    initial, step = REFERENCE[kind]
+    state = initial(coin)
+    yield state
+    for _ in range(steps):
+        state = step(state, coin)
+        yield state
+
+
+def assert_same_walk(state, ref):
+    """Equal amplitudes (a zero may differ in sign), equal probability bytes."""
+    assert type(state) is type(ref) and state.t == ref.t
+    assert state.amps.dtype == np.complex128
+    assert np.array_equal(state.amps, ref.amps)
+    for p, q in zip(probability_arrays(state), probability_arrays(ref)):
+        assert p.tobytes() == q.tobytes()
 
 
 def hand_half_line_t1(coin):
@@ -138,6 +205,55 @@ class TestEvolve:
         a = evolve(WalkKind.LINE, pi4_coin, 60)
         b = evolve(WalkKind.LINE, pi4_coin, 60)
         assert np.array_equal(a.amps, b.amps)
+
+
+class TestExactness:
+    """The kernel computes the same products and sums as complex steps."""
+
+    @pytest.mark.parametrize("coin", EXACTNESS_COINS,
+                             ids=lambda c: f"{c.theta:.4f}")
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_every_t_to_300(self, kind, coin):
+        refs = reference_states(kind, coin, 300)
+        for (t, state), ref in zip(iter_states(kind, coin, 300), refs):
+            assert_same_walk(state, ref)
+        assert t == 300
+        assert_same_walk(evolve(kind, coin, 300), ref)
+
+    @pytest.mark.parametrize("coin", [make_coin_pi(Fraction(1, 4)),
+                                      make_coin(1.0)],
+                             ids=lambda c: f"{c.theta:.4f}")
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_t3000(self, kind, coin):
+        for ref in reference_states(kind, coin, 3000):
+            pass
+        assert_same_walk(evolve(kind, coin, 3000), ref)
+
+    def test_single_steps_from_any_state(self):
+        # step_line keeps the imaginary part of a complex line window
+        rng = np.random.default_rng(7)
+        coin = make_coin(0.8)
+        for t in (0, 1, 5):
+            amps = (rng.standard_normal((2 * t + 2, 2))
+                    + 1j * rng.standard_normal((2 * t + 2, 2)))
+            line = LineState(t=t, amps=amps)
+            assert_same_walk(step_line(line, coin),
+                             reference_step_line(line, coin))
+            half = HalfLineState(t=t, amps=amps[: t + 1].copy())
+            assert_same_walk(step_half_line(half, coin),
+                             reference_step_half_line(half, coin))
+
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_collected_states_stay_valid(self, kind):
+        coin = make_coin(1.0)
+        states = list(iter_states(kind, coin, 40))
+        assert [t for t, _ in states] == list(range(41))
+        for t, state in states:
+            ref = evolve(kind, coin, t)
+            assert state.amps.tobytes() == ref.amps.tobytes()
+            assert not state.amps.flags.writeable
+        for (_, a), (_, b) in zip(states, states[1:]):
+            assert not np.shares_memory(a.amps, b.amps)
 
 
 class TestDistribution:

@@ -142,6 +142,20 @@ class TestRunChecks:
             with pytest.raises(ValueError):
                 run_checks("ksConvergence", [coin], [0])
 
+    def test_no_angles_rejected(self):
+        for suite in ("lemma1", "limitNorm", "all"):
+            with pytest.raises(ValueError):
+                run_checks(suite, [], [1, 2])
+
+    def test_ks_suite_matches_ks_distance(self, pi4_coin):
+        from qwalk import ks_distance
+
+        checks = run_checks("ksConvergence", [pi4_coin], [1, 7, 100]).checks
+        assert [c.t for c in checks] == [1, 7, 100]
+        for c in checks:
+            assert c.max_residual == ks_distance(pi4_coin, c.t).ks
+            assert c.tolerance == ks_tolerance(c.t)
+
     def test_pass_iff_residual_within_tolerance(self):
         good = CheckResult("x", 1.0, 1, 1e-13, 1e-12)
         bad = CheckResult("x", 1.0, 1, 1e-11, 1e-12)
