@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the evolution layer and write the numbers as one JSON record.
+"""Time the evolution, oracle and closed-form layers as one JSON record.
 
 Measured, each as the median process time of --runs runs:
 
@@ -8,7 +8,10 @@ Measured, each as the median process time of --runs runs:
 - `evolve` and a full `iter_states` pass to t = 200, the same four walks
   (each run the mean of 20 calls);
 - `ks_distance` at t = 1000 (half-line total, theta = pi/4);
-- `run_checks("ksConvergence", canonical_coins(), 100..200)`.
+- `run_checks("ksConvergence", canonical_coins(), 100..200)`;
+- us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
+- `line_exact_values` and `half_line_exact_values` at theta = pi/4 and
+  t = 50, 100, 150, per backend (dd and exact).
 
 The record also names the git commit of the measured qwalk tree, the machine
 and the Python and numpy versions. --tiny shrinks every size so a test can
@@ -32,13 +35,16 @@ from pathlib import Path
 import numpy as np
 
 import qwalk
-from qwalk import WalkKind, evolve, iter_states, ks_distance, make_coin, make_coin_pi
+from qwalk import (WalkKind, evolve, iter_states, ks_distance, make_coin,
+                   make_coin_pi, q2_oracle_series)
+from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
+                               line_exact_values)
 from qwalk.harness import canonical_coins, run_checks
 
-# (long walk t, short walk t, KS t, KS suite times)
+# (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts)
 SIZES = {
-    "full": (10_000, 200, 1000, range(100, 201)),
-    "tiny": (200, 20, 50, range(10, 13)),
+    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150)),
+    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20)),
 }
 
 # a short walk takes about a millisecond, so each of its runs averages this
@@ -67,8 +73,8 @@ def _median_s(fn, runs: int, calls: int) -> tuple[float, list[float]]:
     return statistics.median(times), times
 
 
-def _drain(kind: WalkKind, coin, t: int) -> None:
-    for _ in iter_states(kind, coin, t):
+def _drain(states) -> None:
+    for _ in states:
         pass
 
 
@@ -84,7 +90,7 @@ def _git(tree: Path) -> dict:
 
 
 def measure(size: str, runs: int) -> dict:
-    t_long, t_short, t_ks, ks_ts = SIZES[size]
+    t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts = SIZES[size]
     results: dict = {}
     raw: dict = {}
 
@@ -102,16 +108,28 @@ def measure(size: str, runs: int) -> dict:
             record(f"evolve_t{t_short}.ms", key,
                    lambda: evolve(kind, coin, t_short), 1e3, SHORT_CALLS)
             record(f"iter_states_t{t_short}.ms", key,
-                   lambda: _drain(kind, coin, t_short), 1e3, SHORT_CALLS)
+                   lambda: _drain(iter_states(kind, coin, t_short)), 1e3,
+                   SHORT_CALLS)
     pi4 = _coins()["pi/4"]
     record(f"ks_distance_t{t_ks}.ms", "halfTotal@pi/4",
            lambda: ks_distance(pi4, t_ks), 1e3)
     record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
            lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+    for kind in (WalkKind.HALF_LINE, WalkKind.LINE):
+        record(f"oracle_t{t_oracle}.us_per_site_step", kind.value,
+               lambda: _drain(q2_oracle_series(kind, t_oracle)),
+               1e6 / _site_steps(kind, t_oracle))
+    for t in cf_ts:
+        for prec in (Precision.DOUBLE_DOUBLE, Precision.EXACT_Q2):
+            params = ExactParams.for_coin(pi4, t, prec)
+            for fn in (line_exact_values, half_line_exact_values):
+                record(f"{fn.__name__}_t{t}.ms", f"{prec.value}@pi/4",
+                       lambda: fn(pi4, t, params), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {
-        "about": "evolution-layer timings; medians of process time",
+        "about": "evolution, oracle and closed-form timings; medians of "
+                 "process time",
         "git": _git(tree),
         "machine": {"platform": platform.platform(),
                     "processor": platform.processor() or platform.machine(),

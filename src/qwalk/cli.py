@@ -182,6 +182,8 @@ def _cmd_oracle(args) -> int:
     coin = parse_theta(args.theta)
     if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
         raise UsageError("the exact oracle is defined at theta = pi/4 only")
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
     dist = q2_oracle_distribution(_walk_kind(args.walk), args.steps)
     emit(table_from_exact(dist, coin.theta), args.format, args.out)
     return 0

@@ -1,15 +1,29 @@
-"""Exact arithmetic over Q(sqrt2) + i*Q(sqrt2) and the exact walk oracle.
+"""The exact walk oracle at theta = pi/4, and Q(sqrt2) + i*Q(sqrt2) arithmetic.
 
-At theta = pi/4 the coin entries are +-sqrt2/2 and both initial states live
-in the field, so the whole evolution can be carried out with rational
-coordinates and probabilities come out as exact rationals. The half-line
-initial state is used without its global phase, which leaves the
-distribution unchanged and keeps the amplitudes inside the field.
+At theta = pi/4 the coin is (sqrt2/2)[[1, 1], [1, -1]] and both initial
+states live in Q(sqrt2)[i], so every probability is an exact rational. The
+oracle pulls the coin's factor sqrt2/2 out of every step into a known scale
+and steps Gaussian-integer numerators z with plain ints:
+
+- half line: amplitude = z * (sqrt2/2)**(t + 1), z = (1, i) at x = 0;
+- line: amplitude = z/2 * (sqrt2/2)**t, z = (1, 1) at x = -1 and x = 0.
+
+A step is then c0 = a + b, c1 = a - b followed by the shift (and, on the half
+line, the boundary copy). The half-line initial state is used without its
+global phase, which leaves the distribution unchanged. Probabilities are
+|z|^2 over a power of two: 2**(t + 1) on the half line, 2**(t + 2) on the
+line. They are rational by construction, so no sqrt2 coefficient is left to
+check for parity.
+
+`QFieldComplex` holds one element of Q(sqrt2)[i] with `Fraction`
+coordinates. The oracle no longer uses it; it stays as the public field type
+and as the independent reference the tests pin the integer oracle against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, index, sub
 from typing import Iterator
 
 from .core import Distribution, WalkKind
@@ -116,71 +130,81 @@ class ExactDistributionRow:
         return self.p0 + self.p1
 
 
-def _initial(kind: WalkKind) -> tuple[list, list, int]:
-    """Amplitude lists (inner 0, inner 1) and window offset at t = 0."""
-    half = Fraction(1, 2)
+# |amplitude|^2 = |z|^2 / 2**(t + _DEN_POWER[kind]), from the scales
+# (sqrt2/2)**(t + 1) on the half line and (sqrt2/2)**t / 2 on the line
+_DEN_POWER = {WalkKind.HALF_LINE: 1, WalkKind.LINE: 2}
+
+
+def _check_t(t: int) -> int:
+    t = index(t)
+    if t > ORACLE_MAX_T:
+        raise OracleLimitError(
+            f"exact oracle supports t <= {ORACLE_MAX_T}, got {t}"
+        )
+    if t < 0:
+        raise ValueError("t_max must be >= 0")
+    return t
+
+
+def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
+    """Yield (t, offset, [re0, im0, re1, im1]) for t = 0..t_max.
+
+    The four lists hold the Gaussian-integer numerators of inner 0 and
+    inner 1 over the window starting at x = offset. They are rebuilt, never
+    mutated, so a yielded state stays valid after the next step.
+    """
     if kind is WalkKind.HALF_LINE:
         # (1/sqrt2, i/sqrt2): global phase dropped, distribution unaffected
-        return (
-            [QFieldComplex.of(re_b=half)],
-            [QFieldComplex.of(im_b=half)],
-            0,
-        )
-    return (
-        [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
-        [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
-        -1,
-    )
+        state, offset = [[1], [0], [0], [1]], 0
+    else:
+        state, offset = [[1, 1], [0, 0], [1, 1], [0, 0]], -1
+    yield 0, offset, state
+    for t in range(1, t_max + 1):
+        # coin at pi/4 is (sqrt2/2)[[1, 1], [1, -1]]: its factor goes into the
+        # scale, and real and imaginary parts step apart since the coin is real
+        a_re, a_im, b_re, b_im = state
+        s_re, s_im = list(map(add, a_re, b_re)), list(map(add, a_im, b_im))
+        d_re, d_im = list(map(sub, a_re, b_re)), list(map(sub, a_im, b_im))
+        if kind is WalkKind.HALF_LINE:
+            # inner 0 moves left; the sum at x = 0 reflects into inner 1
+            state = [s_re[1:] + [0, 0], s_im[1:] + [0, 0],
+                     s_re[:1] + d_re, s_im[:1] + d_im]
+        else:
+            state = [s_re + [0, 0], s_im + [0, 0],
+                     [0, 0] + d_re, [0, 0] + d_im]
+            offset -= 1
+        yield t, offset, state
 
 
-def _step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
-    # coin at pi/4: a0' = (a + b)*sqrt2/2, a1' = (a - b)*sqrt2/2, then shift
-    c0 = [(x + y).mul_sqrt2_half() for x, y in zip(a, b)]
-    c1 = [(x - y).mul_sqrt2_half() for x, y in zip(a, b)]
-    zero = QFieldComplex.zero()
-    if kind is WalkKind.HALF_LINE:
-        n = len(a) + 1
-        an = c0[1:] + [zero, zero]
-        bn = [c0[0]] + c1
-        return an[:n], bn[:n]
-    n = len(a) + 2
-    an = c0 + [zero, zero]
-    bn = [zero, zero] + c1
-    return an[:n], bn[:n]
-
-
-def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> Distribution:
+def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
+    den = 1 << (t + _DEN_POWER[kind])
+    re0, im0, re1, im1 = state
     rows = tuple(
         ExactDistributionRow(
-            x=offset + i, p0=a[i].abs2_rational(), p1=b[i].abs2_rational()
+            x=offset + i,
+            p0=Fraction(re0[i] * re0[i] + im0[i] * im0[i], den),
+            p1=Fraction(re1[i] * re1[i] + im1[i] * im1[i], den),
         )
-        for i in range(len(a))
+        for i in range(len(re0))
     )
     return Distribution(kind=kind, t=t, rows=rows)
 
 
 def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:
-    """Yield the exact distribution at every t = 0..t_max (one evolution pass)."""
+    """Exact distributions at every t = 0..t_max, from one evolution pass.
+
+    The arguments are checked on the call, before anything is yielded.
+    """
     kind = WalkKind(kind)
-    if t_max > ORACLE_MAX_T:
-        raise OracleLimitError(
-            f"exact oracle supports t <= {ORACLE_MAX_T}, got {t_max}"
-        )
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    a, b, offset = _initial(kind)
-    yield _snapshot(kind, 0, a, b, offset)
-    for t in range(1, t_max + 1):
-        a, b = _step(kind, a, b)
-        if kind is WalkKind.LINE:
-            offset -= 1
-        yield _snapshot(kind, t, a, b, offset)
+    t_max = _check_t(t_max)
+    return (_snapshot(kind, t, offset, state)
+            for t, offset, state in _states(kind, t_max))
 
 
 def q2_oracle_distribution(kind: WalkKind, t: int) -> Distribution:
     """Exact rational distribution of the theta = pi/4 walk at time t."""
-    out = None
-    for out in q2_oracle_series(kind, t):
+    kind = WalkKind(kind)
+    t = _check_t(t)
+    for _, offset, state in _states(kind, t):
         pass
-    assert out is not None
-    return out
+    return _snapshot(kind, t, offset, state)

@@ -25,9 +25,16 @@ def test_bench_script_tiny(tmp_path):
     results = doc["results"]
     assert set(results) == {
         "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
-        "ks_distance_t50.ms", "ks_suite_t10-12.s"}
+        "ks_distance_t50.ms", "ks_suite_t10-12.s",
+        "oracle_t20.us_per_site_step",
+        "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
+        "line_exact_values_t20.ms", "half_line_exact_values_t20.ms"}
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
         assert set(results[metric]) == walks
+    assert set(results["oracle_t20.us_per_site_step"]) == {"halfline", "line"}
+    for t in (10, 20):
+        for fn in ("line_exact_values", "half_line_exact_values"):
+            assert set(results[f"{fn}_t{t}.ms"]) == {"dd@pi/4", "exact@pi/4"}
     for per_key in results.values():
         assert all(v >= 0 for v in per_key.values())

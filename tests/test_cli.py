@@ -64,6 +64,11 @@ class TestExitCodes:
                    "--steps", "5"])
         assert rc == 2
 
+    def test_oracle_negative_steps_names_the_flag(self, capsys):
+        rc = main(["oracle", "--walk", "line", "--steps", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --steps must be >= 0\n"
+
     def test_verify_failure_is_exit_1(self, capsys):
         rc = main(["verify", "--suite", "exactVsSim", "--thetas", "pi/2",
                    "--ts", "10"])

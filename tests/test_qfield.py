@@ -14,7 +14,9 @@ from qwalk import (
     q2_oracle_distribution,
     q2_oracle_series,
 )
+from qwalk.core import Distribution
 from qwalk.evolution import probability_arrays
+from qwalk.qfield import ExactDistributionRow
 
 rationals = st.fractions(min_value=-5, max_value=5)
 
@@ -58,6 +60,84 @@ def test_abs2_matches_float(u):
         abs(u.to_complex()) ** 2, abs=1e-9)
 
 
+# The oracle as it stepped QFieldComplex values before the integer stepper:
+# the independent reference the integer oracle is pinned to.
+def _initial(kind: WalkKind) -> tuple[list, list, int]:
+    """Amplitude lists (inner 0, inner 1) and window offset at t = 0."""
+    half = Fraction(1, 2)
+    if kind is WalkKind.HALF_LINE:
+        # (1/sqrt2, i/sqrt2): global phase dropped, distribution unaffected
+        return (
+            [QFieldComplex.of(re_b=half)],
+            [QFieldComplex.of(im_b=half)],
+            0,
+        )
+    return (
+        [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
+        [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
+        -1,
+    )
+
+
+def _step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
+    # coin at pi/4: a0' = (a + b)*sqrt2/2, a1' = (a - b)*sqrt2/2, then shift
+    c0 = [(x + y).mul_sqrt2_half() for x, y in zip(a, b)]
+    c1 = [(x - y).mul_sqrt2_half() for x, y in zip(a, b)]
+    zero = QFieldComplex.zero()
+    if kind is WalkKind.HALF_LINE:
+        n = len(a) + 1
+        an = c0[1:] + [zero, zero]
+        bn = [c0[0]] + c1
+        return an[:n], bn[:n]
+    n = len(a) + 2
+    an = c0 + [zero, zero]
+    bn = [zero, zero] + c1
+    return an[:n], bn[:n]
+
+
+def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> Distribution:
+    rows = tuple(
+        ExactDistributionRow(
+            x=offset + i, p0=a[i].abs2_rational(), p1=b[i].abs2_rational()
+        )
+        for i in range(len(a))
+    )
+    return Distribution(kind=kind, t=t, rows=rows)
+
+
+def _reference_series(kind: WalkKind, t_max: int):
+    a, b, offset = _initial(kind)
+    yield _snapshot(kind, 0, a, b, offset)
+    for t in range(1, t_max + 1):
+        a, b = _step(kind, a, b)
+        if kind is WalkKind.LINE:
+            offset -= 1
+        yield _snapshot(kind, t, a, b, offset)
+
+
+def _rows(dist):
+    return [(r.x, r.p0, r.p1) for r in dist.rows]
+
+
+@pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+def test_integer_oracle_matches_field_reference(kind):
+    """Equal rows, as Fractions, at every t <= 120."""
+    pairs = zip(q2_oracle_series(kind, 120), _reference_series(kind, 120),
+                strict=True)
+    for t, (got, ref) in enumerate(pairs):
+        assert (got.kind, got.t) == (kind, t)
+        assert _rows(got) == _rows(ref), t
+        assert all(type(r.p0) is Fraction and type(r.p1) is Fraction
+                   for r in got.rows)
+
+
+@pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+def test_distribution_is_the_series_element(kind):
+    series = list(q2_oracle_series(kind, 200))
+    for t in (0, 1, 57, 200):
+        assert q2_oracle_distribution(kind, t) == series[t]
+
+
 class TestOracle:
     def test_half_line_t1(self):
         dist = q2_oracle_distribution(WalkKind.HALF_LINE, 1)
@@ -96,6 +176,14 @@ class TestOracle:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             q2_oracle_distribution(WalkKind.LINE, -1)
+
+    def test_series_checks_arguments_on_the_call(self):
+        with pytest.raises(OracleLimitError):
+            q2_oracle_series(WalkKind.LINE, 500)
+        with pytest.raises(ValueError):
+            q2_oracle_series(WalkKind.LINE, -1)
+        with pytest.raises(TypeError):
+            q2_oracle_series(WalkKind.LINE, 2.5)
 
     def test_fig4_time_rationals_match_evolution(self, pi4_coin):
         """t = 14 exact bars agree with the double-precision panels."""
