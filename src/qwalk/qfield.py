@@ -142,7 +142,7 @@ def _check_t(t: int) -> int:
             f"exact oracle supports t <= {ORACLE_MAX_T}, got {t}"
         )
     if t < 0:
-        raise ValueError("t_max must be >= 0")
+        raise ValueError(f"exact oracle needs t >= 0, got {t}")
     return t
 
 
@@ -160,8 +160,8 @@ def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
         state, offset = [[1, 1], [0, 0], [1, 1], [0, 0]], -1
     yield 0, offset, state
     for t in range(1, t_max + 1):
-        # coin at pi/4 is (sqrt2/2)[[1, 1], [1, -1]]: its factor goes into the
-        # scale, and real and imaginary parts step apart since the coin is real
+        # the coin's sqrt2/2 is in the scale; being real, the coin steps the
+        # real and imaginary parts apart
         a_re, a_im, b_re, b_im = state
         s_re, s_im = list(map(add, a_re, b_re)), list(map(add, a_im, b_im))
         d_re, d_im = list(map(sub, a_re, b_re)), list(map(sub, a_im, b_im))
