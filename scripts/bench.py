@@ -11,9 +11,12 @@ Measured, each as the median process time of --runs runs:
 - `run_checks("ksConvergence", canonical_coins(), 100..200)`;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
 - `line_exact_values` and `half_line_exact_values` at theta = pi/4 and
-  t = 50, 100, 150, per backend (dd and exact).
+  t = 50, 100, 150, 200, per backend (dd and exact).
 
-The record also names the git commit of the measured qwalk tree, the machine
+Each entry holds the median and the quartiles q1, q3 of the runs, and
+`kernel_ms`: the median process time of perfbench's `interpreter_kernel`
+(imported from perfbench/workloads.py), timed just before that metric, so a
+reader can tell a code change from a slower host. The record also names the git commit of the measured qwalk tree, the machine
 and the Python and numpy versions. --tiny shrinks every size so a test can
 run the script in about a second. Run from a checkout:
 
@@ -41,9 +44,12 @@ from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
 from qwalk.harness import canonical_coins, run_checks
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import interpreter_kernel  # noqa: E402
+
 # (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts)
 SIZES = {
-    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150)),
+    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150, 200)),
     "tiny": (200, 20, 50, range(10, 13), 20, (10, 20)),
 }
 
@@ -62,15 +68,23 @@ def _site_steps(kind: WalkKind, t: int) -> int:
                for s in range(t))
 
 
-def _median_s(fn, runs: int, calls: int) -> tuple[float, list[float]]:
-    """Median and all runs of the time per call; a run makes ``calls`` calls."""
+def _run_s(fn, runs: int, calls: int) -> list[float]:
+    """Time per call of each run; a run makes ``calls`` calls."""
     times = []
     for _ in range(runs):
         start = time.process_time()
         for _ in range(calls):
             fn()
         times.append((time.process_time() - start) / calls)
-    return statistics.median(times), times
+    return times
+
+
+def _quartiles(times: list[float]) -> tuple[float, float, float]:
+    """q1, median, q3 (inclusive method; one run gives itself three times)."""
+    if len(times) == 1:
+        return times[0], times[0], times[0]
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def _drain(states) -> None:
@@ -95,8 +109,12 @@ def measure(size: str, runs: int) -> dict:
     raw: dict = {}
 
     def record(metric: str, key: str, fn, scale: float, calls: int = 1) -> None:
-        median, times = _median_s(fn, runs, calls)
-        results.setdefault(metric, {})[key] = median * scale
+        kernel_s = statistics.median(_run_s(interpreter_kernel, runs, 1))
+        times = _run_s(fn, runs, calls)
+        q1, median, q3 = _quartiles(times)
+        results.setdefault(metric, {})[key] = {
+            "median": median * scale, "q1": q1 * scale, "q3": q3 * scale,
+            "kernel_ms": kernel_s * 1e3}
         raw.setdefault(metric, {})[key] = times
 
     for name, coin in _coins().items():
@@ -128,8 +146,9 @@ def measure(size: str, runs: int) -> dict:
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {
-        "about": "evolution, oracle and closed-form timings; medians of "
-                 "process time",
+        "about": "evolution, oracle and closed-form timings; medians and "
+                 "quartiles of process time, each with the interpreter "
+                 "kernel's median time taken just before it",
         "git": _git(tree),
         "machine": {"platform": platform.platform(),
                     "processor": platform.processor() or platform.machine(),

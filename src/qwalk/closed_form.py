@@ -22,15 +22,19 @@ accurate: at the canonical angles r is exactly representable, the integer
 terms convert exactly below 2^106, and the massive cancellation then happens
 in error-free arithmetic. Terms are accumulated from j = m down to 1.
 
-Three arithmetic backends implement the same evaluation: plain doubles
-(adequate to t ~ 30), double-double (the default; adequate to a few hundred
-steps at the canonical angles), and exact rationals (theta = pi/4 only,
-where r = 1 and cos^2 = 1/2 are rational).
+Two float backends run this evaluation term by term through an arithmetic
+context: plain doubles (adequate to t ~ 30) and double-double (the default;
+adequate to a few hundred steps at the canonical angles). The exact backend
+(theta = pi/4 only) writes cos^2 = p/q, so that (-r)^j = u^j / p^j with
+u = -(q - p): p^m A0 and p^m m A1 are then Horner sums in u over Python ints,
+with the powers of p folded into the coefficients. Each table value becomes
+one Fraction; its denominator collects the prefactor's q^(t-1), the
+1/s^2 = q/(q - p) and the m^2 p^(2m) of the two sums.
 """
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -103,7 +107,6 @@ class BinomialTable:
 
     def __init__(self, n_max: int = 0) -> None:
         self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
         self.ensure(n_max)
 
     @property
@@ -111,12 +114,11 @@ class BinomialTable:
         return len(self._rows) - 1
 
     def ensure(self, n_max: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n_max:
-                prev = self._rows[-1]
-                n = len(self._rows)
-                row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-                self._rows.append(row)
+        while len(self._rows) <= n_max:
+            prev = self._rows[-1]
+            n = len(self._rows)
+            row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
+            self._rows.append(row)
 
     def binom(self, n: int, k: int) -> int:
         if k < 0 or k > n:
@@ -143,7 +145,6 @@ def binomial_table(n_max: int = 0) -> BinomialTable:
 
 
 class _DoubleCtx:
-    precision = Precision.DOUBLE
     zero = 0.0
     one = 1.0
 
@@ -172,13 +173,8 @@ class _DoubleCtx:
 
     to_float = staticmethod(float)
 
-    @staticmethod
-    def is_finite(a: float) -> bool:
-        return math.isfinite(a)
-
 
 class _DDCtx:
-    precision = Precision.DOUBLE_DOUBLE
     zero = dd.ZERO
     one = dd.ONE
 
@@ -198,70 +194,43 @@ class _DDCtx:
     neg = staticmethod(dd.neg)
     ipow = staticmethod(dd.ipow)
     to_float = staticmethod(dd.to_float)
-    is_finite = staticmethod(dd.is_finite)
-
-
-class _ExactCtx:
-    precision = Precision.EXACT_Q2
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    from_int = staticmethod(Fraction)
-    from_fraction = staticmethod(Fraction)
-
-    @staticmethod
-    def from_float(a: float) -> Fraction:
-        return Fraction(a)
-
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    div = staticmethod(lambda a, b: a / b)
-    neg = staticmethod(lambda a: -a)
-
-    @staticmethod
-    def ipow(a: Fraction, n: int) -> Fraction:
-        return a**n
-
-    to_float = staticmethod(float)
-
-    @staticmethod
-    def is_finite(a: Fraction) -> bool:
-        return True
 
 
 _CTXS = {
     Precision.DOUBLE: _DoubleCtx,
     Precision.DOUBLE_DOUBLE: _DDCtx,
-    Precision.EXACT_Q2: _ExactCtx,
 }
 
 
 def _resolve(coin: Coin, t: int, params: Optional[ExactParams]):
+    """The constants of one table for the requested backend."""
     if params is None:
         params = ExactParams.for_coin(coin, t)
     if params.t != t:
         raise ValueError(f"params.t = {params.t} disagrees with t = {t}")
     if abs(params.theta - coin.theta) > 1e-12:
         raise ValueError("params.theta disagrees with the coin angle")
-    return _CTXS[Precision(params.precision)]
+    if coin.is_degenerate():
+        raise FormulaDomainError(
+            "closed forms require theta not a multiple of pi/2"
+        )
+    precision = Precision(params.precision)
+    if precision is not Precision.EXACT_Q2:
+        return _Consts(coin, _CTXS[precision], t)
+    if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
+        raise ValueError(
+            "exact rational evaluation is supported only at theta = pi/4"
+        )
+    return _RationalConsts(coin.cos2_exact(), t)
 
 
 class _Consts:
-    """Per-(coin, backend) constants: -r, 1/s^2, c^2, and (-r)^j powers."""
+    """Float-backend constants of one table: -r, 1/s^2, the prefactor
+    c^(2(t-1)) / 2, and (-r)^j powers."""
 
-    def __init__(self, coin: Coin, ctx) -> None:
-        if coin.is_degenerate():
-            raise FormulaDomainError(
-                "closed forms require theta not a multiple of pi/2"
-            )
+    def __init__(self, coin: Coin, ctx, t: int) -> None:
         self.ctx = ctx
         cos2 = coin.cos2_exact()
-        if ctx.precision == Precision.EXACT_Q2:
-            if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
-                raise ValueError(
-                    "exact rational evaluation is supported only at theta = pi/4"
-                )
         if cos2 is not None:
             c2 = ctx.from_fraction(cos2)
             s2 = ctx.from_fraction(1 - cos2)
@@ -270,34 +239,40 @@ class _Consts:
             s = ctx.from_float(coin.s)
             c2 = ctx.mul(c, c)
             s2 = ctx.mul(s, s)
-        self.c2 = c2
         self.inv_s2 = ctx.div(ctx.one, s2)
         self.neg_r = ctx.neg(ctx.div(s2, c2))
         self._pows = [ctx.one]
+        self.add = ctx.add
+        self.pref = ctx.mul(ctx.ipow(c2, t - 1), ctx.from_fraction(Fraction(1, 2)))
+        if ctx.to_float(self.pref) == 0.0:
+            raise PrecisionError(
+                "prefactor underflowed to zero; time too large for this backend"
+            )
 
     def neg_r_pow(self, j: int):
         while len(self._pows) <= j:
             self._pows.append(self.ctx.mul(self._pows[-1], self.neg_r))
         return self._pows[j]
 
-    def prefactor(self, c2_exponent: int):
-        """c^(2*c2_exponent) / 2, guarding against a silent underflow to 0."""
-        p = self.ctx.mul(
-            self.ctx.ipow(self.c2, c2_exponent),
-            self.ctx.from_fraction(Fraction(1, 2)),
-        )
-        if self.ctx.to_float(p) == 0.0:
+    def branch(self, m: int, coeffs_a0, coeffs_b1) -> "_BranchSums":
+        return _BranchSums(self, m, coeffs_a0, coeffs_b1)
+
+    def check_completeness(self, totals) -> None:
+        s = sum(self.ctx.to_float(v) for v in totals)
+        if not math.isfinite(s) or abs(s - 1.0) > _COMPLETENESS_GUARD:
             raise PrecisionError(
-                "prefactor underflowed to zero; time too large for this backend"
+                f"closed-form table sums to {s!r}, not 1: the alternating sums "
+                "have exhausted this backend's precision; use a shorter time, "
+                "double-double, or exact (pi/4) precision"
             )
-        return p
 
 
 class _BranchSums:
     """The factored sums A0, A1 of one branch, pre-combined into products.
 
     ``coeffs_a0[j-1]`` and ``coeffs_b1[j-1]`` are the integer coefficients of
-    (-r)^j in A0 and in m*A1 respectively.
+    (-r)^j in A0 and in m*A1 respectively. ``weighted`` and
+    ``weighted_pair`` return table values: the prefactor is applied.
     """
 
     def __init__(self, consts: _Consts, m: int,
@@ -311,17 +286,18 @@ class _BranchSums:
             b1 = ctx.add(b1, ctx.mul(pw, ctx.from_int(coeffs_b1[j - 1])))
         a1 = ctx.div(b1, ctx.from_int(m))
         self.ctx = ctx
+        self.pref = consts.pref
         self.inv_s2 = consts.inv_s2
         self.a1_sq = ctx.mul(a1, a1)
         self.a0_a1 = ctx.mul(a0, a1)
         self.a0_sq = ctx.mul(a0, a0)
 
     def weighted(self, w: int):
-        """w^2 A1^2 - 2w A0 A1 + A0^2 / s^2."""
+        """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
         ctx = self.ctx
         out = ctx.mul(ctx.from_int(w * w), self.a1_sq)
         out = ctx.sub(out, ctx.mul(ctx.from_int(2 * w), self.a0_a1))
-        return ctx.add(out, ctx.mul(self.inv_s2, self.a0_sq))
+        return ctx.mul(self.pref, ctx.add(out, ctx.mul(self.inv_s2, self.a0_sq)))
 
     def weighted_pair(self, w1: int, w2: int):
         """weighted(w1) + weighted(w2), via the combined weight."""
@@ -329,39 +305,87 @@ class _BranchSums:
         out = ctx.mul(ctx.from_int(w1 * w1 + w2 * w2), self.a1_sq)
         out = ctx.sub(out, ctx.mul(ctx.from_int(2 * (w1 + w2)), self.a0_a1))
         two_inv_s2 = ctx.add(self.inv_s2, self.inv_s2)
-        return ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq))
+        return ctx.mul(self.pref, ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq)))
 
 
-def _pair_sums(consts: _Consts, m: int, M: int, table: BinomialTable) -> _BranchSums:
+class _RationalConsts:
+    """Exact-backend constants of one table, with cos^2 theta = p/q."""
+
+    add = staticmethod(operator.add)
+
+    def __init__(self, cos2: Fraction, t: int) -> None:
+        self.p, self.q = cos2.numerator, cos2.denominator
+        self.u = -(self.q - self.p)  # (-r)^j = u^j / p^j
+        self.pref = Fraction(self.p ** (t - 1), 2 * self.q ** (t - 1))
+
+    def branch(self, m: int, coeffs_a0, coeffs_b1) -> "_IntegerBranch":
+        return _IntegerBranch(self, m, coeffs_a0, coeffs_b1)
+
+    @staticmethod
+    def check_completeness(totals) -> None:
+        s = sum(totals)
+        if s != 1:
+            raise PrecisionError(
+                f"exact closed-form table sums to 1 + {float(s - 1)!r}, not 1"
+            )
+
+
+class _IntegerBranch:
+    """One branch on Python ints: N0 = p^m A0 and N1 = p^m m A1.
+
+    With D = m^2 p^(2m) (q - p), the weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2
+    is (w^2 k1 - w k01 + k0) / D, so a table value is a single Fraction with
+    the prefactor's numerator above and its denominator times D below.
+    """
+
+    def __init__(self, consts: _RationalConsts, m: int,
+                 coeffs_a0, coeffs_b1) -> None:
+        p, q, u = consts.p, consts.q, consts.u
+        n0 = n1 = 0
+        pw = 1  # j = m down to 1: coefficient j carries p^(m-j)
+        for c0, c1 in zip(reversed(coeffs_a0), reversed(coeffs_b1)):
+            n0 = n0 * u + c0 * pw
+            n1 = n1 * u + c1 * pw
+            pw *= p
+        n0 *= u
+        n1 *= u
+        self.num = consts.pref.numerator
+        self.den = consts.pref.denominator * m * m * p ** (2 * m) * (q - p)
+        self.k1 = n1 * n1 * (q - p)
+        self.k01 = 2 * m * n0 * n1 * (q - p)
+        self.k0 = m * m * q * n0 * n0
+
+    def weighted(self, w: int) -> Fraction:
+        """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
+        return Fraction(self.num * (w * w * self.k1 - w * self.k01 + self.k0),
+                        self.den)
+
+    def weighted_pair(self, w1: int, w2: int) -> Fraction:
+        """weighted(w1) + weighted(w2), via the combined weight."""
+        k = (w1 * w1 + w2 * w2) * self.k1 - (w1 + w2) * self.k01 + 2 * self.k0
+        return Fraction(self.num * k, self.den)
+
+
+def _pair_sums(consts, m: int, M: int, table: BinomialTable):
     row_m1 = table.row(m - 1)
     row_m = table.row(m)
     row_M = table.row(M)
     a0 = [row_m1[j - 1] * row_M[j - 1] for j in range(1, m + 1)]
     b1 = [row_m[j] * row_M[j - 1] for j in range(1, m + 1)]
-    return _BranchSums(consts, m, a0, b1)
+    return consts.branch(m, a0, b1)
 
 
-def _origin_sums(consts: _Consts, T: int, table: BinomialTable) -> _BranchSums:
+def _origin_sums(consts, T: int, table: BinomialTable):
     # origin branch of even times: squared binomial coefficients
     row_t1 = table.row(T - 1)
     row_t = table.row(T)
     a0 = [row_t1[j - 1] ** 2 for j in range(1, T + 1)]
     b1 = [row_t[j] * row_t1[j - 1] for j in range(1, T + 1)]
-    return _BranchSums(consts, T, a0, b1)
+    return consts.branch(T, a0, b1)
 
 
-def _check_completeness(ctx, totals) -> None:
-    s = sum(ctx.to_float(v) for v in totals)
-    if not math.isfinite(s) or abs(s - 1.0) > _COMPLETENESS_GUARD:
-        raise PrecisionError(
-            f"closed-form table sums to {s!r}, not 1: the alternating sums "
-            "have exhausted this backend's precision; use a shorter time, "
-            "double-double, or exact (pi/4) precision"
-        )
-
-
-def _to_prob(ctx, v) -> float:
-    x = ctx.to_float(v)
+def _to_prob(v) -> float:
+    x = dd.to_float(v) if isinstance(v, tuple) else float(v)
     if not math.isfinite(x):
         raise PrecisionError("closed-form value is not finite")
     if x < 0.0:
@@ -389,20 +413,19 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
     """
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
-    ctx = _resolve(coin, t, params)
-    consts = _Consts(coin, ctx)
+    consts = _resolve(coin, t, params)
     table = binomial_table(t)
-    pref = consts.prefactor(t - 1)
+    pref = consts.pref
     out: dict[int, object] = {-t - 1: pref, -t: pref}
     for m in range(1, t // 2 + 1):
         sums = _pair_sums(consts, m, t - m - 1, table)
-        right = ctx.mul(pref, sums.weighted(m))
-        left = ctx.mul(pref, sums.weighted(t - m))
+        right = sums.weighted(m)
+        left = sums.weighted(t - m)
         out[t - 2 * m] = right
         out[t - 2 * m - 1] = right
         out[-(t - 2 * m) - 1] = left
         out[-(t - 2 * m)] = left
-    _check_completeness(ctx, out.values())
+    consts.check_completeness(out.values())
     return out
 
 
@@ -412,10 +435,9 @@ def line_exact(coin: Coin, t: int, params: Optional[ExactParams] = None
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
-    ctx = _resolve(coin, t, params)
     vals = line_exact_values(coin, t, params)
     rows = tuple(
-        DistributionRow(x=x, p0=None, p1=None, p=_to_prob(ctx, v))
+        DistributionRow(x=x, p0=None, p1=None, p=_to_prob(v))
         for x, v in sorted(vals.items())
     )
     return Distribution(kind=WalkKind.LINE, t=t, rows=rows)
@@ -436,37 +458,36 @@ def half_line_exact_values(coin: Coin, t: int,
     """
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
-    ctx = _resolve(coin, t, params)
-    consts = _Consts(coin, ctx)
+    consts = _resolve(coin, t, params)
     table = binomial_table(t + 1)
     out: dict[int, tuple] = {}
-    pref = consts.prefactor(t - 1)
+    pref = consts.pref
     if t % 2 == 0:
         half = t // 2
         for m in range(1, half):
             sums = _pair_sums(consts, m, t - m - 1, table)
-            v0 = ctx.mul(pref, sums.weighted(m))
-            v1 = ctx.mul(pref, sums.weighted(t - m))
-            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            v0 = sums.weighted(m)
+            v1 = sums.weighted(t - m)
+            vt = sums.weighted_pair(m, t - m)
             for x in (2 * (half - m), 2 * (half - m) - 1):
                 out[x] = (v0, v1, vt)
         # origin term, even times only: both inners share one value
         sums = _origin_sums(consts, half, table)
-        vo = ctx.mul(pref, sums.weighted(half))
-        out[0] = (vo, vo, ctx.add(vo, vo))
+        vo = sums.weighted(half)
+        out[0] = (vo, vo, consts.add(vo, vo))
     else:
         half = (t - 1) // 2
         for m in range(1, half + 1):
             sums = _pair_sums(consts, m, t - m - 1, table)
-            v0 = ctx.mul(pref, sums.weighted(m))
-            v1 = ctx.mul(pref, sums.weighted(t - m))
-            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            v0 = sums.weighted(m)
+            v1 = sums.weighted(t - m)
+            vt = sums.weighted_pair(m, t - m)
             for x in (2 * (half - m) + 1, 2 * (half - m)):
                 out[x] = (v0, v1, vt)
     # frontier pair carries inner 1 only
     out[t] = (None, pref, pref)
     out[t - 1] = (None, pref, pref)
-    _check_completeness(ctx, (v[2] for v in out.values()))
+    consts.check_completeness(v[2] for v in out.values())
     return out
 
 
@@ -476,14 +497,13 @@ def half_line_exact(coin: Coin, t: int,
 
     ``p0`` is None on the frontier pair, where only inner 1 is positive.
     """
-    ctx = _resolve(coin, t, params)
     vals = half_line_exact_values(coin, t, params)
     rows = tuple(
         DistributionRow(
             x=x,
-            p0=None if v0 is None else _to_prob(ctx, v0),
-            p1=_to_prob(ctx, v1),
-            p=_to_prob(ctx, vt),
+            p0=None if v0 is None else _to_prob(v0),
+            p1=_to_prob(v1),
+            p=_to_prob(vt),
         )
         for x, (v0, v1, vt) in sorted(vals.items())
     )

@@ -14,11 +14,11 @@ def test_bench_script_tiny(tmp_path):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--tiny",
-         "--runs", "1", "--out", str(out)],
+         "--runs", "2", "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert doc["size"] == "tiny" and doc["runs"] == 1
+    assert doc["size"] == "tiny" and doc["runs"] == 2
     assert set(doc["git"]) == {"sha", "dirty"}
     assert doc["python"] and doc["numpy"] and doc["machine"]["cpus"]
     walks = {f"{k}@{c}" for k in ("halfline", "line") for c in ("pi/4", "1.0")}
@@ -37,4 +37,7 @@ def test_bench_script_tiny(tmp_path):
         for fn in ("line_exact_values", "half_line_exact_values"):
             assert set(results[f"{fn}_t{t}.ms"]) == {"dd@pi/4", "exact@pi/4"}
     for per_key in results.values():
-        assert all(v >= 0 for v in per_key.values())
+        for entry in per_key.values():
+            assert set(entry) == {"median", "q1", "q3", "kernel_ms"}
+            assert 0 <= entry["q1"] <= entry["median"] <= entry["q3"]
+            assert entry["kernel_ms"] > 0

@@ -186,6 +186,19 @@ class TestOutputs:
             total = sum(float(ln.split(",")[-1]) for ln in rows)
             assert abs(total - 1.0) < 1e-12, walk
 
+    @pytest.mark.parametrize("walk", ["line", "halfline"])
+    def test_exact_precision_past_float_underflow(self, walk, tmp_path, capsys):
+        # the prefactor (1/2)^1100 underflows as a float but not as a Fraction
+        out = tmp_path / f"exact1100_{walk}.csv"
+        rc = main(["exact", "--walk", walk, "--theta", "pi/4",
+                   "--steps", "1100", "--precision", "exact",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == (2200 if walk == "line" else 1101)
+        total = sum(float(ln.split(",")[-1]) for ln in rows)
+        assert abs(total - 1.0) < 1e-12
+
     def test_figure_writes_files(self, tmp_path):
         rc = main(["figure", "--id", "fig4", "--out", str(tmp_path)])
         assert rc == 0

@@ -7,9 +7,11 @@ from pytest import approx
 
 from qwalk import (
     BinomialTable,
+    Coin,
     ExactParams,
     FormulaDomainError,
     Precision,
+    PrecisionError,
     WalkKind,
     binomial_table,
     distribution,
@@ -22,6 +24,7 @@ from qwalk import (
     line_exact_values,
     make_coin,
     make_coin_pi,
+    q2_oracle_distribution,
     q2_oracle_series,
 )
 from qwalk import dd
@@ -219,6 +222,191 @@ class TestRouteEquivalence:
                 assert worst <= 1e-9, (theta, t)
 
 
+# The exact backend as it evaluated every term through a Fraction context
+# before the integer sums: the reference the integer backend is pinned to.
+class _ExactCtx:
+    precision = Precision.EXACT_Q2
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    from_int = staticmethod(Fraction)
+    from_fraction = staticmethod(Fraction)
+
+    @staticmethod
+    def from_float(a: float) -> Fraction:
+        return Fraction(a)
+
+    add = staticmethod(lambda a, b: a + b)
+    sub = staticmethod(lambda a, b: a - b)
+    mul = staticmethod(lambda a, b: a * b)
+    div = staticmethod(lambda a, b: a / b)
+    neg = staticmethod(lambda a: -a)
+
+    @staticmethod
+    def ipow(a: Fraction, n: int) -> Fraction:
+        return a**n
+
+    to_float = staticmethod(float)
+
+    @staticmethod
+    def is_finite(a: Fraction) -> bool:
+        return True
+
+
+class _Consts:
+    """Per-(coin, backend) constants: -r, 1/s^2, c^2, and (-r)^j powers."""
+
+    def __init__(self, coin: Coin, ctx) -> None:
+        if coin.is_degenerate():
+            raise FormulaDomainError(
+                "closed forms require theta not a multiple of pi/2"
+            )
+        self.ctx = ctx
+        cos2 = coin.cos2_exact()
+        if ctx.precision == Precision.EXACT_Q2:
+            if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
+                raise ValueError(
+                    "exact rational evaluation is supported only at theta = pi/4"
+                )
+        if cos2 is not None:
+            c2 = ctx.from_fraction(cos2)
+            s2 = ctx.from_fraction(1 - cos2)
+        else:
+            c = ctx.from_float(coin.c)
+            s = ctx.from_float(coin.s)
+            c2 = ctx.mul(c, c)
+            s2 = ctx.mul(s, s)
+        self.c2 = c2
+        self.inv_s2 = ctx.div(ctx.one, s2)
+        self.neg_r = ctx.neg(ctx.div(s2, c2))
+        self._pows = [ctx.one]
+
+    def neg_r_pow(self, j: int):
+        while len(self._pows) <= j:
+            self._pows.append(self.ctx.mul(self._pows[-1], self.neg_r))
+        return self._pows[j]
+
+    def prefactor(self, c2_exponent: int):
+        """c^(2*c2_exponent) / 2, guarding against a silent underflow to 0."""
+        p = self.ctx.mul(
+            self.ctx.ipow(self.c2, c2_exponent),
+            self.ctx.from_fraction(Fraction(1, 2)),
+        )
+        if self.ctx.to_float(p) == 0.0:
+            raise PrecisionError(
+                "prefactor underflowed to zero; time too large for this backend"
+            )
+        return p
+
+
+class _BranchSums:
+    """The factored sums A0, A1 of one branch, pre-combined into products.
+
+    ``coeffs_a0[j-1]`` and ``coeffs_b1[j-1]`` are the integer coefficients of
+    (-r)^j in A0 and in m*A1 respectively.
+    """
+
+    def __init__(self, consts: _Consts, m: int,
+                 coeffs_a0, coeffs_b1) -> None:
+        ctx = consts.ctx
+        a0 = ctx.zero
+        b1 = ctx.zero
+        for j in range(m, 0, -1):
+            pw = consts.neg_r_pow(j)
+            a0 = ctx.add(a0, ctx.mul(pw, ctx.from_int(coeffs_a0[j - 1])))
+            b1 = ctx.add(b1, ctx.mul(pw, ctx.from_int(coeffs_b1[j - 1])))
+        a1 = ctx.div(b1, ctx.from_int(m))
+        self.ctx = ctx
+        self.inv_s2 = consts.inv_s2
+        self.a1_sq = ctx.mul(a1, a1)
+        self.a0_a1 = ctx.mul(a0, a1)
+        self.a0_sq = ctx.mul(a0, a0)
+
+    def weighted(self, w: int):
+        """w^2 A1^2 - 2w A0 A1 + A0^2 / s^2."""
+        ctx = self.ctx
+        out = ctx.mul(ctx.from_int(w * w), self.a1_sq)
+        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * w), self.a0_a1))
+        return ctx.add(out, ctx.mul(self.inv_s2, self.a0_sq))
+
+    def weighted_pair(self, w1: int, w2: int):
+        """weighted(w1) + weighted(w2), via the combined weight."""
+        ctx = self.ctx
+        out = ctx.mul(ctx.from_int(w1 * w1 + w2 * w2), self.a1_sq)
+        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * (w1 + w2)), self.a0_a1))
+        two_inv_s2 = ctx.add(self.inv_s2, self.inv_s2)
+        return ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq))
+
+
+def _pair_sums(consts: _Consts, m: int, M: int, table: BinomialTable) -> _BranchSums:
+    row_m1 = table.row(m - 1)
+    row_m = table.row(m)
+    row_M = table.row(M)
+    a0 = [row_m1[j - 1] * row_M[j - 1] for j in range(1, m + 1)]
+    b1 = [row_m[j] * row_M[j - 1] for j in range(1, m + 1)]
+    return _BranchSums(consts, m, a0, b1)
+
+
+def _origin_sums(consts: _Consts, T: int, table: BinomialTable) -> _BranchSums:
+    # origin branch of even times: squared binomial coefficients
+    row_t1 = table.row(T - 1)
+    row_t = table.row(T)
+    a0 = [row_t1[j - 1] ** 2 for j in range(1, T + 1)]
+    b1 = [row_t[j] * row_t1[j - 1] for j in range(1, T + 1)]
+    return _BranchSums(consts, T, a0, b1)
+
+
+def _reference_line_values(coin: Coin, t: int) -> dict:
+    ctx = _ExactCtx
+    consts = _Consts(coin, ctx)
+    table = binomial_table(t)
+    pref = consts.prefactor(t - 1)
+    out: dict[int, object] = {-t - 1: pref, -t: pref}
+    for m in range(1, t // 2 + 1):
+        sums = _pair_sums(consts, m, t - m - 1, table)
+        right = ctx.mul(pref, sums.weighted(m))
+        left = ctx.mul(pref, sums.weighted(t - m))
+        out[t - 2 * m] = right
+        out[t - 2 * m - 1] = right
+        out[-(t - 2 * m) - 1] = left
+        out[-(t - 2 * m)] = left
+    return out
+
+
+def _reference_half_line_values(coin: Coin, t: int) -> dict:
+    ctx = _ExactCtx
+    consts = _Consts(coin, ctx)
+    table = binomial_table(t + 1)
+    out: dict[int, tuple] = {}
+    pref = consts.prefactor(t - 1)
+    if t % 2 == 0:
+        half = t // 2
+        for m in range(1, half):
+            sums = _pair_sums(consts, m, t - m - 1, table)
+            v0 = ctx.mul(pref, sums.weighted(m))
+            v1 = ctx.mul(pref, sums.weighted(t - m))
+            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            for x in (2 * (half - m), 2 * (half - m) - 1):
+                out[x] = (v0, v1, vt)
+        # origin term, even times only: both inners share one value
+        sums = _origin_sums(consts, half, table)
+        vo = ctx.mul(pref, sums.weighted(half))
+        out[0] = (vo, vo, ctx.add(vo, vo))
+    else:
+        half = (t - 1) // 2
+        for m in range(1, half + 1):
+            sums = _pair_sums(consts, m, t - m - 1, table)
+            v0 = ctx.mul(pref, sums.weighted(m))
+            v1 = ctx.mul(pref, sums.weighted(t - m))
+            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            for x in (2 * (half - m) + 1, 2 * (half - m)):
+                out[x] = (v0, v1, vt)
+    # frontier pair carries inner 1 only
+    out[t] = (None, pref, pref)
+    out[t - 1] = (None, pref, pref)
+    return out
+
+
 class TestExactRationalPath:
     def test_requires_pi4(self, pi3_coin, pi4_coin):
         with pytest.raises(ValueError):
@@ -232,7 +420,9 @@ class TestExactRationalPath:
 
     def test_line_matches_oracle_exactly(self, pi4_coin):
         oracle = {d.t: d for d in q2_oracle_series(WalkKind.LINE, 100)}
-        for t in range(1, 101):
+        oracle.update((t, q2_oracle_distribution(WalkKind.LINE, t))
+                      for t in (150, 200))
+        for t in [*range(1, 101), 150, 200]:
             params = ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2)
             vals = line_exact_values(pi4_coin, t, params)
             ora = oracle[t].as_dict()
@@ -241,7 +431,9 @@ class TestExactRationalPath:
 
     def test_half_matches_oracle_exactly(self, pi4_coin):
         oracle = {d.t: d for d in q2_oracle_series(WalkKind.HALF_LINE, 100)}
-        for t in range(1, 101):
+        oracle.update((t, q2_oracle_distribution(WalkKind.HALF_LINE, t))
+                      for t in (150, 200))
+        for t in [*range(1, 101), 150, 200]:
             params = ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2)
             vals = half_line_exact_values(pi4_coin, t, params)
             ex = oracle[t]
@@ -253,6 +445,60 @@ class TestExactRationalPath:
                     assert v0 == e0.get(x, Fraction(0)), (t, x, 0)
                 assert v1 == e1.get(x, Fraction(0)), (t, x, 1)
                 assert vt == et.get(x, Fraction(0)), (t, x, "tot")
+
+    @pytest.mark.parametrize("values, reference", [
+        (line_exact_values, _reference_line_values),
+        (half_line_exact_values, _reference_half_line_values),
+    ])
+    def test_integer_sums_match_fraction_reference(self, pi4_coin, values,
+                                                   reference):
+        for t in [*range(1, 121), 150, 200]:
+            params = ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2)
+            assert values(pi4_coin, t, params) == reference(pi4_coin, t), t
+
+    @pytest.mark.parametrize("values", [line_exact_values,
+                                        half_line_exact_values])
+    def test_past_float_underflow(self, pi4_coin, values):
+        # c^(2(t-1))/2 = 2^-1100 is below the smallest double
+        t = 1100
+        vals = values(pi4_coin, t,
+                      ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2))
+        totals = [v[2] if isinstance(v, tuple) else v for v in vals.values()]
+        assert all(isinstance(v, Fraction) for v in totals)
+        assert min(totals) == Fraction(1, 2**t)
+        assert sum(totals) == 1
+
+    @pytest.mark.parametrize("frac", [Fraction(1, 3), Fraction(1, 6)])
+    def test_integer_sums_for_other_rational_cos2(self, monkeypatch, frac):
+        # pi/3 (cos^2 = 1/4) and pi/6 (3/4) put q - p and p above 1. The
+        # backend serves pi/4 only, so its constants are installed directly;
+        # every table must then pass the exact completeness check (sum 1)
+        # and match double-double.
+        from qwalk import closed_form
+
+        coin = make_coin_pi(frac)
+        ts = range(1, 41)
+        dd_tables = {t: (line_exact_values(coin, t),
+                         half_line_exact_values(coin, t)) for t in ts}
+        monkeypatch.setattr(
+            closed_form, "_resolve",
+            lambda c, t, params: closed_form._RationalConsts(c.cos2_exact(), t))
+        for t in ts:
+            line_dd, half_dd = dd_tables[t]
+            for x, v in line_exact_values(coin, t).items():
+                assert abs(dd.to_fraction(line_dd[x]) - v) < 1e-25, (t, x)
+            for x, vals in half_line_exact_values(coin, t).items():
+                for v, ref in zip(vals, half_dd[x]):
+                    if v is not None:
+                        assert abs(dd.to_fraction(ref) - v) < 1e-25, (t, x)
+
+    def test_completeness_is_checked_exactly(self):
+        from qwalk.closed_form import _RationalConsts
+
+        _RationalConsts.check_completeness([Fraction(1, 2), Fraction(1, 2)])
+        with pytest.raises(PrecisionError):
+            _RationalConsts.check_completeness(
+                [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**200)])
 
     def test_inner_split_exact(self, pi4_coin):
         for t in (6, 11, 24):
