@@ -16,9 +16,10 @@ Measured, each as the median process time of --runs runs:
 Each entry holds the median and the quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
 (imported from perfbench/workloads.py), timed just before that metric, so a
-reader can tell a code change from a slower host. The record also names the git commit of the measured qwalk tree, the machine
-and the Python and numpy versions. --tiny shrinks every size so a test can
-run the script in about a second. Run from a checkout:
+reader can tell a code change from a slower host. The record also names the
+git commit of the measured qwalk tree, the machine and the Python and numpy
+versions. --tiny shrinks every size so a test can run the script in about a
+second. Run from a checkout:
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
 """
