@@ -10,8 +10,9 @@ Measured, each as the median process time of --runs runs:
 - `ks_distance` at t = 1000 (half-line total, theta = pi/4);
 - `run_checks("ksConvergence", canonical_coins(), 100..200)`;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
-- `line_exact_values` and `half_line_exact_values` at theta = pi/4 and
-  t = 50, 100, 150, 200, per backend (dd and exact).
+- `line_exact_values` and `half_line_exact_values` at t = 50, 100, 150,
+  200: dd and exact at theta = pi/4, and dd at theta = 1.0 (a float angle,
+  whose integer sums grow fastest) and pi/3.
 
 Each entry holds the median and the quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
@@ -138,12 +139,16 @@ def measure(size: str, runs: int) -> dict:
         record(f"oracle_t{t_oracle}.us_per_site_step", kind.value,
                lambda: _drain(q2_oracle_series(kind, t_oracle)),
                1e6 / _site_steps(kind, t_oracle))
+    cf_coins = (("pi/4", pi4, Precision.DOUBLE_DOUBLE),
+                ("pi/4", pi4, Precision.EXACT_Q2),
+                ("1.0", _coins()["1.0"], Precision.DOUBLE_DOUBLE),
+                ("pi/3", make_coin_pi(Fraction(1, 3)), Precision.DOUBLE_DOUBLE))
     for t in cf_ts:
-        for prec in (Precision.DOUBLE_DOUBLE, Precision.EXACT_Q2):
-            params = ExactParams.for_coin(pi4, t, prec)
+        for name, coin, prec in cf_coins:
+            params = ExactParams.for_coin(coin, t, prec)
             for fn in (line_exact_values, half_line_exact_values):
-                record(f"{fn.__name__}_t{t}.ms", f"{prec.value}@pi/4",
-                       lambda: fn(pi4, t, params), 1e3)
+                record(f"{fn.__name__}_t{t}.ms", f"{prec.value}@{name}",
+                       lambda: fn(coin, t, params), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {

@@ -18,7 +18,6 @@ from .asymptotics import DensityKind, LimitDensity, cdf_at, density_at
 from .closed_form import (
     ExactParams,
     Precision,
-    PRECISION_WARN_T,
     PrecisionError,
     line_exact,
 )
@@ -140,15 +139,6 @@ def _walk_kind(name: str) -> WalkKind:
     return WalkKind.HALF_LINE if name == "halfline" else WalkKind.LINE
 
 
-def _warn_precision(t: int, precision: Precision) -> None:
-    if t > PRECISION_WARN_T and precision is not Precision.EXACT_Q2:
-        print(
-            f"warning: t={t} exceeds {PRECISION_WARN_T}; the alternating sums "
-            "lose accuracy at this range, treat values as plot-quality only",
-            file=sys.stderr,
-        )
-
-
 def _exact_table(coin: Coin, walk: WalkKind, t: int,
                  precision: Precision) -> OutputTable:
     params = ExactParams.for_coin(coin, t, precision)
@@ -172,7 +162,6 @@ def _cmd_exact(args) -> int:
     precision = _PRECISIONS[args.precision]
     if args.steps < 1:
         raise UsageError("closed forms need --steps >= 1")
-    _warn_precision(args.steps, precision)
     table = _exact_table(coin, _walk_kind(args.walk), args.steps, precision)
     emit(table, args.format, args.out)
     return 0

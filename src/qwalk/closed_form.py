@@ -17,19 +17,21 @@ with the two single sums
     A1 = sum_j (-r)^j C(m-1,j-1) C(M,j-1) / j = (1/m) sum_j (-r)^j C(m,j) C(M,j-1).
 
 Both single sums have integer coefficients (the 1/j is absorbed by
-C(m-1,j-1)/j = C(m,j)/m), which is what makes the double-double path so
-accurate: at the canonical angles r is exactly representable, the integer
-terms convert exactly below 2^106, and the massive cancellation then happens
-in error-free arithmetic. Terms are accumulated from j = m down to 1.
+C(m-1,j-1)/j = C(m,j)/m). Writing cos^2 = p/q and sin^2 = b/q over one
+integer denominator, (-r)^j = u^j / p^j with u = -b, so p^m A0 and p^m m A1
+are Horner sums in u over Python ints, with the powers of p folded into the
+coefficients. Each table value is then one exact rational, whose
+denominator collects the prefactor's 2 q^(t-1), the 1/s^2 = q/b and the
+m^2 p^(2m) of the two sums, and it is rounded once to the requested
+precision: a correctly rounded double, a double-double pair whose low part
+is the correctly rounded remainder, or the exact Fraction (theta = pi/4
+only).
 
-Two float backends run this evaluation term by term through an arithmetic
-context: plain doubles (adequate to t ~ 30) and double-double (the default;
-adequate to a few hundred steps at the canonical angles). The exact backend
-(theta = pi/4 only) writes cos^2 = p/q, so that (-r)^j = u^j / p^j with
-u = -(q - p): p^m A0 and p^m m A1 are then Horner sums in u over Python ints,
-with the powers of p folded into the coefficients. Each table value becomes
-one Fraction; its denominator collects the prefactor's q^(t-1), the
-1/s^2 = q/(q - p) and the m^2 p^(2m) of the two sums.
+At the angles with rational cos^2 (pi/6, pi/4, pi/3, ...) p/q and b/q are
+exact and b = q - p. At any other angle the model is the one the doubles
+give: cos^2 and sin^2 are the exact squares of the double c and s, dyadic
+rationals whose sum differs from 1 in the last bits. Their integers carry
+about 106 bits per power of p, so the cost of a table grows about like t^3.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from . import dd
 from .core import Coin, Distribution, DistributionRow, WalkKind
 
 __all__ = [
@@ -58,20 +59,13 @@ __all__ = [
     "line_exact_values",
 ]
 
-# magnitudes below this round to exact zero; larger negative values signal a
-# genuine precision collapse and raise instead of being hidden
-_NEG_CLAMP = 1e-13
 _PROB_FLOOR = 1e-300
 
-# the weighted combination is a positive-semidefinite quadratic form in the
-# two branch sums, so a precision collapse shows up as a huge positive table
-# rather than as negative entries; the completeness of the representation is
-# the reliable detector (measured: double-double holds ~1e-13 to t = 150,
-# ~1e-5 at t = 200, and explodes past t ~ 230 at the canonical angles)
-_COMPLETENESS_GUARD = 1e-3
-
-# CLI warning threshold for the float paths
-PRECISION_WARN_T = 300
+# the exact precision checks that a table sums to exactly 1; the float
+# precisions check the sum of the rounded values against this bound. At a
+# float angle c^2 + s^2 = 1 + d with |d| ~ 2^-52, and the model's own total
+# is off by about t * d (2e-14 at t = 200).
+_COMPLETENESS_GUARD = 1e-9
 
 
 class FormulaDomainError(ValueError):
@@ -90,7 +84,7 @@ class Precision(str, Enum):
 
 @dataclass(frozen=True)
 class ExactParams:
-    """Evaluation request: angle, time, and arithmetic backend."""
+    """Evaluation request: angle, time, and the precision of the values."""
 
     theta: float
     t: int
@@ -141,69 +135,29 @@ def binomial_table(n_max: int = 0) -> BinomialTable:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic backends
+# integer sums, rounded once
 
 
-class _DoubleCtx:
-    zero = 0.0
-    one = 1.0
-
-    @staticmethod
-    def from_int(n: int) -> float:
-        try:
-            return float(n)
-        except OverflowError as exc:
-            raise PrecisionError("integer coefficient exceeds double range") from exc
-
-    from_float = staticmethod(float)
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> float:
-        return float(q)
-
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    div = staticmethod(lambda a, b: a / b)
-    neg = staticmethod(lambda a: -a)
-
-    @staticmethod
-    def ipow(a: float, n: int) -> float:
-        return a**n
-
-    to_float = staticmethod(float)
+def _dd_pair(num: int, den: int) -> tuple[float, float]:
+    """num/den as a double-double (hi, lo): hi and the remainder
+    num/den - hi, each correctly rounded, so the pair is within 2^-104 of
+    num/den, relative."""
+    hi = num / den
+    hn, hd = hi.as_integer_ratio()
+    return hi, (num * hd - hn * den) / (den * hd)
 
 
-class _DDCtx:
-    zero = dd.ZERO
-    one = dd.ONE
-
-    @staticmethod
-    def from_int(n: int) -> dd.DD:
-        try:
-            return dd.from_int(n)
-        except OverflowError as exc:
-            raise PrecisionError("integer coefficient exceeds double range") from exc
-
-    from_float = staticmethod(dd.from_float)
-    from_fraction = staticmethod(dd.from_fraction)
-    add = staticmethod(dd.add)
-    sub = staticmethod(dd.sub)
-    mul = staticmethod(dd.mul)
-    div = staticmethod(dd.div)
-    neg = staticmethod(dd.neg)
-    ipow = staticmethod(dd.ipow)
-    to_float = staticmethod(dd.to_float)
-
-
-_CTXS = {
-    Precision.DOUBLE: _DoubleCtx,
-    Precision.DOUBLE_DOUBLE: _DDCtx,
+# int / int true division is correctly rounded
+_ROUNDING = {
+    Precision.DOUBLE: operator.truediv,
+    Precision.DOUBLE_DOUBLE: _dd_pair,
+    Precision.EXACT_Q2: Fraction,
 }
 
 
-def _resolve(coin: Coin, t: int, params: Optional[ExactParams]):
-    """The constants of one table for the requested backend."""
+def _resolve(coin: Coin, t: int, params: Optional[ExactParams]
+             ) -> "_RationalConsts":
+    """The constants of one table for the requested precision."""
     if params is None:
         params = ExactParams.for_coin(coin, t)
     if params.t != t:
@@ -215,132 +169,76 @@ def _resolve(coin: Coin, t: int, params: Optional[ExactParams]):
             "closed forms require theta not a multiple of pi/2"
         )
     precision = Precision(params.precision)
-    if precision is not Precision.EXACT_Q2:
-        return _Consts(coin, _CTXS[precision], t)
-    if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
+    if precision is Precision.EXACT_Q2 and (
+            coin.pi_fraction is None
+            or (coin.pi_fraction % 2) != Fraction(1, 4)):
         raise ValueError(
             "exact rational evaluation is supported only at theta = pi/4"
         )
-    return _RationalConsts(coin.cos2_exact(), t)
-
-
-class _Consts:
-    """Float-backend constants of one table: -r, 1/s^2, the prefactor
-    c^(2(t-1)) / 2, and (-r)^j powers."""
-
-    def __init__(self, coin: Coin, ctx, t: int) -> None:
-        self.ctx = ctx
-        cos2 = coin.cos2_exact()
-        if cos2 is not None:
-            c2 = ctx.from_fraction(cos2)
-            s2 = ctx.from_fraction(1 - cos2)
-        else:
-            c = ctx.from_float(coin.c)
-            s = ctx.from_float(coin.s)
-            c2 = ctx.mul(c, c)
-            s2 = ctx.mul(s, s)
-        self.inv_s2 = ctx.div(ctx.one, s2)
-        self.neg_r = ctx.neg(ctx.div(s2, c2))
-        self._pows = [ctx.one]
-        self.add = ctx.add
-        self.pref = ctx.mul(ctx.ipow(c2, t - 1), ctx.from_fraction(Fraction(1, 2)))
-        if ctx.to_float(self.pref) == 0.0:
-            raise PrecisionError(
-                "prefactor underflowed to zero; time too large for this backend"
-            )
-
-    def neg_r_pow(self, j: int):
-        while len(self._pows) <= j:
-            self._pows.append(self.ctx.mul(self._pows[-1], self.neg_r))
-        return self._pows[j]
-
-    def branch(self, m: int, coeffs_a0, coeffs_b1) -> "_BranchSums":
-        return _BranchSums(self, m, coeffs_a0, coeffs_b1)
-
-    def check_completeness(self, totals) -> None:
-        s = sum(self.ctx.to_float(v) for v in totals)
-        if not math.isfinite(s) or abs(s - 1.0) > _COMPLETENESS_GUARD:
-            raise PrecisionError(
-                f"closed-form table sums to {s!r}, not 1: the alternating sums "
-                "have exhausted this backend's precision; use a shorter time, "
-                "double-double, or exact (pi/4) precision"
-            )
-
-
-class _BranchSums:
-    """The factored sums A0, A1 of one branch, pre-combined into products.
-
-    ``coeffs_a0[j-1]`` and ``coeffs_b1[j-1]`` are the integer coefficients of
-    (-r)^j in A0 and in m*A1 respectively. ``weighted`` and
-    ``weighted_pair`` return table values: the prefactor is applied.
-    """
-
-    def __init__(self, consts: _Consts, m: int,
-                 coeffs_a0, coeffs_b1) -> None:
-        ctx = consts.ctx
-        a0 = ctx.zero
-        b1 = ctx.zero
-        for j in range(m, 0, -1):
-            pw = consts.neg_r_pow(j)
-            a0 = ctx.add(a0, ctx.mul(pw, ctx.from_int(coeffs_a0[j - 1])))
-            b1 = ctx.add(b1, ctx.mul(pw, ctx.from_int(coeffs_b1[j - 1])))
-        a1 = ctx.div(b1, ctx.from_int(m))
-        self.ctx = ctx
-        self.pref = consts.pref
-        self.inv_s2 = consts.inv_s2
-        self.a1_sq = ctx.mul(a1, a1)
-        self.a0_a1 = ctx.mul(a0, a1)
-        self.a0_sq = ctx.mul(a0, a0)
-
-    def weighted(self, w: int):
-        """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
-        ctx = self.ctx
-        out = ctx.mul(ctx.from_int(w * w), self.a1_sq)
-        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * w), self.a0_a1))
-        return ctx.mul(self.pref, ctx.add(out, ctx.mul(self.inv_s2, self.a0_sq)))
-
-    def weighted_pair(self, w1: int, w2: int):
-        """weighted(w1) + weighted(w2), via the combined weight."""
-        ctx = self.ctx
-        out = ctx.mul(ctx.from_int(w1 * w1 + w2 * w2), self.a1_sq)
-        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * (w1 + w2)), self.a0_a1))
-        two_inv_s2 = ctx.add(self.inv_s2, self.inv_s2)
-        return ctx.mul(self.pref, ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq)))
+    cos2 = coin.cos2_exact()
+    if cos2 is not None:
+        return _RationalConsts(cos2, 1 - cos2, t, precision)
+    # the model the doubles give: c^2 and s^2 exactly, as dyadic rationals
+    return _RationalConsts(Fraction(coin.c) ** 2, Fraction(coin.s) ** 2, t,
+                           precision)
 
 
 class _RationalConsts:
-    """Exact-backend constants of one table, with cos^2 theta = p/q."""
+    """Constants of one table, with cos^2 = p/q and sin^2 = b/q.
 
-    add = staticmethod(operator.add)
+    At the rational-cos^2 angles b = q - p; at float angles p + b differs
+    from q in the last bits of the doubles.
+    """
 
-    def __init__(self, cos2: Fraction, t: int) -> None:
-        self.p, self.q = cos2.numerator, cos2.denominator
-        self.u = -(self.q - self.p)  # (-r)^j = u^j / p^j
-        self.pref = Fraction(self.p ** (t - 1), 2 * self.q ** (t - 1))
+    def __init__(self, cos2: Fraction, sin2: Fraction, t: int,
+                 precision: Precision) -> None:
+        q = math.lcm(cos2.denominator, sin2.denominator)
+        self.p = cos2.numerator * (q // cos2.denominator)
+        self.b = sin2.numerator * (q // sin2.denominator)
+        self.q = q
+        self.u = -self.b  # (-r)^j = u^j / p^j
+        self.t = t
+        self.precision = precision
+        self.round = _ROUNDING[precision]
+        # the prefactor c^(2(t-1)) / 2
+        self.pref_den = 2 * q ** (t - 1)
+        self.pref = self.round(self.p ** (t - 1), self.pref_den)
 
-    def branch(self, m: int, coeffs_a0, coeffs_b1) -> "_IntegerBranch":
-        return _IntegerBranch(self, m, coeffs_a0, coeffs_b1)
-
-    @staticmethod
-    def check_completeness(totals) -> None:
-        s = sum(totals)
-        if s != 1:
+    def check_completeness(self, totals) -> None:
+        """The table must sum to 1: exactly at the exact precision, else
+        within the float guard."""
+        totals = list(totals)
+        if self.precision is not Precision.EXACT_Q2:
+            s = sum(v[0] if isinstance(v, tuple) else v for v in totals)
+            if abs(s - 1.0) > _COMPLETENESS_GUARD:
+                raise PrecisionError(
+                    f"closed-form table sums to {s!r}, not 1"
+                )
+            return
+        # every denominator divides pref_den * b * p * lcm(m^2) over the
+        # branches, so the numerators add over that common denominator
+        common = (self.pref_den * self.b * self.p
+                  * math.lcm(*range(1, self.t // 2 + 1)) ** 2)
+        scaled = [divmod(v.numerator * common, v.denominator) for v in totals]
+        if any(rest for _, rest in scaled) or sum(k for k, _ in scaled) != common:
             raise PrecisionError(
-                f"exact closed-form table sums to 1 + {float(s - 1)!r}, not 1"
+                f"exact closed-form table sums to 1 + "
+                f"{float(sum(totals) - 1)!r}, not 1"
             )
 
 
 class _IntegerBranch:
     """One branch on Python ints: N0 = p^m A0 and N1 = p^m m A1.
 
-    With D = m^2 p^(2m) (q - p), the weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2
-    is (w^2 k1 - w k01 + k0) / D, so a table value is a single Fraction with
-    the prefactor's numerator above and its denominator times D below.
+    With D = m^2 p^(2m) b, the weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2 is
+    (w^2 k1 - w k01 + k0) / D, so a table value is the prefactor
+    p^(t-1) / pref_den times that, rounded once. The powers of p cancel down
+    to p^(t-1-2m), which is p^-1 at m = t/2.
     """
 
     def __init__(self, consts: _RationalConsts, m: int,
                  coeffs_a0, coeffs_b1) -> None:
-        p, q, u = consts.p, consts.q, consts.u
+        p, q, b, u = consts.p, consts.q, consts.b, consts.u
         n0 = n1 = 0
         pw = 1  # j = m down to 1: coefficient j carries p^(m-j)
         for c0, c1 in zip(reversed(coeffs_a0), reversed(coeffs_b1)):
@@ -349,55 +247,49 @@ class _IntegerBranch:
             pw *= p
         n0 *= u
         n1 *= u
-        self.num = consts.pref.numerator
-        self.den = consts.pref.denominator * m * m * p ** (2 * m) * (q - p)
-        self.k1 = n1 * n1 * (q - p)
-        self.k01 = 2 * m * n0 * n1 * (q - p)
+        self.round = consts.round
+        e = consts.t - 1 - 2 * m
+        self.num = p ** max(e, 0)
+        self.den = consts.pref_den * m * m * b * p ** max(-e, 0)
+        self.k1 = n1 * n1 * b
+        self.k01 = 2 * m * n0 * n1 * b
         self.k0 = m * m * q * n0 * n0
 
-    def weighted(self, w: int) -> Fraction:
+    def weighted(self, w: int):
         """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
-        return Fraction(self.num * (w * w * self.k1 - w * self.k01 + self.k0),
-                        self.den)
+        return self.round(self.num * (w * w * self.k1 - w * self.k01 + self.k0),
+                          self.den)
 
-    def weighted_pair(self, w1: int, w2: int) -> Fraction:
+    def weighted_pair(self, w1: int, w2: int):
         """weighted(w1) + weighted(w2), via the combined weight."""
         k = (w1 * w1 + w2 * w2) * self.k1 - (w1 + w2) * self.k01 + 2 * self.k0
-        return Fraction(self.num * k, self.den)
+        return self.round(self.num * k, self.den)
 
 
-def _pair_sums(consts, m: int, M: int, table: BinomialTable):
+def _pair_sums(consts: _RationalConsts, m: int, M: int,
+               table: BinomialTable) -> _IntegerBranch:
     row_m1 = table.row(m - 1)
     row_m = table.row(m)
     row_M = table.row(M)
     a0 = [row_m1[j - 1] * row_M[j - 1] for j in range(1, m + 1)]
     b1 = [row_m[j] * row_M[j - 1] for j in range(1, m + 1)]
-    return consts.branch(m, a0, b1)
+    return _IntegerBranch(consts, m, a0, b1)
 
 
-def _origin_sums(consts, T: int, table: BinomialTable):
+def _origin_sums(consts: _RationalConsts, T: int,
+                 table: BinomialTable) -> _IntegerBranch:
     # origin branch of even times: squared binomial coefficients
     row_t1 = table.row(T - 1)
     row_t = table.row(T)
     a0 = [row_t1[j - 1] ** 2 for j in range(1, T + 1)]
     b1 = [row_t[j] * row_t1[j - 1] for j in range(1, T + 1)]
-    return consts.branch(T, a0, b1)
+    return _IntegerBranch(consts, T, a0, b1)
 
 
 def _to_prob(v) -> float:
-    x = dd.to_float(v) if isinstance(v, tuple) else float(v)
-    if not math.isfinite(x):
-        raise PrecisionError("closed-form value is not finite")
-    if x < 0.0:
-        if x < -_NEG_CLAMP:
-            raise PrecisionError(
-                f"closed-form value {x!r} is negative beyond the clamp; "
-                "increase precision"
-            )
-        return 0.0
-    if x < _PROB_FLOOR:
-        return 0.0
-    return x
+    # every value is >= 0: pref * ((w A1 - A0)^2 + A0^2 (1/s^2 - 1)), s^2 <= 1
+    x = v[0] if isinstance(v, tuple) else float(v)
+    return 0.0 if x < _PROB_FLOOR else x
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +298,7 @@ def _to_prob(v) -> float:
 
 def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
                       ) -> dict[int, object]:
-    """Backend-typed probability per position with positive probability.
+    """Precision-typed probability per position with positive probability.
 
     Values are floats, double-double pairs, or Fractions depending on the
     requested precision; ``line_exact`` wraps this into a Distribution.
@@ -450,7 +342,7 @@ def line_exact(coin: Coin, t: int, params: Optional[ExactParams] = None
 def half_line_exact_values(coin: Coin, t: int,
                            params: Optional[ExactParams] = None
                            ) -> dict[int, tuple]:
-    """Per-position (inner0, inner1, total) backend-typed values.
+    """Per-position (inner0, inner1, total) precision-typed values.
 
     inner0 is None where only inner 1 is positive (the frontier pair). The
     total column is evaluated through its own combined weight, not by adding
@@ -474,7 +366,7 @@ def half_line_exact_values(coin: Coin, t: int,
         # origin term, even times only: both inners share one value
         sums = _origin_sums(consts, half, table)
         vo = sums.weighted(half)
-        out[0] = (vo, vo, consts.add(vo, vo))
+        out[0] = (vo, vo, sums.weighted_pair(half, half))
     else:
         half = (t - 1) // 2
         for m in range(1, half + 1):

@@ -1,12 +1,12 @@
 """Double-double arithmetic: unevaluated sums hi + lo of two floats.
 
-Gives ~31 significant decimal digits. Values are plain (hi, lo) tuples so the
-hot summation loops stay cheap. Error-free transforms follow Dekker/Knuth;
-the compound operations are the usual accurate (non-sloppy) variants.
+Gives ~31 significant decimal digits. Values are plain (hi, lo) tuples, the
+form in which the closed forms return their `dd` values. Error-free
+transforms follow Dekker/Knuth; the compound operations are the usual
+accurate (non-sloppy) variants.
 
-A property used heavily by the closed-form evaluator: integers of magnitude
-below 2^106 convert exactly, and sums of such integers accumulate exactly as
-long as every partial sum stays below 2^106.
+Integers of magnitude below 2^106 convert exactly, and sums of such integers
+accumulate exactly as long as every partial sum stays below 2^106.
 """
 from __future__ import annotations
 

@@ -35,7 +35,8 @@ def test_bench_script_tiny(tmp_path):
     assert set(results["oracle_t20.us_per_site_step"]) == {"halfline", "line"}
     for t in (10, 20):
         for fn in ("line_exact_values", "half_line_exact_values"):
-            assert set(results[f"{fn}_t{t}.ms"]) == {"dd@pi/4", "exact@pi/4"}
+            assert set(results[f"{fn}_t{t}.ms"]) == {
+                "dd@pi/4", "exact@pi/4", "dd@1.0", "dd@pi/3"}
     for per_key in results.values():
         for entry in per_key.values():
             assert set(entry) == {"median", "q1", "q3", "kernel_ms"}

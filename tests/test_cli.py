@@ -157,21 +157,22 @@ class TestOutputs:
         assert lines[0] == "x,p0,p1,p"
         assert len(lines) == 502
 
-    def test_exact_warns_beyond_trusted_range(self, tmp_path, capsys):
-        # past the warning threshold the sums have also collapsed, so the
-        # run warns and then refuses to emit a garbage table
-        out = tmp_path / "big.csv"
-        rc = main(["exact", "--walk", "line", "--theta", "pi/4",
-                   "--steps", "301", "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "warning" in err
-        assert "error" in err
-        assert not out.exists()
-        rc = main(["exact", "--walk", "line", "--theta", "pi/4",
-                   "--steps", "60", "--out", str(out)])
-        assert rc == 0
-        assert "warning" not in capsys.readouterr().err
+    def test_float_precisions_print_the_exact_values_rounded(self, tmp_path,
+                                                             capsys):
+        # every precision rounds the same exact rationals once, so the
+        # float precisions print the bytes of the exact one, past t = 300
+        for walk in ("line", "halfline"):
+            outs = {}
+            for precision in ("exact", "dd", "double"):
+                out = tmp_path / f"{walk}_{precision}.csv"
+                rc = main(["exact", "--walk", walk, "--theta", "pi/4",
+                           "--steps", "301", "--precision", precision,
+                           "--out", str(out)])
+                assert rc == 0, (walk, precision)
+                assert capsys.readouterr().err == ""
+                outs[precision] = out.read_bytes()
+            assert outs["dd"] == outs["exact"], walk
+            assert outs["double"] == outs["exact"], walk
 
     def test_exact_beyond_threshold_ok_with_exact_precision(self, tmp_path,
                                                             capsys):

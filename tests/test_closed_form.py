@@ -356,8 +356,7 @@ def _origin_sums(consts: _Consts, T: int, table: BinomialTable) -> _BranchSums:
     return _BranchSums(consts, T, a0, b1)
 
 
-def _reference_line_values(coin: Coin, t: int) -> dict:
-    ctx = _ExactCtx
+def _reference_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     consts = _Consts(coin, ctx)
     table = binomial_table(t)
     pref = consts.prefactor(t - 1)
@@ -373,8 +372,7 @@ def _reference_line_values(coin: Coin, t: int) -> dict:
     return out
 
 
-def _reference_half_line_values(coin: Coin, t: int) -> dict:
-    ctx = _ExactCtx
+def _reference_half_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     consts = _Consts(coin, ctx)
     table = binomial_table(t + 1)
     out: dict[int, tuple] = {}
@@ -405,6 +403,30 @@ def _reference_half_line_values(coin: Coin, t: int) -> dict:
     out[t] = (None, pref, pref)
     out[t - 1] = (None, pref, pref)
     return out
+
+
+# the reference's _Consts refuses angles other than pi/4 only when the
+# context's precision is EXACT_Q2
+class _AnyAngleCtx(_ExactCtx):
+    precision = None
+
+
+def _columns(vals: dict, half: bool) -> dict:
+    """(position, column) -> value of either walk's table, None dropped."""
+    return {(x, i): v for x, vs in vals.items()
+            for i, v in enumerate(vs if half else (vs,)) if v is not None}
+
+
+# the float angles stay away from pi/2: the reference's float prefactor
+# guard raises at theta ~ 1.536 from t = 150 on
+_ROUNDING_COINS = {
+    "1.0": make_coin(1.0),
+    "0.3": make_coin(0.3),
+    "2.5": make_coin(2.5),
+    "pi/6": make_coin_pi(Fraction(1, 6)),
+    "pi/4": make_coin_pi(Fraction(1, 4)),
+    "pi/3": make_coin_pi(Fraction(1, 3)),
+}
 
 
 class TestExactRationalPath:
@@ -469,36 +491,46 @@ class TestExactRationalPath:
         assert sum(totals) == 1
 
     @pytest.mark.parametrize("frac", [Fraction(1, 3), Fraction(1, 6)])
-    def test_integer_sums_for_other_rational_cos2(self, monkeypatch, frac):
-        # pi/3 (cos^2 = 1/4) and pi/6 (3/4) put q - p and p above 1. The
-        # backend serves pi/4 only, so its constants are installed directly;
-        # every table must then pass the exact completeness check (sum 1)
-        # and match double-double.
-        from qwalk import closed_form
-
+    def test_integer_sums_for_other_rational_cos2(self, frac):
+        # pi/3 (cos^2 = 1/4) and pi/6 (3/4) put b = q - p and p above 1;
+        # every double-double pair is the reference value rounded once
         coin = make_coin_pi(frac)
-        ts = range(1, 41)
-        dd_tables = {t: (line_exact_values(coin, t),
-                         half_line_exact_values(coin, t)) for t in ts}
-        monkeypatch.setattr(
-            closed_form, "_resolve",
-            lambda c, t, params: closed_form._RationalConsts(c.cos2_exact(), t))
-        for t in ts:
-            line_dd, half_dd = dd_tables[t]
-            for x, v in line_exact_values(coin, t).items():
-                assert abs(dd.to_fraction(line_dd[x]) - v) < 1e-25, (t, x)
-            for x, vals in half_line_exact_values(coin, t).items():
-                for v, ref in zip(vals, half_dd[x]):
-                    if v is not None:
-                        assert abs(dd.to_fraction(ref) - v) < 1e-25, (t, x)
+        for t in range(1, 41):
+            ref = _reference_line_values(coin, t, _AnyAngleCtx)
+            assert line_exact_values(coin, t) == {
+                x: dd.from_fraction(v) for x, v in ref.items()}, t
+            ref = _reference_half_line_values(coin, t, _AnyAngleCtx)
+            assert half_line_exact_values(coin, t) == {
+                x: tuple(None if v is None else dd.from_fraction(v) for v in vs)
+                for x, vs in ref.items()}, t
 
     def test_completeness_is_checked_exactly(self):
         from qwalk.closed_form import _RationalConsts
 
-        _RationalConsts.check_completeness([Fraction(1, 2), Fraction(1, 2)])
+        half = Fraction(1, 2)
+        consts = _RationalConsts(half, half, 2, Precision.EXACT_Q2)
+        consts.check_completeness([half, half])
+        for totals in ([half, half + Fraction(1, 2**200)],
+                       [half, Fraction(1, 4)]):
+            with pytest.raises(PrecisionError):
+                consts.check_completeness(totals)
+        consts = _RationalConsts(half, half, 2, Precision.DOUBLE)
+        consts.check_completeness([0.5, 0.5])
         with pytest.raises(PrecisionError):
-            _RationalConsts.check_completeness(
-                [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**200)])
+            consts.check_completeness([0.5, 0.51])
+        # the common denominator with p and b above 1 (pi/3, pi/6)
+        for frac in (Fraction(1, 3), Fraction(1, 6)):
+            coin = make_coin_pi(frac)
+            cos2 = coin.cos2_exact()
+            for t in (2, 3, 7, 12):
+                consts = _RationalConsts(cos2, 1 - cos2, t, Precision.EXACT_Q2)
+                line = _reference_line_values(coin, t, _AnyAngleCtx)
+                consts.check_completeness(line.values())
+                totals = [v[2] for v in
+                          _reference_half_line_values(coin, t, _AnyAngleCtx).values()]
+                consts.check_completeness(totals)
+                with pytest.raises(PrecisionError):
+                    consts.check_completeness(totals[1:])
 
     def test_inner_split_exact(self, pi4_coin):
         for t in (6, 11, 24):
@@ -518,22 +550,44 @@ class TestDDPathAccuracy:
             for x, v in got.items():
                 assert abs(dd.to_fraction(v) - exact[x]) < Fraction(1, 10**28)
 
-    def test_collapse_raises_instead_of_emitting_garbage(self, pi4_coin):
-        # the combo form is positive semidefinite, so a collapsed table is
-        # hugely positive rather than negative; the completeness guard
-        # must catch it on every backend and both walks
-        from qwalk import PrecisionError
+    def test_long_times_are_correctly_rounded(self, pi4_coin):
+        # double-double at t = 300 and double at t = 200, far into the
+        # cancellation of the alternating sums, on both walks
+        for t, prec in ((300, Precision.DOUBLE_DOUBLE), (200, Precision.DOUBLE)):
+            params = ExactParams.for_coin(pi4_coin, t, prec)
+            for values, reference, half in (
+                    (line_exact_values, _reference_line_values, False),
+                    (half_line_exact_values, _reference_half_line_values, True)):
+                ref = _columns(reference(pi4_coin, t), half)
+                got = _columns(values(pi4_coin, t, params), half)
+                assert got.keys() == ref.keys(), (t, half)
+                for k, r in ref.items():
+                    if prec is Precision.DOUBLE:
+                        assert got[k] == float(r), (t, k)
+                    else:
+                        assert got[k] == dd.from_fraction(r), (t, k)
 
-        with pytest.raises(PrecisionError):
-            line_exact(pi4_coin, 300)
-        with pytest.raises(PrecisionError):
-            half_line_exact_total(pi4_coin, 300)
-        with pytest.raises(PrecisionError):
-            line_exact(pi4_coin, 200,
-                       ExactParams.for_coin(pi4_coin, 200, Precision.DOUBLE))
-        # exact rationals are immune
-        params = ExactParams.for_coin(pi4_coin, 150, Precision.EXACT_Q2)
-        assert line_exact(pi4_coin, 150, params).total() == approx(1.0)
+
+@pytest.mark.parametrize("values, reference", [
+    (line_exact_values, _reference_line_values),
+    (half_line_exact_values, _reference_half_line_values),
+], ids=["line", "half"])
+@pytest.mark.parametrize("angle", list(_ROUNDING_COINS))
+def test_values_are_the_reference_rounded_once(angle, values, reference):
+    """double is float(ref); double-double is within 2^-104 of ref."""
+    coin = _ROUNDING_COINS[angle]
+    half = values is half_line_exact_values
+    for t in [*range(1, 81), 150, 200]:
+        ref = _columns(reference(coin, t, _AnyAngleCtx), half)
+        double = _columns(values(
+            coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE)), half)
+        pair = _columns(values(
+            coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE_DOUBLE)),
+            half)
+        assert double.keys() == pair.keys() == ref.keys(), t
+        for k, r in ref.items():
+            assert double[k] == float(r), (t, k)
+            assert abs(dd.to_fraction(pair[k]) - r) <= r / 2**104, (t, k)
 
 
 class TestParams:
