@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the evolution, oracle and closed-form layers as one JSON record.
+"""Time the evolution, oracle, closed-form and render layers as one JSON record.
 
 Measured, each as the median process time of --runs runs:
 
@@ -12,7 +12,9 @@ Measured, each as the median process time of --runs runs:
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
 - `line_exact_values` and `half_line_exact_values` at t = 50, 100, 150,
   200: dd and exact at theta = pi/4, and dd at theta = 1.0 (a float angle,
-  whose integer sums grow fastest) and pi/3.
+  whose integer sums grow fastest) and pi/3;
+- `render_csv` and `render_json` of the line walk's table at t = 5000,
+  theta = 1.0 (the table is built once, outside the timing).
 
 Each entry holds the median and the quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
@@ -40,19 +42,22 @@ from pathlib import Path
 import numpy as np
 
 import qwalk
-from qwalk import (WalkKind, evolve, iter_states, ks_distance, make_coin,
-                   make_coin_pi, q2_oracle_series)
+from qwalk import (WalkKind, distribution, evolve, iter_states, ks_distance,
+                   make_coin, make_coin_pi, q2_oracle_series)
 from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
-from qwalk.harness import canonical_coins, run_checks
+from qwalk.harness import (canonical_coins, render_csv, render_json,
+                           run_checks, table_from_distribution)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
 
-# (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts)
+# (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts,
+# rendered table t)
 SIZES = {
-    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150, 200)),
-    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20)),
+    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150, 200),
+             5000),
+    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20), 50),
 }
 
 # a short walk takes about a millisecond, so each of its runs averages this
@@ -106,7 +111,7 @@ def _git(tree: Path) -> dict:
 
 
 def measure(size: str, runs: int) -> dict:
-    t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts = SIZES[size]
+    t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts, t_render = SIZES[size]
     results: dict = {}
     raw: dict = {}
 
@@ -149,12 +154,18 @@ def measure(size: str, runs: int) -> dict:
             for fn in (line_exact_values, half_line_exact_values):
                 record(f"{fn.__name__}_t{t}.ms", f"{prec.value}@{name}",
                        lambda: fn(coin, t, params), 1e3)
+    table = table_from_distribution(
+        distribution(evolve(WalkKind.LINE, _coins()["1.0"], t_render)),
+        "evolve", 1.0)
+    for fn in (render_csv, render_json):
+        record(f"{fn.__name__}_t{t_render}.ms", "line@1.0",
+               lambda: fn(table), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {
-        "about": "evolution, oracle and closed-form timings; medians and "
-                 "quartiles of process time, each with the interpreter "
-                 "kernel's median time taken just before it",
+        "about": "evolution, oracle, closed-form and render timings; "
+                 "medians and quartiles of process time, each with the "
+                 "interpreter kernel's median time taken just before it",
         "git": _git(tree),
         "machine": {"platform": platform.platform(),
                     "processor": platform.processor() or platform.machine(),

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: simulate, exact, oracle, limit, approx, verify, figure, sweep.
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments, 3 I/O
-failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a size
+too large for memory included), 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -302,6 +302,10 @@ def main(argv=None) -> int:
     # UsageError, FormulaDomainError and OracleLimitError are ValueErrors
     except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # a walk too long for memory, refused when its buffers are allocated
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
     except OSError as exc:
         target = getattr(exc, "filename", None)

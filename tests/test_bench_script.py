@@ -28,7 +28,8 @@ def test_bench_script_tiny(tmp_path):
         "ks_distance_t50.ms", "ks_suite_t10-12.s",
         "oracle_t20.us_per_site_step",
         "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
-        "line_exact_values_t20.ms", "half_line_exact_values_t20.ms"}
+        "line_exact_values_t20.ms", "half_line_exact_values_t20.ms",
+        "render_csv_t50.ms", "render_json_t50.ms"}
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
         assert set(results[metric]) == walks
@@ -37,6 +38,8 @@ def test_bench_script_tiny(tmp_path):
         for fn in ("line_exact_values", "half_line_exact_values"):
             assert set(results[f"{fn}_t{t}.ms"]) == {
                 "dd@pi/4", "exact@pi/4", "dd@1.0", "dd@pi/3"}
+    for fn in ("render_csv", "render_json"):
+        assert set(results[f"{fn}_t50.ms"]) == {"line@1.0"}
     for per_key in results.values():
         for entry in per_key.values():
             assert set(entry) == {"median", "q1", "q3", "kernel_ms"}

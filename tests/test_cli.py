@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -106,6 +107,28 @@ class TestExitCodes:
     def test_negative_steps_rejected(self, capsys):
         rc = main(["simulate", "--theta", "pi/4", "--steps", "-3"])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--theta", "1.0", "--steps", "99999999999"],
+        ["sweep", "--route", "evolve", "--thetas", "1.0",
+         "--ts", "99999999999", "--out", "{tmp}"],
+    ], ids=["simulate", "sweep"])
+    def test_oversized_steps_is_exit_2(self, tmp_path, command):
+        # 10^11 steps need terabytes, which numpy refuses at once; the
+        # address-space limit makes sure the child never allocates lazily,
+        # and one BLAS thread keeps numpy's own reservations under it
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)); "
+                "from qwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+        args = [a.replace("{tmp}", str(tmp_path)) for a in command]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
 
 class TestOutputs:
