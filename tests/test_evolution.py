@@ -25,7 +25,7 @@ from qwalk.harness import render_csv, table_from_distribution
 
 SQRT1_2 = math.sqrt(0.5)
 
-# the smallest size whose square is nonzero
+# the smallest power of two whose square is a nonzero double
 SQUARE_UNDERFLOW = 2.0 ** -537
 TINY = np.finfo(np.float64).tiny
 
