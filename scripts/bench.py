@@ -8,6 +8,9 @@ Measured, each as the median process time of --runs runs:
 - `evolve` and a full `iter_states` pass to t = 200, the same four walks
   (each run the mean of 20 calls);
 - `ks_distance` at t = 1000 (half-line total, theta = pi/4);
+- us per grid point of `cdf_grid` at theta = 1.0 on the grids `ks_distance`
+  builds: half-line total at t = 200 (201 points) and line total at
+  t = 5000 (10,002 points);
 - `run_checks("ksConvergence", canonical_coins(), 100..200)`;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
 - `line_exact_values` and `half_line_exact_values` at t = 50, 100, 150,
@@ -42,8 +45,10 @@ from pathlib import Path
 import numpy as np
 
 import qwalk
-from qwalk import (WalkKind, distribution, evolve, iter_states, ks_distance,
-                   make_coin, make_coin_pi, q2_oracle_series)
+from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
+                   iter_states, ks_distance, make_coin, make_coin_pi,
+                   q2_oracle_series)
+from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
 from qwalk.harness import (canonical_coins, render_csv, render_json,
@@ -140,6 +145,13 @@ def measure(size: str, runs: int) -> dict:
            lambda: ks_distance(pi4, t_ks), 1e3)
     record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
            lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+    for walk, kind, t in ((WalkKind.HALF_LINE, DensityKind.HALF_TOTAL, t_short),
+                          (WalkKind.LINE, DensityKind.LINE_TOTAL, t_render)):
+        state = evolve(walk, _coins()["1.0"], t)
+        xs = (np.arange(len(state.amps)) + state.offset) / t
+        d = LimitDensity(_coins()["1.0"], kind)
+        record(f"cdf_grid_t{t}.us_per_point", f"{kind.value}@1.0",
+               lambda: cdf_grid(d, xs), 1e6 / len(xs), SHORT_CALLS)
     for kind in (WalkKind.HALF_LINE, WalkKind.LINE):
         record(f"oracle_t{t_oracle}.us_per_site_step", kind.value,
                lambda: _drain(q2_oracle_series(kind, t_oracle)),

@@ -9,9 +9,16 @@ The rescaled position converges in law to a density supported on
     half, inner 1: |s| / (pi (1 - y) sqrt(c^2 - y^2))   on [0, |c|)
     half, total:  2|s| / (pi (1 - y^2) sqrt(c^2 - y^2)) on [0, |c|)
 
-CDFs are integrated after the substitution y = |c| sin(phi), which removes
-the inverse-square-root endpoint singularity and leaves a smooth bounded
-integrand on [-pi/2, pi/2].
+The CDFs are closed forms. With y = |c| sin(phi) and
+u = tan(phi/2) = y / (|c| + sqrt(c^2 - y^2)):
+
+    line total:    (2/pi) [arctan((u + |c|)/|s|) - arctan((|c| - 1)/|s|)]
+    half, inner 0: (2/pi) [arctan((u + |c|)/|s|) - arctan(|c|/|s|)]
+    half, inner 1: (2/pi) [arctan((u - |c|)/|s|) + arctan(|c|/|s|)]
+    half, total:   (2/pi) arctan(|s| y / sqrt(c^2 - y^2))
+
+Only `total_mass` integrates, by adaptive Simpson in phi (a smooth bounded
+integrand), so the normalisation check stays independent of the closed forms.
 """
 from __future__ import annotations
 
@@ -113,67 +120,65 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 
 
 def _phi_integrand(d: LimitDensity):
-    """Density transformed by y = |c| sin(phi); bounded and smooth."""
-    c, s = _cs(d.coin)
-    c2, _ = _cs2(d.coin)
-    kind = d.kind
-    if kind is DensityKind.LINE_TOTAL or kind is DensityKind.HALF_INNER0:
-        return lambda phi: s / (math.pi * (1.0 + c * math.sin(phi)))
-    if kind is DensityKind.HALF_INNER1:
-        return lambda phi: s / (math.pi * (1.0 - c * math.sin(phi)))
-    return lambda phi: 2.0 * s / (math.pi * (1.0 - c2 * math.sin(phi) ** 2))
+    """Density transformed by y = |c| sin(phi); bounded and smooth.
 
-
-def _phi_of(d: LimitDensity, x: float) -> float:
-    c, _ = _cs(d.coin)
-    return math.asin(min(max(x / c, -1.0), 1.0))
-
-
-def cdf_at(d: LimitDensity, x: float) -> float:
-    """Limit of P(X_t/t <= x [; inner]) by adaptive quadrature.
-
-    The two per-inner kinds describe joint (sub-probability) laws, so their
-    CDFs saturate at the inner-state mass rather than at 1.
+    Where 1 +- c sin(phi) cancels below 1/2 (so c > 1/2 and 1 - c is exact)
+    it is (1 - c) + 2c sin^2(pi/4 +- phi/2), and 1 - c^2 sin^2(phi) is
+    s^2 + c^2 cos^2(phi): the peak ~ 1/|s| keeps full precision at small |s|.
     """
-    lo, hi = d.support
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return total_mass(d) if _is_sub_law(d.kind) else 1.0
-    phi_lo = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
-    val = _adaptive_simpson(_phi_integrand(d), phi_lo, _phi_of(d, x),
-                            0.01 * CDF_ABS_TOL)
-    return min(max(val, 0.0), 1.0)
+    c, s = _cs(d.coin)
+    c2, s2 = _cs2(d.coin)
+    if d.kind is DensityKind.HALF_TOTAL:
+        return lambda phi: 2.0 * s / (math.pi * (s2 + c2 * math.cos(phi) ** 2))
+    sign = -1.0 if d.kind is DensityKind.HALF_INNER1 else 1.0
+
+    def f(phi: float) -> float:
+        den = 1.0 + sign * c * math.sin(phi)
+        if den < 0.5:
+            den = (1.0 - c) + 2.0 * c * math.sin(0.25 * math.pi
+                                                 + sign * 0.5 * phi) ** 2
+        return s / (math.pi * den)
+    return f
 
 
-def _is_sub_law(kind: DensityKind) -> bool:
-    return kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
+def _half_angle_cdf(kind: DensityKind, c: float, s: float, y, root):
+    """(pi/2) times the CDF at y inside the support, root = sqrt(c^2 - y^2)."""
+    if kind is DensityKind.HALF_TOTAL:
+        return np.arctan2(s * y, root)
+    u = y / (c + root)
+    if kind is DensityKind.HALF_INNER1:
+        return np.arctan((u - c) / s) + math.atan(c / s)
+    start = c - 1.0 if kind is DensityKind.LINE_TOTAL else c
+    return np.arctan((u + c) / s) - math.atan(start / s)
 
 
 def cdf_grid(d: LimitDensity, xs: np.ndarray) -> np.ndarray:
-    """CDF at many sorted points, integrating each panel once."""
+    """Limit of P(X_t/t <= x [; inner]) at every point of a sorted grid.
+
+    Zero at or below the support, the saturation value at or above it. The
+    two per-inner kinds describe joint (sub-probability) laws, so their CDFs
+    saturate at the closed form's value at the upper edge rather than at 1.
+    """
     xs = np.asarray(xs, dtype=float)
     if np.any(np.diff(xs) < 0):
         raise ValueError("grid must be sorted ascending")
+    c, s = _cs(d.coin)
+    c2, _ = _cs2(d.coin)
     lo, hi = d.support
-    phi_lo = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
-    f = _phi_integrand(d)
-    saturation = total_mass(d) if _is_sub_law(d.kind) else 1.0
-    out = np.empty(len(xs))
-    acc = 0.0
-    prev_phi = phi_lo
-    for i, x in enumerate(xs):
-        if x <= lo:
-            out[i] = 0.0
-            continue
-        if x >= hi:
-            out[i] = saturation
-            continue
-        phi = _phi_of(d, x)
-        acc += _adaptive_simpson(f, prev_phi, phi, 0.01 * CDF_ABS_TOL)
-        prev_phi = phi
-        out[i] = min(max(acc, 0.0), 1.0)
+    sub_law = d.kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
+    edge = 2.0 / math.pi * float(_half_angle_cdf(d.kind, c, s, c, 0.0))
+    out = np.where(xs >= hi, edge if sub_law else 1.0, 0.0)
+    inside = (xs > lo) & (xs < hi)
+    y = xs[inside]
+    root = np.sqrt(np.maximum(c2 - y * y, 0.0))
+    out[inside] = np.clip(2.0 / math.pi * _half_angle_cdf(d.kind, c, s, y, root),
+                          0.0, 1.0)
     return out
+
+
+def cdf_at(d: LimitDensity, x: float) -> float:
+    """The CDF at one point; see `cdf_grid`."""
+    return float(cdf_grid(d, [x])[0])
 
 
 @lru_cache(maxsize=256)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import harness
-from .asymptotics import DensityKind, LimitDensity, cdf_at, density_at
+from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
 from .closed_form import (
     ExactParams,
     Precision,
@@ -190,17 +190,12 @@ def _cmd_limit(args) -> int:
     lo -= 0.05 * span
     hi += 0.05 * span
     n = args.points
+    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     if args.quantity == "density":
-        rows = []
-        for i in range(n):
-            y = lo + (hi - lo) * i / (n - 1)
-            rows.append((y, density_at(d, y)))
+        rows = [(y, density_at(d, y)) for y in xs]
         columns = ("y", "density")
     else:
-        rows = []
-        for i in range(n):
-            x = lo + (hi - lo) * i / (n - 1)
-            rows.append((x, cdf_at(d, x)))
+        rows = list(zip(xs, cdf_grid(d, xs).tolist()))
         columns = ("x", "cdf")
     table = OutputTable(
         kind=args.kind, theta=coin.theta, t=None, route="limit",

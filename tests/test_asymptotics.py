@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +23,48 @@ from qwalk import (
     make_coin,
     total_mass,
 )
-from qwalk.asymptotics import cdf_grid
+from qwalk.asymptotics import (CDF_ABS_TOL, _adaptive_simpson, _phi_integrand,
+                               cdf_grid)
 
 from conftest import THETA_GRID_20
 
 ADMISSIBLE = st.sampled_from(THETA_GRID_20)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the angles the closed-form CDFs are pinned at, in radians
+CDF_THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.0, 2.5, 0.3, -0.7,
+              1.536, 0.01)
+
+
+def _quadrature_cdf(d: LimitDensity, xs) -> list[float]:
+    """Reference CDF: adaptive Simpson of the phi integrand, panel by panel."""
+    lo, hi = d.support
+    sub_law = d.kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
+    f = _phi_integrand(d)
+    prev = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
+    acc = 0.0
+    out = []
+    for x in xs:
+        if x <= lo:
+            out.append(0.0)
+        elif x >= hi:
+            out.append(total_mass(d) if sub_law else 1.0)
+        else:
+            phi = math.asin(min(max(x / hi, -1.0), 1.0))
+            acc += _adaptive_simpson(f, prev, phi, 0.01 * CDF_ABS_TOL)
+            prev = phi
+            out.append(acc)
+    return out
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; a hang fails after 60 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestDensity:
@@ -160,6 +202,81 @@ class TestCdf:
         grid = cdf_grid(d, xs)
         for x, v in zip(xs[::7], grid[::7]):
             assert cdf_at(d, float(x)) == approx(float(v), abs=1e-9)
+
+
+class TestClosedFormCdf:
+    @pytest.mark.parametrize("theta", CDF_THETAS)
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_matches_quadrature(self, theta, kind):
+        d = LimitDensity(make_coin(theta), kind)
+        lo, hi = d.support
+        xs = np.linspace(lo - 0.1, hi + 0.1, 401)
+        ref = _quadrature_cdf(d, xs)
+        assert np.max(np.abs(cdf_grid(d, xs) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", CDF_THETAS)
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_derivative_is_the_density(self, theta, kind):
+        d = LimitDensity(make_coin(theta), kind)
+        lo, hi = d.support
+        h = 1e-6 * (hi - lo)
+        for y in np.linspace(lo, hi, 21)[2:-2]:
+            slope = (cdf_at(d, y + h) - cdf_at(d, y - h)) / (2 * h)
+            assert slope == approx(density_at(d, float(y)), rel=1e-6)
+
+    @pytest.mark.parametrize("theta", CDF_THETAS)
+    def test_sub_law_saturation_is_the_mass(self, theta):
+        coin = make_coin(theta)
+        for kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1):
+            d = LimitDensity(coin, kind)
+            hi = d.support[1]
+            assert cdf_at(d, hi) == approx(total_mass(d), abs=1e-12)
+            assert cdf_at(d, hi + 1.0) == cdf_at(d, hi)
+
+    def test_one_point_is_the_grid_case(self):
+        for theta in CDF_THETAS:
+            for kind in DensityKind:
+                d = LimitDensity(make_coin(theta), kind)
+                lo, hi = d.support
+                for x in np.linspace(lo - 0.1, hi + 0.1, 37):
+                    x = float(x)
+                    assert cdf_at(d, x) == cdf_grid(d, [x])[0]
+
+
+class TestSmallAngles:
+    """Angles near 0 and pi, where the density peaks at height ~ 1/|s|."""
+
+    def test_commands_return(self):
+        calls = [["verify", "--suite", "limitNorm", "--thetas", "0.01",
+                  "--ts", "1"]]
+        for theta in (0.01, math.pi - 0.01):
+            for kind in DensityKind:
+                calls.append(["limit", "--theta", repr(theta), "--kind",
+                              kind.value, "--quantity", "cdf", "--points",
+                              "16"])
+        code = ("import sys\nfrom qwalk.cli import main\n"
+                f"sys.exit(max(main(argv) for argv in {calls!r}))")
+        proc = _run_child(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_masses(self):
+        thetas = (0.01, 0.001, math.pi / 2 - 0.01)
+        code = ("import json\nfrom qwalk import DensityKind, LimitDensity, "
+                "make_coin, total_mass\n"
+                f"print(json.dumps([[total_mass(LimitDensity(make_coin(t), k))"
+                f" for k in DensityKind] for t in {thetas!r}]))")
+        proc = _run_child(code)
+        assert proc.returncode == 0, proc.stderr
+        for theta, masses in zip(thetas, json.loads(proc.stdout)):
+            coin = make_coin(theta)
+            m = dict(zip(DensityKind, masses))
+            assert m[DensityKind.LINE_TOTAL] == approx(1.0, abs=1e-10)
+            assert m[DensityKind.HALF_TOTAL] == approx(1.0, abs=1e-10)
+            assert (m[DensityKind.HALF_INNER0] + m[DensityKind.HALF_INNER1]
+                    == approx(1.0, abs=1e-10))
+            for kind, mass in m.items():
+                d = LimitDensity(coin, kind)
+                assert mass == approx(cdf_at(d, d.support[1]), abs=1e-10)
 
 
 class TestApprox:

@@ -26,6 +26,7 @@ def test_bench_script_tiny(tmp_path):
     assert set(results) == {
         "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
         "ks_distance_t50.ms", "ks_suite_t10-12.s",
+        "cdf_grid_t20.us_per_point", "cdf_grid_t50.us_per_point",
         "oracle_t20.us_per_site_step",
         "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
         "line_exact_values_t20.ms", "half_line_exact_values_t20.ms",
@@ -33,6 +34,8 @@ def test_bench_script_tiny(tmp_path):
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
         assert set(results[metric]) == walks
+    assert set(results["cdf_grid_t20.us_per_point"]) == {"halfTotal@1.0"}
+    assert set(results["cdf_grid_t50.us_per_point"]) == {"lineTotal@1.0"}
     assert set(results["oracle_t20.us_per_site_step"]) == {"halfline", "line"}
     for t in (10, 20):
         for fn in ("line_exact_values", "half_line_exact_values"):
