@@ -145,11 +145,12 @@ def measure(size: str, runs: int) -> dict:
            lambda: ks_distance(pi4, t_ks), 1e3)
     record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
            lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+    one = _coins()["1.0"]
     for walk, kind, t in ((WalkKind.HALF_LINE, DensityKind.HALF_TOTAL, t_short),
                           (WalkKind.LINE, DensityKind.LINE_TOTAL, t_render)):
-        state = evolve(walk, _coins()["1.0"], t)
+        state = evolve(walk, one, t)
         xs = (np.arange(len(state.amps)) + state.offset) / t
-        d = LimitDensity(_coins()["1.0"], kind)
+        d = LimitDensity(one, kind)
         record(f"cdf_grid_t{t}.us_per_point", f"{kind.value}@1.0",
                lambda: cdf_grid(d, xs), 1e6 / len(xs), SHORT_CALLS)
     for kind in (WalkKind.HALF_LINE, WalkKind.LINE):
