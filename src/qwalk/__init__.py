@@ -32,7 +32,6 @@ from .core import (
     AmplitudePair,
     Coin,
     Distribution,
-    DistributionRow,
     HalfLineState,
     LineState,
     WalkKind,
@@ -73,7 +72,6 @@ __all__ = [
     "Coin",
     "DensityKind",
     "Distribution",
-    "DistributionRow",
     "ExactParams",
     "FormulaDomainError",
     "HalfLineState",

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Coin, HalfLineState, LineState, WalkKind
+from .core import Coin, WalkKind
 from .evolution import State, evolve, probability_arrays
 
 CDF_ABS_TOL = 1e-10
@@ -43,23 +43,21 @@ class DensityKind(str, Enum):
     HALF_TOTAL = "halfTotal"
 
 
-def _cs2(coin: Coin) -> tuple[float, float]:
-    """(cos^2, sin^2), exact at the canonical angles.
+@lru_cache(maxsize=256)
+def _cs(coin: Coin) -> tuple[float, float, float, float]:
+    """(|c|, |s|, cos^2, sin^2), the squares exact at the canonical angles.
 
     Near the support edge the density amplifies the last-ulp difference
     between cos(theta)^2 and the exact rational square, so prefer the latter
-    and never re-square a rounded root.
+    and never re-square a rounded root: |c| and |s| are the roots of the
+    squares.
     """
     cos2 = coin.cos2_exact()
     if cos2 is not None:
-        return float(cos2), float(1 - cos2)
-    return coin.c * coin.c, coin.s * coin.s
-
-
-def _cs(coin: Coin) -> tuple[float, float]:
-    """|c|, |s| consistent with the squares returned by _cs2."""
-    c2, s2 = _cs2(coin)
-    return math.sqrt(c2), math.sqrt(s2)
+        c2, s2 = float(cos2), float(1 - cos2)
+    else:
+        c2, s2 = coin.c * coin.c, coin.s * coin.s
+    return math.sqrt(c2), math.sqrt(s2), c2, s2
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ class LimitDensity:
 
     @property
     def support(self) -> tuple[float, float]:
-        c, _ = _cs(self.coin)
+        c = _cs(self.coin)[0]
         if self.kind is DensityKind.LINE_TOTAL:
             return (-c, c)
         return (0.0, c)
@@ -79,8 +77,7 @@ class LimitDensity:
 
 def density_at(d: LimitDensity, y: float) -> float:
     """Density value at y; zero outside the (half-)open support."""
-    c, s = _cs(d.coin)
-    c2, _ = _cs2(d.coin)
+    c, s, c2, _ = _cs(d.coin)
     if d.kind is DensityKind.LINE_TOTAL:
         if not (-c < y < c):
             return 0.0
@@ -126,8 +123,7 @@ def _phi_integrand(d: LimitDensity):
     it is (1 - c) + 2c sin^2(pi/4 +- phi/2), and 1 - c^2 sin^2(phi) is
     s^2 + c^2 cos^2(phi): the peak ~ 1/|s| keeps full precision at small |s|.
     """
-    c, s = _cs(d.coin)
-    c2, s2 = _cs2(d.coin)
+    c, s, c2, s2 = _cs(d.coin)
     if d.kind is DensityKind.HALF_TOTAL:
         return lambda phi: 2.0 * s / (math.pi * (s2 + c2 * math.cos(phi) ** 2))
     sign = -1.0 if d.kind is DensityKind.HALF_INNER1 else 1.0
@@ -162,8 +158,7 @@ def cdf_grid(d: LimitDensity, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if np.any(np.diff(xs) < 0):
         raise ValueError("grid must be sorted ascending")
-    c, s = _cs(d.coin)
-    c2, _ = _cs2(d.coin)
+    c, s, c2, _ = _cs(d.coin)
     lo, hi = d.support
     sub_law = d.kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
     edge = 2.0 / math.pi * float(_half_angle_cdf(d.kind, c, s, c, 0.0))
@@ -203,8 +198,7 @@ def approx_prob(coin: Coin, t: int, x: int, kind: ApproxKind) -> float:
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     kind = ApproxKind(kind)
-    c, s = _cs(coin)
-    c2, _ = _cs2(coin)
+    c, s, c2, _ = _cs(coin)
     if not (0 <= x < c * t):
         return 0.0
     root = math.sqrt(c2 * t * t - x * x)
@@ -244,8 +238,7 @@ def ks_distance(coin: Coin, t: int,
     walk = WalkKind.LINE if kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
     if state is None:
         state = evolve(walk, coin, t)
-    elif (not isinstance(state, LineState if walk is WalkKind.LINE
-                         else HalfLineState) or state.t != t):
+    elif getattr(state, "kind", None) is not walk or state.t != t:
         raise ValueError(
             f"state must be the {walk.value} walk at t = {t}, got "
             f"{type(state).__name__} at t = {getattr(state, 't', None)}")

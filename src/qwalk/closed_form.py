@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .core import Coin, Distribution, DistributionRow, WalkKind
+from .core import _PROB_FLOOR, Coin, Distribution, WalkKind
 
 __all__ = [
     "BinomialTable",
@@ -58,8 +58,6 @@ __all__ = [
     "line_exact",
     "line_exact_values",
 ]
-
-_PROB_FLOOR = 1e-300
 
 # the exact precision checks that a table sums to exactly 1; the float
 # precisions check the sum of the rounded values against this bound. At a
@@ -102,10 +100,6 @@ class BinomialTable:
     def __init__(self, n_max: int = 0) -> None:
         self._rows: list[list[int]] = [[1]]
         self.ensure(n_max)
-
-    @property
-    def n_max(self) -> int:
-        return len(self._rows) - 1
 
     def ensure(self, n_max: int) -> None:
         while len(self._rows) <= n_max:
@@ -323,16 +317,16 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
 
 def line_exact(coin: Coin, t: int, params: Optional[ExactParams] = None
                ) -> Distribution:
-    """Line-walk distribution over all positions with positive probability.
+    """Line-walk distribution over -t-1..t-2, the positions with positive
+    probability.
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
     vals = line_exact_values(coin, t, params)
-    rows = tuple(
-        DistributionRow(x=x, p0=None, p1=None, p=_to_prob(v))
-        for x, v in sorted(vals.items())
-    )
-    return Distribution(kind=WalkKind.LINE, t=t, rows=rows)
+    p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1))
+    none = (None,) * len(p)
+    return Distribution(kind=WalkKind.LINE, t=t, offset=-t - 1, p0=none,
+                        p1=none, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -385,43 +379,39 @@ def half_line_exact_values(coin: Coin, t: int,
 
 def half_line_exact(coin: Coin, t: int,
                     params: Optional[ExactParams] = None) -> Distribution:
-    """Both inner columns and the total from one closed-form evaluation.
+    """Both inner columns and the total over 0..t from one closed-form
+    evaluation.
 
     ``p0`` is None on the frontier pair, where only inner 1 is positive.
     """
     vals = half_line_exact_values(coin, t, params)
-    rows = tuple(
-        DistributionRow(
-            x=x,
-            p0=None if v0 is None else _to_prob(v0),
-            p1=_to_prob(v1),
-            p=_to_prob(vt),
-        )
-        for x, (v0, v1, vt) in sorted(vals.items())
-    )
-    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)
+    v0s, v1s, vts = zip(*(vals[x] for x in range(t + 1)))
+    return Distribution(
+        kind=WalkKind.HALF_LINE, t=t, offset=0,
+        p0=tuple(None if v is None else _to_prob(v) for v in v0s),
+        p1=tuple(map(_to_prob, v1s)), p=tuple(map(_to_prob, vts)))
 
 
 def half_line_exact_by_inner(coin: Coin, t: int, inner: int,
                              params: Optional[ExactParams] = None
                              ) -> Distribution:
-    """Positive probabilities of one inner component at time t."""
+    """Positive probabilities of one inner component at time t.
+
+    Inner 1 covers 0..t; inner 0 covers 0..t-2, as the frontier pair has
+    none. ``p`` repeats the inner column and the other inner is None.
+    """
     if inner not in (0, 1):
         raise ValueError(f"inner must be 0 or 1, got {inner}")
-    column = half_line_exact(coin, t, params).inner_dict(inner)
-    rows = tuple(
-        DistributionRow(x=x, p0=p if inner == 0 else None,
-                        p1=p if inner == 1 else None, p=p)
-        for x, p in column.items()
-    )
-    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)
+    dist = half_line_exact(coin, t, params)
+    p = dist.p1 if inner == 1 else dist.p0[:t - 1]
+    none = (None,) * len(p)
+    return replace(dist, p0=none if inner else p, p1=p if inner else none,
+                   p=p)
 
 
 def half_line_exact_total(coin: Coin, t: int,
                           params: Optional[ExactParams] = None) -> Distribution:
     """Total probabilities (inner states summed) via the combined weights."""
-    rows = tuple(
-        DistributionRow(x=r.x, p0=None, p1=None, p=r.p)
-        for r in half_line_exact(coin, t, params).rows
-    )
-    return Distribution(kind=WalkKind.HALF_LINE, t=t, rows=rows)
+    dist = half_line_exact(coin, t, params)
+    none = (None,) * len(dist.p)
+    return replace(dist, p0=none, p1=none)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -103,69 +103,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HalfLineState:
-    """Walk state on positions 0..t at time t; amps has shape (t+1, 2)."""
+class _WalkState:
+    """Walk state at time t over the window offset..t; amps has one
+    (inner 0, inner 1) row per position, index 0 at ``offset``."""
 
     t: int
     amps: np.ndarray
+    kind: ClassVar[WalkKind]
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError("time must be >= 0")
-        if self.amps.shape != (self.t + 1, 2):
+        shape = (self.t + 1 - self.offset, 2)
+        if self.amps.shape != shape:
+            lo = "0" if self.kind is WalkKind.HALF_LINE else "-t-1"
             raise ValueError(
-                f"support window must cover 0..t: expected {(self.t + 1, 2)}, "
+                f"support window must cover {lo}..t: expected {shape}, "
                 f"got {self.amps.shape}"
             )
         _freeze(self.amps)
 
     @property
     def offset(self) -> int:
-        return 0
-
-    def positions(self) -> range:
-        return range(0, self.t + 1)
-
-    def pair(self, x: int) -> AmplitudePair:
-        if 0 <= x <= self.t:
-            return AmplitudePair(complex(self.amps[x, 0]), complex(self.amps[x, 1]))
-        return AmplitudePair(0j, 0j)
-
-    def amplitude(self, x: int, inner: int) -> complex:
-        if 0 <= x <= self.t:
-            return complex(self.amps[x, inner])
-        return 0j
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-
-@dataclass(frozen=True)
-class LineState:
-    """Walk state on positions -t-1..t at time t; amps has shape (2t+2, 2).
-
-    Array index 0 holds the amplitude pair of position ``offset`` = -t-1.
-    """
-
-    t: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("time must be >= 0")
-        if self.amps.shape != (2 * self.t + 2, 2):
-            raise ValueError(
-                f"support window must cover -t-1..t: expected "
-                f"{(2 * self.t + 2, 2)}, got {self.amps.shape}"
-            )
-        _freeze(self.amps)
-
-    @property
-    def offset(self) -> int:
-        return -self.t - 1
-
-    def positions(self) -> range:
-        return range(-self.t - 1, self.t + 1)
+        return 0 if self.kind is WalkKind.HALF_LINE else -self.t - 1
 
     def pair(self, x: int) -> AmplitudePair:
         i = x - self.offset
@@ -181,6 +141,23 @@ class LineState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
+
+
+@dataclass(frozen=True)
+class HalfLineState(_WalkState):
+    """Walk state on positions 0..t at time t; amps has shape (t+1, 2)."""
+
+    kind: ClassVar[WalkKind] = WalkKind.HALF_LINE
+
+
+@dataclass(frozen=True)
+class LineState(_WalkState):
+    """Walk state on positions -t-1..t at time t; amps has shape (2t+2, 2).
+
+    Array index 0 holds the amplitude pair of position ``offset`` = -t-1.
+    """
+
+    kind: ClassVar[WalkKind] = WalkKind.LINE
 
 
 def initial_half_line(coin: Coin) -> HalfLineState:
@@ -200,47 +177,47 @@ def initial_line(coin: Coin) -> LineState:
     return LineState(t=0, amps=amps)
 
 
-@dataclass(frozen=True)
-class DistributionRow:
-    """Probabilities at one position; p0/p1 are None for total-only routes."""
-
-    x: int
-    p0: Optional[float]
-    p1: Optional[float]
-    p: float
+# probabilities below this are emitted as exact zero to keep subnormal noise
+# out of output files
+_PROB_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class Distribution:
     """Per-position probability table of a walk at one time.
 
-    Rows are DistributionRow (floats) or, from the exact oracle,
-    qfield.ExactDistributionRow (Fractions); both carry x, p0, p1 and p.
+    Position ``offset + i`` has inner probabilities ``p0[i]``, ``p1[i]`` and
+    total ``p[i]``: floats, or Fractions from the exact oracle. An inner
+    entry is None where the route gives no value for that inner.
     """
 
     kind: WalkKind
     t: int
-    rows: tuple
+    offset: int
+    p0: tuple
+    p1: tuple
+    p: tuple
+
+    def __post_init__(self) -> None:
+        if not len(self.p0) == len(self.p1) == len(self.p):
+            raise ValueError("p0, p1 and p must have equal lengths")
+
+    def positions(self) -> range:
+        return range(self.offset, self.offset + len(self.p))
 
     def total(self) -> float:
-        return sum(r.p for r in self.rows)
+        return sum(self.p)
 
     def prob(self, x: int) -> float:
-        for r in self.rows:
-            if r.x == x:
-                return r.p
-        return 0.0
+        i = x - self.offset
+        return self.p[i] if 0 <= i < len(self.p) else 0.0
 
     def as_dict(self) -> dict[int, float]:
-        return {r.x: r.p for r in self.rows}
+        return dict(zip(self.positions(), self.p))
 
     def inner_dict(self, inner: int) -> dict[int, float]:
-        out = {}
-        for r in self.rows:
-            v = r.p0 if inner == 0 else r.p1
-            if v is not None:
-                out[r.x] = v
-        return out
+        column = self.p0 if inner == 0 else self.p1
+        return {x: v for x, v in zip(self.positions(), column) if v is not None}
 
     def argmax(self) -> int:
-        return max(self.rows, key=lambda r: r.p).x
+        return self.offset + max(range(len(self.p)), key=self.p.__getitem__)

@@ -38,9 +38,9 @@ from typing import Iterator, Union
 import numpy as np
 
 from .core import (
+    _PROB_FLOOR,
     Coin,
     Distribution,
-    DistributionRow,
     HalfLineState,
     LineState,
     WalkKind,
@@ -49,10 +49,7 @@ from .core import (
 )
 
 State = Union[HalfLineState, LineState]
-
-# probabilities below this are emitted as exact zero to keep subnormal noise
-# out of output files
-_PROB_FLOOR = 1e-300
+_STATE_TYPES = {cls.kind: cls for cls in (HalfLineState, LineState)}
 
 # steps between scans that drop the subnormal edges of the live sites
 _TRIM_EVERY = 64
@@ -148,9 +145,7 @@ def _windows(kind: WalkKind, amps: np.ndarray, coin: Coin,
 def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
     """A state owning a complex copy of the (inner 0, inner 1) rows."""
     amps = window.T.astype(np.complex128, order="C")
-    if kind is WalkKind.HALF_LINE:
-        return HalfLineState(t=t, amps=amps)
-    return LineState(t=t, amps=amps)
+    return _STATE_TYPES[kind](t=t, amps=amps)
 
 
 def _step(kind: WalkKind, state: State, coin: Coin) -> State:
@@ -210,11 +205,6 @@ def distribution(state: State) -> Distribution:
     p0, p1 = probability_arrays(state)
     p0 = np.where(p0 < _PROB_FLOOR, 0.0, p0)
     p1 = np.where(p1 < _PROB_FLOOR, 0.0, p1)
-    off = state.offset
-    rows = tuple(
-        DistributionRow(x=off + i, p0=float(p0[i]), p1=float(p1[i]),
-                        p=float(p0[i] + p1[i]))
-        for i in range(state.amps.shape[0])
-    )
-    kind = WalkKind.HALF_LINE if isinstance(state, HalfLineState) else WalkKind.LINE
-    return Distribution(kind=kind, t=state.t, rows=rows)
+    return Distribution(kind=state.kind, t=state.t, offset=state.offset,
+                        p0=tuple(p0.tolist()), p1=tuple(p1.tolist()),
+                        p=tuple((p0 + p1).tolist()))

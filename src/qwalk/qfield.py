@@ -117,19 +117,6 @@ class QFieldComplex:
         )
 
 
-@dataclass(frozen=True)
-class ExactDistributionRow:
-    """Exact rational probabilities at one position; ``p`` is summed on use."""
-
-    x: int
-    p0: Fraction
-    p1: Fraction
-
-    @property
-    def p(self) -> Fraction:
-        return self.p0 + self.p1
-
-
 # |amplitude|^2 = |z|^2 / 2**(t + _DEN_POWER[kind]), from the scales
 # (sqrt2/2)**(t + 1) on the half line and (sqrt2/2)**t / 2 on the line
 _DEN_POWER = {WalkKind.HALF_LINE: 1, WalkKind.LINE: 2}
@@ -179,15 +166,13 @@ def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
 def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
     den = 1 << (t + _DEN_POWER[kind])
     re0, im0, re1, im1 = state
-    rows = tuple(
-        ExactDistributionRow(
-            x=offset + i,
-            p0=Fraction(re0[i] * re0[i] + im0[i] * im0[i], den),
-            p1=Fraction(re1[i] * re1[i] + im1[i] * im1[i], den),
-        )
-        for i in range(len(re0))
-    )
-    return Distribution(kind=kind, t=t, rows=rows)
+    n0 = [a * a + b * b for a, b in zip(re0, im0)]
+    n1 = [a * a + b * b for a, b in zip(re1, im1)]
+    return Distribution(
+        kind=kind, t=t, offset=offset,
+        p0=tuple(Fraction(n, den) for n in n0),
+        p1=tuple(Fraction(n, den) for n in n1),
+        p=tuple(Fraction(a + b, den) for a, b in zip(n0, n1)))
 
 
 def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:

@@ -23,8 +23,8 @@ from qwalk import (
     make_coin,
     total_mass,
 )
-from qwalk.asymptotics import (CDF_ABS_TOL, _adaptive_simpson, _phi_integrand,
-                               cdf_grid)
+from qwalk.asymptotics import (CDF_ABS_TOL, _adaptive_simpson, _cs,
+                               _phi_integrand, cdf_grid)
 
 from conftest import THETA_GRID_20
 
@@ -65,6 +65,15 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_coin_constants_are_the_roots_of_the_squares(pi3_coin):
+    """Exact rational squares at pi-fractions, the doubles' squares
+    otherwise, and |c|, |s| their roots, bit for bit."""
+    assert _cs(pi3_coin) == (math.sqrt(0.25), math.sqrt(0.75), 0.25, 0.75)
+    coin = make_coin(2.5)
+    c2, s2 = coin.c * coin.c, coin.s * coin.s
+    assert _cs(coin) == (math.sqrt(c2), math.sqrt(s2), c2, s2)
 
 
 class TestDensity:

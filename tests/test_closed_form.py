@@ -54,8 +54,8 @@ class TestBinomialTable:
 class TestLineExact:
     def test_t1_edge_only(self, pi4_coin):
         dist = line_exact(pi4_coin, 1)
-        assert {r.x: r.p for r in dist.rows} == approx({-2: 0.5, -1: 0.5})
-        assert all(r.p0 is None and r.p1 is None for r in dist.rows)
+        assert dist.as_dict() == approx({-2: 0.5, -1: 0.5})
+        assert dist.p0 == dist.p1 == (None, None)
 
     def test_t2_pi4(self, pi4_coin):
         dist = line_exact(pi4_coin, 2)
@@ -87,7 +87,7 @@ class TestLineExact:
             for t in range(1, 61):
                 dist = line_exact(coin, t)
                 assert dist.total() == approx(1.0, abs=1e-9), (theta, t)
-                assert all(r.p >= 0.0 for r in dist.rows)
+                assert all(p >= 0.0 for p in dist.p)
 
     def test_even_time_branch_overlap_consistent(self):
         # at even t the m = t/2 pair is indexed by both branches; the
@@ -112,7 +112,7 @@ class TestHalfLineExact:
         by1 = half_line_exact_by_inner(pi4_coin, 1, 1)
         assert by1.inner_dict(1) == approx({0: 0.5, 1: 0.5})
         by0 = half_line_exact_by_inner(pi4_coin, 1, 0)
-        assert by0.rows == ()
+        assert by0.p == by0.p0 == by0.p1 == ()
 
     def test_time2_even_branch(self, pi4_coin):
         by1 = half_line_exact_by_inner(pi4_coin, 2, 1)

@@ -8,8 +8,10 @@ from pytest import approx
 
 from qwalk import (
     AmplitudePair,
+    Distribution,
     HalfLineState,
     LineState,
+    WalkKind,
     distribution,
     evolve,
     initial_half_line,
@@ -142,6 +144,46 @@ class TestStates:
         pair = AmplitudePair(a0=0.6, a1=0.8j)
         assert pair.weight == approx(1.0, abs=1e-15)
 
+    def test_kind_and_offset(self):
+        half = HalfLineState(t=2, amps=np.zeros((3, 2), dtype=complex))
+        line = LineState(t=2, amps=np.zeros((6, 2), dtype=complex))
+        assert (half.kind, half.offset) == (WalkKind.HALF_LINE, 0)
+        assert (line.kind, line.offset) == (WalkKind.LINE, -3)
+        assert line.pair(-3) == AmplitudePair(0j, 0j)
+        assert line.pair(3) == AmplitudePair(0j, 0j)
+
+
+class TestDistribution:
+    def dist(self):
+        return Distribution(kind=WalkKind.LINE, t=1, offset=-2,
+                            p0=(0.25, None, 0.0), p1=(0.0, 0.5, 0.25),
+                            p=(0.25, 0.5, 0.25))
+
+    def test_columns_read_by_position(self):
+        d = self.dist()
+        assert d.positions() == range(-2, 1)
+        assert d.as_dict() == {-2: 0.25, -1: 0.5, 0: 0.25}
+        assert d.inner_dict(0) == {-2: 0.25, 0: 0.0}
+        assert d.inner_dict(1) == {-2: 0.0, -1: 0.5, 0: 0.25}
+        assert d.total() == 1.0
+
+    def test_prob_outside_the_columns_is_zero(self):
+        d = self.dist()
+        assert [d.prob(x) for x in range(-4, 3)] == [0.0, 0.0, 0.25, 0.5,
+                                                     0.25, 0.0, 0.0]
+
+    def test_argmax_takes_the_first_maximum(self):
+        d = self.dist()
+        assert d.argmax() == -1
+        flat = Distribution(kind=WalkKind.HALF_LINE, t=1, offset=0,
+                            p0=(None, None), p1=(None, None), p=(0.5, 0.5))
+        assert flat.argmax() == 0
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            Distribution(kind=WalkKind.LINE, t=1, offset=-2, p0=(None,),
+                         p1=(None, None), p=(0.5, 0.5))
+
 
 def test_global_phase_invariance_at_distribution_level(pi4_coin):
     """Dropping the initial global phase leaves every probability unchanged."""
@@ -156,8 +198,9 @@ def test_global_phase_invariance_at_distribution_level(pi4_coin):
         da = distribution(phased)
         db = distribution(unphased)
         worst = max(
-            max(abs(ra.p0 - rb.p0), abs(ra.p1 - rb.p1), abs(ra.p - rb.p))
-            for ra, rb in zip(da.rows, db.rows)
+            abs(a - b)
+            for col_a, col_b in ((da.p0, db.p0), (da.p1, db.p1), (da.p, db.p))
+            for a, b in zip(col_a, col_b)
         )
         assert worst <= 1e-14
 

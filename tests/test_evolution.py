@@ -346,20 +346,19 @@ class TestExactness:
 class TestDistribution:
     def test_half_line_t1_rows(self, pi4_coin):
         dist = distribution(evolve(WalkKind.HALF_LINE, pi4_coin, 1))
-        assert [r.x for r in dist.rows] == [0, 1]
-        for row in dist.rows:
-            assert row.p0 == approx(0.0, abs=1e-16)
-            assert row.p1 == approx(0.5, abs=1e-14)
-            assert row.p == approx(0.5, abs=1e-14)
+        assert list(dist.positions()) == [0, 1]
+        assert dist.p0 == approx((0.0, 0.0), abs=1e-16)
+        assert dist.p1 == approx((0.5, 0.5), abs=1e-14)
+        assert dist.p == approx((0.5, 0.5), abs=1e-14)
 
     def test_line_t1_rows(self, pi4_coin):
         dist = distribution(evolve(WalkKind.LINE, pi4_coin, 1))
-        d = {r.x: r for r in dist.rows}
+        p0, p1 = dist.inner_dict(0), dist.inner_dict(1)
         for x in (-2, -1):
-            assert d[x].p0 == approx(0.5, abs=1e-14)
-            assert d[x].p1 == approx(0.0, abs=1e-16)
-        assert d[0].p == approx(0.0, abs=1e-16)
-        assert d[1].p == approx(0.0, abs=1e-16)
+            assert p0[x] == approx(0.5, abs=1e-14)
+            assert p1[x] == approx(0.0, abs=1e-16)
+        assert dist.prob(0) == approx(0.0, abs=1e-16)
+        assert dist.prob(1) == approx(0.0, abs=1e-16)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 3, 2.7])
     @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
@@ -394,6 +393,6 @@ class TestDistribution:
         amps[0, 0] = 1e-160  # squares to a subnormal
         amps[1, 1] = 1.0
         dist = distribution(LineState(t=0, amps=amps))
-        assert dist.rows[0].p0 == 0.0
-        assert dist.rows[0].p == 0.0
-        assert dist.rows[1].p1 == 1.0
+        assert dist.p0[0] == 0.0
+        assert dist.p[0] == 0.0
+        assert dist.p1[1] == 1.0

@@ -8,7 +8,6 @@ from pytest import approx
 
 from qwalk import (
     Distribution,
-    DistributionRow,
     OutputTable,
     WalkKind,
     emit,
@@ -34,19 +33,13 @@ from qwalk.harness import (
 
 
 def hand_half_t1() -> Distribution:
-    rows = (
-        DistributionRow(x=0, p0=0.0, p1=0.5, p=0.5),
-        DistributionRow(x=1, p0=0.0, p1=0.5, p=0.5),
-    )
-    return Distribution(kind=WalkKind.HALF_LINE, t=1, rows=rows)
+    return Distribution(kind=WalkKind.HALF_LINE, t=1, offset=0,
+                        p0=(0.0, 0.0), p1=(0.5, 0.5), p=(0.5, 0.5))
 
 
 def hand_line_exact_t1() -> Distribution:
-    rows = (
-        DistributionRow(x=-2, p0=None, p1=None, p=0.5),
-        DistributionRow(x=-1, p0=None, p1=None, p=0.5),
-    )
-    return Distribution(kind=WalkKind.LINE, t=1, rows=rows)
+    return Distribution(kind=WalkKind.LINE, t=1, offset=-2,
+                        p0=(None, None), p1=(None, None), p=(0.5, 0.5))
 
 
 class TestRunChecks:

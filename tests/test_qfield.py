@@ -16,7 +16,6 @@ from qwalk import (
 )
 from qwalk.core import Distribution
 from qwalk.evolution import probability_arrays
-from qwalk.qfield import ExactDistributionRow
 
 rationals = st.fractions(min_value=-5, max_value=5)
 
@@ -96,13 +95,10 @@ def _step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
 
 
 def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> Distribution:
-    rows = tuple(
-        ExactDistributionRow(
-            x=offset + i, p0=a[i].abs2_rational(), p1=b[i].abs2_rational()
-        )
-        for i in range(len(a))
-    )
-    return Distribution(kind=kind, t=t, rows=rows)
+    p0 = tuple(z.abs2_rational() for z in a)
+    p1 = tuple(z.abs2_rational() for z in b)
+    return Distribution(kind=kind, t=t, offset=offset, p0=p0, p1=p1,
+                        p=tuple(map(sum, zip(p0, p1))))
 
 
 def _reference_series(kind: WalkKind, t_max: int):
@@ -116,7 +112,7 @@ def _reference_series(kind: WalkKind, t_max: int):
 
 
 def _rows(dist):
-    return [(r.x, r.p0, r.p1) for r in dist.rows]
+    return list(zip(dist.positions(), dist.p0, dist.p1, dist.p))
 
 
 @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
@@ -127,8 +123,8 @@ def test_integer_oracle_matches_field_reference(kind):
     for t, (got, ref) in enumerate(pairs):
         assert (got.kind, got.t) == (kind, t)
         assert _rows(got) == _rows(ref), t
-        assert all(type(r.p0) is Fraction and type(r.p1) is Fraction
-                   for r in got.rows)
+        assert all(type(v) is Fraction
+                   for v in got.p0 + got.p1 + got.p)
 
 
 @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
@@ -190,6 +186,6 @@ class TestOracle:
         exact = q2_oracle_distribution(WalkKind.HALF_LINE, 14)
         state = evolve(WalkKind.HALF_LINE, pi4_coin, 14)
         p0, p1 = probability_arrays(state)
-        for row in exact.rows:
-            assert float(row.p0) == approx(p0[row.x], abs=1e-15)
-            assert float(row.p1) == approx(p1[row.x], abs=1e-15)
+        for x, e0, e1 in zip(exact.positions(), exact.p0, exact.p1):
+            assert float(e0) == approx(p0[x], abs=1e-15)
+            assert float(e1) == approx(p1[x], abs=1e-15)
