@@ -13,6 +13,9 @@ Measured, each as the median process time of --runs runs:
   t = 5000 (10,002 points);
 - `run_checks("ksConvergence", canonical_coins(), 100..200)`;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
+- us per `dd.to_fraction` call over the dd values of
+  `half_line_exact_values` at t = 200, theta = pi/4 (the conversion the
+  exact-oracle benchmark gates every dd value with);
 - `line_exact_values` and `half_line_exact_values` at t = 50, 100, 150,
   200: dd and exact at theta = pi/4, and dd at theta = 1.0 (a float angle,
   whose integer sums grow fastest) and pi/3;
@@ -45,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 import qwalk
+from qwalk import dd
 from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
                    iter_states, ks_distance, make_coin, make_coin_pi,
                    q2_oracle_series)
@@ -157,6 +161,13 @@ def measure(size: str, runs: int) -> dict:
         record(f"oracle_t{t_oracle}.us_per_site_step", kind.value,
                lambda: _drain(q2_oracle_series(kind, t_oracle)),
                1e6 / _site_steps(kind, t_oracle))
+    dd_values = [v for row in half_line_exact_values(
+        pi4, t_oracle, ExactParams.for_coin(pi4, t_oracle,
+                                            Precision.DOUBLE_DOUBLE)).values()
+        for v in row if v is not None]
+    record(f"to_fraction_t{t_oracle}.us_per_call", "dd@pi/4",
+           lambda: [dd.to_fraction(v) for v in dd_values],
+           1e6 / len(dd_values), SHORT_CALLS)
     cf_coins = (("pi/4", pi4, Precision.DOUBLE_DOUBLE),
                 ("pi/4", pi4, Precision.EXACT_Q2),
                 ("1.0", _coins()["1.0"], Precision.DOUBLE_DOUBLE),

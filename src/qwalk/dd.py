@@ -108,4 +108,8 @@ def from_fraction(q: Fraction) -> DD:
 
 def to_fraction(x: DD) -> Fraction:
     """Exact rational value of the pair (both halves are dyadic)."""
-    return Fraction(x[0]) + Fraction(x[1])
+    # the denominators are powers of two: add over the larger one
+    (n1, d1), (n2, d2) = x[0].as_integer_ratio(), x[1].as_integer_ratio()
+    if d1 < d2:
+        n1, d1, n2, d2 = n2, d2, n1, d1
+    return Fraction(n1 + n2 * (d1 // d2), d1)

@@ -529,6 +529,9 @@ def half_line_exact_table(coin: Coin, t: int, label: str,
 
 
 def approx_table(coin: Coin, t: int, label: str) -> OutputTable:
+    if coin.is_degenerate():
+        raise ValueError(
+            "the large-t approximation needs theta away from multiples of pi/2")
     rows = tuple(
         (
             x,

@@ -13,7 +13,8 @@ line, the boundary copy). The half-line initial state is used without its
 global phase, which leaves the distribution unchanged. Probabilities are
 |z|^2 over a power of two: 2**(t + 1) on the half line, 2**(t + 2) on the
 line. They are rational by construction, so no sqrt2 coefficient is left to
-check for parity.
+check for parity. Equal probabilities within one snapshot share one
+`Fraction`, built once per distinct numerator.
 
 `QFieldComplex` holds one element of Q(sqrt2)[i] with `Fraction`
 coordinates. The oracle no longer uses it; it stays as the public field type
@@ -168,11 +169,13 @@ def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
     re0, im0, re1, im1 = state
     n0 = [a * a + b * b for a, b in zip(re0, im0)]
     n1 = [a * a + b * b for a, b in zip(re1, im1)]
+    n = list(map(add, n0, n1))
+    # the mirror identities repeat many numerators: build each Fraction once
+    frac = {k: Fraction(k, den) for k in {*n0, *n1, *n}}.__getitem__
     return Distribution(
         kind=kind, t=t, offset=offset,
-        p0=tuple(Fraction(n, den) for n in n0),
-        p1=tuple(Fraction(n, den) for n in n1),
-        p=tuple(Fraction(a + b, den) for a, b in zip(n0, n1)))
+        p0=tuple(map(frac, n0)), p1=tuple(map(frac, n1)),
+        p=tuple(map(frac, n)))
 
 
 def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:

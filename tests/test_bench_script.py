@@ -27,7 +27,7 @@ def test_bench_script_tiny(tmp_path):
         "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
         "ks_distance_t50.ms", "ks_suite_t10-12.s",
         "cdf_grid_t20.us_per_point", "cdf_grid_t50.us_per_point",
-        "oracle_t20.us_per_site_step",
+        "oracle_t20.us_per_site_step", "to_fraction_t20.us_per_call",
         "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
         "line_exact_values_t20.ms", "half_line_exact_values_t20.ms",
         "render_csv_t50.ms", "render_json_t50.ms"}
@@ -37,6 +37,7 @@ def test_bench_script_tiny(tmp_path):
     assert set(results["cdf_grid_t20.us_per_point"]) == {"halfTotal@1.0"}
     assert set(results["cdf_grid_t50.us_per_point"]) == {"lineTotal@1.0"}
     assert set(results["oracle_t20.us_per_site_step"]) == {"halfline", "line"}
+    assert set(results["to_fraction_t20.us_per_call"]) == {"dd@pi/4"}
     for t in (10, 20):
         for fn in ("line_exact_values", "half_line_exact_values"):
             assert set(results[f"{fn}_t{t}.ms"]) == {

@@ -60,6 +60,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("theta", ["pi/2", "0", "pi", "3pi/2"])
+    @pytest.mark.parametrize("route", ["approx", "sweep"])
+    def test_approx_degenerate_theta_is_exit_2(self, tmp_path, capsys, theta,
+                                               route):
+        if route == "approx":
+            argv = ["approx", "--theta", theta, "--steps", "5"]
+        else:
+            argv = ["sweep", "--route", "approx", "--thetas", theta,
+                    "--ts", "5", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the large-t approximation needs "
+                                "theta away from multiples of pi/2\n")
+
     def test_oracle_requires_pi4(self, capsys):
         rc = main(["oracle", "--walk", "line", "--theta", "pi/3",
                    "--steps", "5"])

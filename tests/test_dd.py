@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwalk import dd
 
@@ -80,9 +80,20 @@ def test_from_fraction_within_one_ulp_squared(q):
         assert abs(dd.to_fraction(x) - q) <= abs(q) * Fraction(1, 2**104)
 
 
-@given(small_floats, small_floats)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# every finite double, subnormals and signed zeros included; independent
+# halves give |lo| >= |hi| as often as not
+@given(finite_floats, finite_floats)
+@example(5e-324, -0.0)
+@example(-0.0, 1.7976931348623157e308)
+@example(2.0**-1074, -(2.0**-1074))
+@example(1.0, 2.0**-1074)
 def test_to_fraction_is_the_exact_sum(a, b):
-    assert dd.to_fraction((a, b)) == Fraction(a) + Fraction(b)
+    got = dd.to_fraction((a, b))
+    assert type(got) is Fraction
+    assert got == Fraction(a) + Fraction(b)
 
 
 def test_split_handles_huge_values():

@@ -1,7 +1,9 @@
 """Pinned output bytes and the shape of every route's Distribution.
 
 The digests were taken from the row-object implementation that preceded
-the columnar Distribution; any change to them is a change of output bytes.
+the columnar Distribution, and the two oracle digests at t = 200 from the
+oracle that built one Fraction per site; any change to them is a change of
+output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -35,6 +37,10 @@ def _sha(data: bytes) -> str:
      "1d8ebc7783f93389ab310fd0bef3b85b801d97ab971aa043b12139cec50ff620"),
     (["simulate", "--walk", "line", "--theta", "1.0", "--steps", "100"],
      "7449f5cffc21520ea3186d1c71afcb6797921d5457bae970c926bb56e8153950"),
+    (["oracle", "--walk", "line", "--steps", "200", "--format", "json"],
+     "cf8fec10b0538c7d6e13aeaf666f37b3fdddb46c0a0bbbb3ef60382fd3a9f95d"),
+    (["oracle", "--walk", "halfline", "--steps", "200", "--format", "json"],
+     "d2dbfc4198d1f919c53a63becd9cdce5681300d01bdb094a6277aacb4fd43c06"),
 ])
 def test_stdout_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"

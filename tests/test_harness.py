@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from qwalk import (
+    Coin,
     Distribution,
     OutputTable,
     WalkKind,
@@ -304,3 +305,19 @@ class TestComposedTables:
         table = approx_table(pi4_coin, 50, "x")
         assert table.columns == ("x", "p0", "p1", "p")
         assert len(table.rows) == 51
+
+    @pytest.mark.parametrize("coin", [
+        make_coin_pi(Fraction(1, 2)), make_coin_pi(Fraction(0)),
+        make_coin_pi(Fraction(1)), make_coin(0.0), make_coin(math.pi / 2)],
+        ids=["pi/2", "0", "pi", "0.0", "float pi/2"])
+    def test_approx_table_rejects_degenerate_coin(self, coin):
+        with pytest.raises(ValueError, match="multiples of pi/2"):
+            approx_table(coin, 5, "x")
+
+    def test_approx_table_checks_the_coin_once(self, pi4_coin, monkeypatch):
+        calls = []
+        check = Coin.is_degenerate
+        monkeypatch.setattr(Coin, "is_degenerate",
+                            lambda self: calls.append(1) or check(self))
+        approx_table(pi4_coin, 50, "x")
+        assert len(calls) == 1
