@@ -128,6 +128,14 @@ def test_integer_oracle_matches_field_reference(kind):
 
 
 @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+def test_equal_probabilities_share_one_fraction(kind):
+    for t in (1, 37, 200):
+        dist = q2_oracle_distribution(kind, t)
+        values = dist.p0 + dist.p1 + dist.p
+        assert len({id(v) for v in values}) == len(set(values)), t
+
+
+@pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
 def test_distribution_is_the_series_element(kind):
     series = list(q2_oracle_series(kind, 200))
     for t in (0, 1, 57, 200):
