@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -15,24 +16,13 @@ from pathlib import Path
 
 from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
-from .closed_form import (
-    ExactParams,
-    Precision,
-    PrecisionError,
-    line_exact,
-)
+from .closed_form import PrecisionError, line_exact
 from .core import Coin, WalkKind, make_coin, make_coin_pi
 from .evolution import distribution, evolve
 from .harness import OutputTable, emit, figure_data, run_checks, table_from_exact
 from .qfield import q2_oracle_distribution
 
 _PI_FORM = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
-
-_PRECISIONS = {
-    "double": Precision.DOUBLE,
-    "dd": Precision.DOUBLE_DOUBLE,
-    "exact": Precision.EXACT_Q2,
-}
 
 
 class UsageError(ValueError):
@@ -87,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="closed-form probabilities")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
-    p.add_argument("--precision", choices=tuple(_PRECISIONS), default="dd")
     _add_common(p)
 
     p = sub.add_parser("oracle", help="exact rational walk at theta = pi/4")
@@ -129,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="evolve")
     p.add_argument("--thetas", required=True)
     p.add_argument("--ts", required=True)
-    p.add_argument("--precision", choices=tuple(_PRECISIONS), default="dd")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
     return ap
@@ -139,30 +127,47 @@ def _walk_kind(name: str) -> WalkKind:
     return WalkKind.HALF_LINE if name == "halfline" else WalkKind.LINE
 
 
-def _exact_table(coin: Coin, walk: WalkKind, t: int,
-                 precision: Precision) -> OutputTable:
-    params = ExactParams.for_coin(coin, t, precision)
+def _route_table(route: str, walk: WalkKind, coin: Coin,
+                 t: int) -> OutputTable:
+    """The table of one route: evolve, exact or approx (half line only)."""
+    if route == "evolve":
+        return harness.table_from_distribution(
+            distribution(evolve(walk, coin, t)), "evolve", coin.theta)
+    if route == "approx":
+        return harness.approx_table(coin, t, "")
     if walk is WalkKind.LINE:
-        dist = line_exact(coin, t, params)
-        return harness.table_from_distribution(dist, "exact", coin.theta)
-    return harness.half_line_exact_table(coin, t, "", params)
+        return harness.table_from_distribution(line_exact(coin, t), "exact",
+                                               coin.theta)
+    return harness.half_line_exact_table(coin, t, "")
+
+
+def _check_job(route: str, coin: Coin, t: int) -> None:
+    """Refuse, with the route's own message, a job the route would refuse."""
+    if route == "evolve":
+        if t < 0:
+            raise UsageError(f"steps must be >= 0, got {t}")
+    elif t < 1:
+        raise UsageError(f"closed form needs t >= 1, got {t}"
+                         if route == "exact" else f"t must be >= 1, got {t}")
+    elif coin.is_degenerate():
+        raise UsageError("closed forms require theta not a multiple of pi/2"
+                         if route == "exact" else
+                         "the large-t approximation needs theta away from "
+                         "multiples of pi/2")
 
 
 def _cmd_simulate(args) -> int:
     coin = parse_theta(args.theta)
-    state = evolve(_walk_kind(args.walk), coin, args.steps)
-    table = harness.table_from_distribution(
-        distribution(state), "evolve", coin.theta)
+    table = _route_table("evolve", _walk_kind(args.walk), coin, args.steps)
     emit(table, args.format, args.out)
     return 0
 
 
 def _cmd_exact(args) -> int:
     coin = parse_theta(args.theta)
-    precision = _PRECISIONS[args.precision]
     if args.steps < 1:
         raise UsageError("closed forms need --steps >= 1")
-    table = _exact_table(coin, _walk_kind(args.walk), args.steps, precision)
+    table = _route_table("exact", _walk_kind(args.walk), coin, args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -209,7 +214,7 @@ def _cmd_approx(args) -> int:
     coin = parse_theta(args.theta)
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    table = harness.approx_table(coin, args.steps, "")
+    table = _route_table("approx", WalkKind.HALF_LINE, coin, args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -224,7 +229,10 @@ def _cmd_verify(args) -> int:
         doc = [
             {
                 "name": c.name, "theta": c.theta, "t": c.t,
-                "max_residual": c.max_residual, "tolerance": c.tolerance,
+                # an error entry's NaN residual is not valid JSON
+                "max_residual": (c.max_residual
+                                 if math.isfinite(c.max_residual) else None),
+                "tolerance": c.tolerance,
                 "pass": c.passed, "error": c.error,
             }
             for c in report.checks
@@ -242,18 +250,6 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _sweep_one(coin: Coin, walk: WalkKind, t: int, route: str,
-               precision: Precision, fmt: str, path: Path) -> None:
-    if route == "evolve":
-        table = harness.table_from_distribution(
-            distribution(evolve(walk, coin, t)), "evolve", coin.theta)
-    elif route == "exact":
-        table = _exact_table(coin, walk, t, precision)
-    else:
-        table = harness.approx_table(coin, t, "")
-    emit(table, fmt, path)
-
-
 def _cmd_sweep(args) -> int:
     theta_texts = [v for v in args.thetas.split(",") if v]
     coins = [(text, parse_theta(text)) for text in theta_texts]
@@ -261,7 +257,10 @@ def _cmd_sweep(args) -> int:
     if not coins or not ts:
         raise UsageError("sweep needs at least one angle and one time")
     walk = _walk_kind(args.walk)
-    precision = _PRECISIONS[args.precision]
+    # a refused job fails the sweep before anything is written
+    for _, coin in coins:
+        for t in ts:
+            _check_job(args.route, coin, t)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = []
@@ -269,8 +268,8 @@ def _cmd_sweep(args) -> int:
         tag = re.sub(r"[^0-9a-zA-Z._-]", "_", text)
         for t in ts:
             name = f"{args.route}_{args.walk}_theta-{tag}_t-{t}.{args.format}"
-            _sweep_one(coin, walk, t, args.route, precision, args.format,
-                       outdir / name)
+            emit(_route_table(args.route, walk, coin, t), args.format,
+                 outdir / name)
             jobs.append(((coin.theta, t), name))
     manifest = "\n".join(name for _, name in
                          sorted(jobs, key=lambda j: j[0])) + "\n"

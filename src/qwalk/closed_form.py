@@ -25,7 +25,9 @@ denominator collects the prefactor's 2 q^(t-1), the 1/s^2 = q/b and the
 m^2 p^(2m) of the two sums, and it is rounded once to the requested
 precision: a correctly rounded double, a double-double pair whose low part
 is the correctly rounded remainder, or the exact Fraction (theta = pi/4
-only).
+only). The ``*_values`` functions take the precision; the Distribution
+functions hold correctly rounded doubles, which is what every precision
+gives once rounded to a double.
 
 At the angles with rational cos^2 (pi/6, pi/4, pi/3, ...) p/q and b/q are
 exact and b = q - p. At any other angle the model is the one the doubles
@@ -280,9 +282,8 @@ def _origin_sums(consts: _RationalConsts, T: int,
     return _IntegerBranch(consts, T, a0, b1)
 
 
-def _to_prob(v) -> float:
+def _to_prob(x: float) -> float:
     # every value is >= 0: pref * ((w A1 - A0)^2 + A0^2 (1/s^2 - 1)), s^2 <= 1
-    x = v[0] if isinstance(v, tuple) else float(v)
     return 0.0 if x < _PROB_FLOOR else x
 
 
@@ -315,14 +316,14 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
     return out
 
 
-def line_exact(coin: Coin, t: int, params: Optional[ExactParams] = None
-               ) -> Distribution:
+def line_exact(coin: Coin, t: int) -> Distribution:
     """Line-walk distribution over -t-1..t-2, the positions with positive
     probability.
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
-    vals = line_exact_values(coin, t, params)
+    vals = line_exact_values(
+        coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1))
     none = (None,) * len(p)
     return Distribution(kind=WalkKind.LINE, t=t, offset=-t - 1, p0=none,
@@ -377,14 +378,14 @@ def half_line_exact_values(coin: Coin, t: int,
     return out
 
 
-def half_line_exact(coin: Coin, t: int,
-                    params: Optional[ExactParams] = None) -> Distribution:
+def half_line_exact(coin: Coin, t: int) -> Distribution:
     """Both inner columns and the total over 0..t from one closed-form
     evaluation.
 
     ``p0`` is None on the frontier pair, where only inner 1 is positive.
     """
-    vals = half_line_exact_values(coin, t, params)
+    vals = half_line_exact_values(
+        coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     v0s, v1s, vts = zip(*(vals[x] for x in range(t + 1)))
     return Distribution(
         kind=WalkKind.HALF_LINE, t=t, offset=0,
@@ -392,9 +393,7 @@ def half_line_exact(coin: Coin, t: int,
         p1=tuple(map(_to_prob, v1s)), p=tuple(map(_to_prob, vts)))
 
 
-def half_line_exact_by_inner(coin: Coin, t: int, inner: int,
-                             params: Optional[ExactParams] = None
-                             ) -> Distribution:
+def half_line_exact_by_inner(coin: Coin, t: int, inner: int) -> Distribution:
     """Positive probabilities of one inner component at time t.
 
     Inner 1 covers 0..t; inner 0 covers 0..t-2, as the frontier pair has
@@ -402,16 +401,15 @@ def half_line_exact_by_inner(coin: Coin, t: int, inner: int,
     """
     if inner not in (0, 1):
         raise ValueError(f"inner must be 0 or 1, got {inner}")
-    dist = half_line_exact(coin, t, params)
+    dist = half_line_exact(coin, t)
     p = dist.p1 if inner == 1 else dist.p0[:t - 1]
     none = (None,) * len(p)
     return replace(dist, p0=none if inner else p, p1=p if inner else none,
                    p=p)
 
 
-def half_line_exact_total(coin: Coin, t: int,
-                          params: Optional[ExactParams] = None) -> Distribution:
+def half_line_exact_total(coin: Coin, t: int) -> Distribution:
     """Total probabilities (inner states summed) via the combined weights."""
-    dist = half_line_exact(coin, t, params)
+    dist = half_line_exact(coin, t)
     none = (None,) * len(dist.p)
     return replace(dist, p0=none, p1=none)

@@ -22,7 +22,6 @@ import numpy as np
 from . import asymptotics
 from .asymptotics import ApproxKind, DensityKind, LimitDensity
 from .closed_form import (
-    ExactParams,
     FormulaDomainError,
     half_line_exact,
     half_line_exact_total,
@@ -256,12 +255,11 @@ def _theorem1_residual(half_state, line_state) -> float:
 
 
 def _exact_vs_sim_residual(coin: Coin, line_state, half_state) -> float:
-    """Double-double closed forms of both walks against the evolved states."""
+    """Closed forms of both walks against the evolved states."""
     t = line_state.t
-    params = ExactParams.for_coin(coin, t)
     res = 0.0
-    for table, state in ((line_exact(coin, t, params), line_state),
-                         (half_line_exact_total(coin, t, params), half_state)):
+    for table, state in ((line_exact(coin, t), line_state),
+                         (half_line_exact(coin, t), half_state)):
         cf = table.as_dict()
         sim = distribution(state).as_dict()
         for x in set(cf) | set(sim):
@@ -515,10 +513,9 @@ def _evolve_table(coin: Coin, kind: WalkKind, t: int, label: str) -> OutputTable
     return table_from_distribution(dist, "evolve", coin.theta, label)
 
 
-def half_line_exact_table(coin: Coin, t: int, label: str,
-                          params: Optional[ExactParams] = None) -> OutputTable:
+def half_line_exact_table(coin: Coin, t: int, label: str) -> OutputTable:
     """Half-line closed-form table with both inner columns and the total."""
-    dist = half_line_exact(coin, t, params)
+    dist = half_line_exact(coin, t)
     rows = tuple(zip(dist.positions(),
                      (0.0 if p0 is None else p0 for p0 in dist.p0),
                      dist.p1, dist.p))

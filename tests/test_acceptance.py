@@ -104,11 +104,10 @@ def test_criterion_4_closed_form_matches_simulation_figures():
     worst = 0.0
     for coin in (PI4, PI3):
         for t in (14, 15):
-            params = ExactParams.for_coin(coin, t)
             sim = distribution(evolve(WalkKind.HALF_LINE, coin, t))
-            tot = half_line_exact_total(coin, t, params).as_dict()
-            i0 = half_line_exact_by_inner(coin, t, 0, params).inner_dict(0)
-            i1 = half_line_exact_by_inner(coin, t, 1, params).inner_dict(1)
+            tot = half_line_exact_total(coin, t).as_dict()
+            i0 = half_line_exact_by_inner(coin, t, 0).inner_dict(0)
+            i1 = half_line_exact_by_inner(coin, t, 1).inner_dict(1)
             for x in range(0, t + 1):
                 worst = max(
                     worst,

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from qwalk import make_coin_pi
+from qwalk.closed_form import (
+    ExactParams,
+    Precision,
+    half_line_exact_values,
+    line_exact_values,
+)
 from qwalk.cli import main, parse_theta
+
+PI4 = make_coin_pi(Fraction(1, 4))
 
 
 class TestParseTheta:
@@ -47,11 +56,16 @@ class TestExitCodes:
                    "--steps", "5"])
         assert rc == 2
 
-    def test_exact_precision_needs_pi4(self, capsys):
-        for walk in ("line", "halfline"):
-            rc = main(["exact", "--walk", walk, "--theta", "pi/3",
-                       "--steps", "5", "--precision", "exact"])
-            assert rc == 2, walk
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--steps", "5"],
+        ["sweep", "--route", "exact", "--thetas", "pi/4", "--ts", "5"],
+    ], ids=["exact", "sweep"])
+    def test_precision_option_is_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--precision", "dd"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_theta_forms(self, capsys):
         assert main(["simulate", "--theta=-pi/4", "--steps", "2"]) == 0
@@ -197,28 +211,33 @@ class TestOutputs:
 
     def test_float_precisions_print_the_exact_values_rounded(self, tmp_path,
                                                              capsys):
-        # every precision rounds the same exact rationals once, so the
-        # float precisions print the bytes of the exact one, past t = 300
-        for walk in ("line", "halfline"):
-            outs = {}
-            for precision in ("exact", "dd", "double"):
-                out = tmp_path / f"{walk}_{precision}.csv"
-                rc = main(["exact", "--walk", walk, "--theta", "pi/4",
-                           "--steps", "301", "--precision", precision,
-                           "--out", str(out)])
-                assert rc == 0, (walk, precision)
-                assert capsys.readouterr().err == ""
-                outs[precision] = out.read_bytes()
-            assert outs["dd"] == outs["exact"], walk
-            assert outs["double"] == outs["exact"], walk
+        # the tables print the exact rationals rounded once, past t = 300
+        def cell(v):
+            return "0" if v == 0 else repr(float(v))
+
+        t = 301
+        for walk, values in (("line", line_exact_values),
+                             ("halfline", half_line_exact_values)):
+            vals = values(PI4, t, ExactParams.for_coin(PI4, t,
+                                                       Precision.EXACT_Q2))
+            if walk == "line":
+                rows = [f"{x},,,{cell(vals[x])}" for x in range(-t - 1, t - 1)]
+            else:
+                rows = [f"{x},{cell(v0 or 0)},{cell(v1)},{cell(vt)}"
+                        for x, (v0, v1, vt) in sorted(vals.items())]
+            out = tmp_path / f"{walk}.csv"
+            rc = main(["exact", "--walk", walk, "--theta", "pi/4",
+                       "--steps", str(t), "--out", str(out)])
+            assert rc == 0, walk
+            assert capsys.readouterr().err == ""
+            assert out.read_text() == "\n".join(["x,p0,p1,p", *rows]) + "\n"
 
     def test_exact_beyond_threshold_ok_with_exact_precision(self, tmp_path,
                                                             capsys):
         for walk in ("line", "halfline"):
             out = tmp_path / f"exact400_{walk}.csv"
             rc = main(["exact", "--walk", walk, "--theta", "pi/4",
-                       "--steps", "310", "--precision", "exact",
-                       "--out", str(out)])
+                       "--steps", "310", "--out", str(out)])
             assert rc == 0, walk
             assert "warning" not in capsys.readouterr().err
             rows = out.read_text().splitlines()[1:]
@@ -230,8 +249,7 @@ class TestOutputs:
         # the prefactor (1/2)^1100 underflows as a float but not as a Fraction
         out = tmp_path / f"exact1100_{walk}.csv"
         rc = main(["exact", "--walk", walk, "--theta", "pi/4",
-                   "--steps", "1100", "--precision", "exact",
-                   "--out", str(out)])
+                   "--steps", "1100", "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == (2200 if walk == "line" else 1101)
@@ -264,6 +282,20 @@ class TestOutputs:
         assert len(doc) == 6
         assert all(entry["pass"] for entry in doc)
 
+    def test_verify_report_with_error_entry_is_strict_json(self, tmp_path,
+                                                           capsys):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = tmp_path / "report.json"
+        rc = main(["verify", "--suite", "lemma1", "--thetas", "pi",
+                   "--ts", "1", "--out", str(report)])
+        assert rc == 1
+        assert "residual=nan" in capsys.readouterr().out
+        doc = json.loads(report.read_text(), parse_constant=refuse)
+        assert doc[0]["max_residual"] is None
+        assert doc[0]["error"] and not doc[0]["pass"]
+
 
 class TestSweep:
     def test_sweep_writes_manifest_in_lex_order(self, tmp_path):
@@ -285,6 +317,23 @@ class TestSweep:
     def test_sweep_empty_lists_exit_2(self, tmp_path, capsys, thetas, ts):
         out = tmp_path / "sweep"
         rc = main(["sweep", "--thetas", thetas, "--ts", ts, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route,thetas,ts", [
+        ("approx", "pi/4,pi/2", "5"),
+        ("approx", "pi/4", "5,0"),
+        ("exact", "pi/4,pi/2", "5"),
+        ("exact", "pi/4", "5,0"),
+        ("evolve", "pi/4", "5,-1"),
+    ])
+    def test_refused_job_writes_nothing(self, tmp_path, capsys, route, thetas,
+                                        ts):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--route", route, "--thetas", thetas, "--ts", ts,
+                   "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -187,20 +187,19 @@ class TestHalfLineExact:
 
 class TestRouteEquivalence:
     def test_double_path_to_t30(self):
-        params_for = lambda coin, t: ExactParams.for_coin(coin, t, Precision.DOUBLE)
         for theta in ROUTE_THETAS:
             coin = make_coin(theta)
             line_states = dict(iter_states(WalkKind.LINE, coin, 30))
             half_states = dict(iter_states(WalkKind.HALF_LINE, coin, 30))
             for t in range(1, 31):
-                cf = line_exact(coin, t, params_for(coin, t)).as_dict()
+                cf = line_exact(coin, t).as_dict()
                 sim = distribution(line_states[t]).as_dict()
                 worst = max(
                     abs(cf.get(x, 0.0) - sim.get(x, 0.0))
                     for x in set(cf) | set(sim)
                 )
                 assert worst <= 1e-12, (theta, t, "line")
-                cf = half_line_exact_total(coin, t, params_for(coin, t)).as_dict()
+                cf = half_line_exact_total(coin, t).as_dict()
                 sim = distribution(half_states[t]).as_dict()
                 worst = max(
                     abs(cf.get(x, 0.0) - sim.get(x, 0.0))
@@ -432,13 +431,15 @@ _ROUNDING_COINS = {
 class TestExactRationalPath:
     def test_requires_pi4(self, pi3_coin, pi4_coin):
         with pytest.raises(ValueError):
-            line_exact(pi3_coin, 4,
-                       ExactParams.for_coin(pi3_coin, 4, Precision.EXACT_Q2))
+            line_exact_values(
+                pi3_coin, 4,
+                ExactParams.for_coin(pi3_coin, 4, Precision.EXACT_Q2))
         coin = make_coin(math.pi / 4)  # float angle, no exact fraction
         with pytest.raises(ValueError):
-            line_exact(coin, 4, ExactParams.for_coin(coin, 4, Precision.EXACT_Q2))
-        line_exact(pi4_coin, 4,
-                   ExactParams.for_coin(pi4_coin, 4, Precision.EXACT_Q2))
+            line_exact_values(
+                coin, 4, ExactParams.for_coin(coin, 4, Precision.EXACT_Q2))
+        line_exact_values(
+            pi4_coin, 4, ExactParams.for_coin(pi4_coin, 4, Precision.EXACT_Q2))
 
     def test_line_matches_oracle_exactly(self, pi4_coin):
         oracle = {d.t: d for d in q2_oracle_series(WalkKind.LINE, 100)}
@@ -593,6 +594,7 @@ def test_values_are_the_reference_rounded_once(angle, values, reference):
 class TestParams:
     def test_mismatched_params_rejected(self, pi4_coin):
         with pytest.raises(ValueError):
-            line_exact(pi4_coin, 5, ExactParams(theta=pi4_coin.theta, t=6))
+            line_exact_values(pi4_coin, 5,
+                              ExactParams(theta=pi4_coin.theta, t=6))
         with pytest.raises(ValueError):
-            line_exact(pi4_coin, 5, ExactParams(theta=1.0, t=5))
+            line_exact_values(pi4_coin, 5, ExactParams(theta=1.0, t=5))

@@ -1,9 +1,10 @@
 """Pinned output bytes and the shape of every route's Distribution.
 
 The digests were taken from the row-object implementation that preceded
-the columnar Distribution, and the two oracle digests at t = 200 from the
-oracle that built one Fraction per site; any change to them is a change of
-output bytes.
+the columnar Distribution, the two oracle digests at t = 200 from the
+oracle that built one Fraction per site, and the float-angle exact and
+sweep digests while `exact` and `sweep` still took a precision option; any
+change to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -86,3 +87,33 @@ def test_every_route_has_equal_columns_over_its_range(t):
         assert dist.positions() == range(first, last + 1), name
         assert len(dist.p0) == len(dist.p1) == len(dist.p), name
         assert None not in dist.p, name
+
+
+@pytest.mark.parametrize("walk, digest", [
+    ("line", "2768524fdb2bca8bc57619f1b450ad805b9969d03b24433410f562020eab839b"),
+    ("halfline",
+     "a9543c5c2908bc61312b33a7a76723aab03ce360ea47d8b5086f93ac853a0f79"),
+], ids=["line", "halfline"])
+def test_exact_json_at_float_angle_is_pinned(walk, digest, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["exact", "--walk", walk, "--theta", "1.0", "--steps", "60",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
+
+
+def test_exact_sweep_files_are_pinned(tmp_path):
+    assert main(["sweep", "--route", "exact", "--thetas", "pi/4,1.0",
+                 "--ts", "3,30", "--out", str(tmp_path)]) == 0
+    got = {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == {
+        "exact_halfline_theta-1.0_t-3.csv":
+            "40bb82dbad1f0dc8fc413bf9ec9081307c3c8a5e01ccebb87c438a13dc5d1879",
+        "exact_halfline_theta-1.0_t-30.csv":
+            "7f1046a3b3501cf77a7eec601594211e2e5f988728fc00e5e20dd76bf6873fbb",
+        "exact_halfline_theta-pi_4_t-3.csv":
+            "3b1504ed77415940cd123121d85e0b77cfd760c47c77c4c91b81666064748eee",
+        "exact_halfline_theta-pi_4_t-30.csv":
+            "40e1bf7a3db6c27868249b1075a66645d0fe0119086ce31cc27949205389043d",
+        "manifest.txt":
+            "1a14ca29a9ca450b566fc98aa2cf7e65f4ae676f49afc379a9848df2cfbbb353",
+    }
