@@ -3,8 +3,10 @@
 The digests were taken from the row-object implementation that preceded
 the columnar Distribution, the two oracle digests at t = 200 from the
 oracle that built one Fraction per site, and the float-angle exact and
-sweep digests while `exact` and `sweep` still took a precision option; any
-change to them is a change of output bytes.
+sweep digests while `exact` and `sweep` still took a precision option, and
+the figure, pi/3 exact and evolve/approx sweep digests while the half-line
+closed form still ran separate branch loops for even and odd t; any change
+to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -117,3 +119,89 @@ def test_exact_sweep_files_are_pinned(tmp_path):
         "manifest.txt":
             "1a14ca29a9ca450b566fc98aa2cf7e65f4ae676f49afc379a9848df2cfbbb353",
     }
+
+
+@pytest.mark.parametrize("figure, digests", [
+    ("fig1", {
+        "fig1_halfline_theta_pi4_t500_evolve.csv":
+            "05bee0ab3946ea9dc912874afa6c408c7354466fe03608e1b60fee5cdb2eaf0c",
+    }),
+    ("fig5", {
+        "fig5_halfline_theta_pi4_t15_evolve.csv":
+            "0e15b3b99d9ba87a1a9084d44272621029a928259456c5641ae825ae766ebc1f",
+        "fig5_halfline_theta_pi4_t15_exact.csv":
+            "b5407841ae073d4ba8c7e75c8d60ed6dd4ace9887598a8a42e72859fd45f331b",
+    }),
+    ("fig6", {
+        "fig6_halfline_theta_pi3_t14_evolve.csv":
+            "1b86ebda9b1951972d4002e6cbd3f11dd21a73276423f57a5708360846fbfc77",
+        "fig6_halfline_theta_pi3_t14_exact.csv":
+            "12d4859065424d206cf33ec36031a944bb482e25720265eea123f5b46f091bb5",
+    }),
+    ("fig7", {
+        "fig7_halfline_theta_pi3_t15_evolve.csv":
+            "bcda3f082087950706ac88963e6b4dc0e5698a5b2f82d0640eee72d8eb4ac122",
+        "fig7_halfline_theta_pi3_t15_exact.csv":
+            "d17f166591967ffb5b462ea3ac4a1a59a21dece53c3cdc6c62a801263306fba5",
+    }),
+    ("fig8", {
+        "fig8_halfline_theta_pi4_t500_approx.csv":
+            "16ab13ca19038354c180dd58964d94958cb48a0821d72d772c5ecef8eaa459b9",
+        "fig8_halfline_theta_pi4_t500_evolve.csv":
+            "05bee0ab3946ea9dc912874afa6c408c7354466fe03608e1b60fee5cdb2eaf0c",
+    }),
+    ("fig9", {
+        "fig9_halfline_theta_pi3_t500_approx.csv":
+            "129f6433b45b93e2de855ca8a34143f3ac0acbd0d2532040f73413531de8c676",
+        "fig9_halfline_theta_pi3_t500_evolve.csv":
+            "5e9898b9a4707f1b082af12b91d96148384c26e8893669f19a96acfbfbf8e413",
+    }),
+])
+def test_figure_csv_bytes_are_pinned(figure, digests, tmp_path):
+    assert main(["figure", "--id", figure, "--out", str(tmp_path)]) == 0
+    got = {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == digests
+
+
+@pytest.mark.parametrize("t, digest", [
+    (14, "1382a675af5eacafce50c9ee9d8c63f93838c23b3cc22449b61535e02ae5da15"),
+    (15, "c272775ac12a5e48badfda5e2ca432fa46e89f83b8932ec3f857fdec43f5df7c"),
+])
+def test_half_line_exact_json_at_pi3_is_pinned(t, digest, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["exact", "--walk", "halfline", "--theta", "pi/3", "--steps",
+                 str(t), "--format", "json", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("route, digests", [
+    ("evolve", {
+        "evolve_halfline_theta-1.0_t-3.csv":
+            "5084e4c0d3a066a66aa7c55586eff4dff525ee6e4eb78f40c8c6fbfcf7e27664",
+        "evolve_halfline_theta-1.0_t-30.csv":
+            "c61e8d26d9e0284e0118eeea1a264e3cd5a51dacfe9afba20a952e2528d0a3d5",
+        "evolve_halfline_theta-pi_4_t-3.csv":
+            "a0db3c4935b011c3982e2dac7fc28f1d5bacb738d65a57bfe1b8eb7fa80f1ad4",
+        "evolve_halfline_theta-pi_4_t-30.csv":
+            "a6ddebf2018894c2bbd41c0de66287a94b8802d7755c25bcb9d71e8d701dd3f2",
+        "manifest.txt":
+            "16df57c8af85b56acfbc4db575024af7ffbaaaf1bbb69c58491a2e4b2bb1a965",
+    }),
+    ("approx", {
+        "approx_halfline_theta-1.0_t-3.csv":
+            "47fc1ed0e9a4219a434c529c500f841d1e738e9a32213f743de8dfc6228cd753",
+        "approx_halfline_theta-1.0_t-30.csv":
+            "620e54553bfd7bb3209323aaae0714071bc073c6bc7c4076406b2ec515ea006f",
+        "approx_halfline_theta-pi_4_t-3.csv":
+            "50b769ee6386fed3157c6cadc14fa2703b7b0995298d691a4bb50f270d230215",
+        "approx_halfline_theta-pi_4_t-30.csv":
+            "7ad35f2c67d529db55baf923b04467f2b708fc2d4b7b49fe56d38d5a17289fe8",
+        "manifest.txt":
+            "2e02b509cea9b6732d6bd51063d7602d1195a420979e0cc3c4e8de370bdbc10b",
+    }),
+])
+def test_sweep_files_are_pinned(route, digests, tmp_path):
+    assert main(["sweep", "--route", route, "--thetas", "pi/4,1.0",
+                 "--ts", "3,30", "--out", str(tmp_path)]) == 0
+    got = {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == digests
