@@ -16,9 +16,8 @@ from pathlib import Path
 
 from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
-from .closed_form import PrecisionError, line_exact
+from .closed_form import PrecisionError
 from .core import Coin, WalkKind, make_coin, make_coin_pi
-from .evolution import distribution, evolve
 from .harness import OutputTable, emit, figure_data, run_checks, table_from_exact
 from .qfield import q2_oracle_distribution
 
@@ -114,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run many configurations, one file each")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
-    p.add_argument("--route", choices=("evolve", "exact", "approx"),
-                   default="evolve")
+    p.add_argument("--route", choices=harness.ROUTES, default="evolve")
     p.add_argument("--thetas", required=True)
     p.add_argument("--ts", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -127,22 +125,11 @@ def _walk_kind(name: str) -> WalkKind:
     return WalkKind.HALF_LINE if name == "halfline" else WalkKind.LINE
 
 
-def _route_table(route: str, walk: WalkKind, coin: Coin,
-                 t: int) -> OutputTable:
-    """The table of one route: evolve, exact or approx (half line only)."""
-    if route == "evolve":
-        return harness.table_from_distribution(
-            distribution(evolve(walk, coin, t)), "evolve", coin.theta)
-    if route == "approx":
-        return harness.approx_table(coin, t, "")
-    if walk is WalkKind.LINE:
-        return harness.table_from_distribution(line_exact(coin, t), "exact",
-                                               coin.theta)
-    return harness.half_line_exact_table(coin, t, "")
-
-
-def _check_job(route: str, coin: Coin, t: int) -> None:
+def _check_job(route: str, walk: WalkKind, coin: Coin, t: int) -> None:
     """Refuse, with the route's own message, a job the route would refuse."""
+    if route == "approx" and walk is not WalkKind.HALF_LINE:
+        raise UsageError("the large-t approximation is defined on the half "
+                         "line only")
     if route == "evolve":
         if t < 0:
             raise UsageError(f"steps must be >= 0, got {t}")
@@ -158,7 +145,8 @@ def _check_job(route: str, coin: Coin, t: int) -> None:
 
 def _cmd_simulate(args) -> int:
     coin = parse_theta(args.theta)
-    table = _route_table("evolve", _walk_kind(args.walk), coin, args.steps)
+    table = harness.route_table("evolve", _walk_kind(args.walk), coin,
+                                args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -167,7 +155,8 @@ def _cmd_exact(args) -> int:
     coin = parse_theta(args.theta)
     if args.steps < 1:
         raise UsageError("closed forms need --steps >= 1")
-    table = _route_table("exact", _walk_kind(args.walk), coin, args.steps)
+    table = harness.route_table("exact", _walk_kind(args.walk), coin,
+                                args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -214,7 +203,7 @@ def _cmd_approx(args) -> int:
     coin = parse_theta(args.theta)
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    table = _route_table("approx", WalkKind.HALF_LINE, coin, args.steps)
+    table = harness.route_table("approx", WalkKind.HALF_LINE, coin, args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -257,22 +246,22 @@ def _cmd_sweep(args) -> int:
     if not coins or not ts:
         raise UsageError("sweep needs at least one angle and one time")
     walk = _walk_kind(args.walk)
-    # a refused job fails the sweep before anything is written
-    for _, coin in coins:
-        for t in ts:
-            _check_job(args.route, coin, t)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    jobs = []
+    jobs = {}  # file name -> (coin, t); a repeated job is written once
     for text, coin in coins:
         tag = re.sub(r"[^0-9a-zA-Z._-]", "_", text)
         for t in ts:
             name = f"{args.route}_{args.walk}_theta-{tag}_t-{t}.{args.format}"
-            emit(_route_table(args.route, walk, coin, t), args.format,
-                 outdir / name)
-            jobs.append(((coin.theta, t), name))
-    manifest = "\n".join(name for _, name in
-                         sorted(jobs, key=lambda j: j[0])) + "\n"
+            jobs.setdefault(name, (coin, t))
+    # a refused job fails the sweep before anything is written
+    for coin, t in jobs.values():
+        _check_job(args.route, walk, coin, t)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (coin, t) in jobs.items():
+        emit(harness.route_table(args.route, walk, coin, t), args.format,
+             outdir / name)
+    manifest = "\n".join(sorted(
+        jobs, key=lambda name: (jobs[name][0].theta, jobs[name][1]))) + "\n"
     (outdir / "manifest.txt").write_text(manifest, encoding="utf-8")
     return 0
 

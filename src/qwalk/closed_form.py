@@ -272,14 +272,20 @@ def _pair_sums(consts: _RationalConsts, m: int, M: int,
     return _IntegerBranch(consts, m, a0, b1)
 
 
-def _origin_sums(consts: _RationalConsts, T: int,
-                 table: BinomialTable) -> _IntegerBranch:
-    # origin branch of even times: squared binomial coefficients
-    row_t1 = table.row(T - 1)
-    row_t = table.row(T)
-    a0 = [row_t1[j - 1] ** 2 for j in range(1, T + 1)]
-    b1 = [row_t[j] * row_t1[j - 1] for j in range(1, T + 1)]
-    return _IntegerBranch(consts, T, a0, b1)
+def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
+    """The constants of the table at time t, and its branches.
+
+    Branch m = 1..t//2 comes as (x, m, sums) with x = t - 2m. On the line
+    it gives the right value at x and x - 1 and the left value at -x - 1
+    and -x. The half line is the line relabelled (theorem1): its inner 0 at
+    x is the line at x, and its inner 1 at x the line at -x - 1.
+    """
+    if t < 1:
+        raise ValueError(f"closed form needs t >= 1, got {t}")
+    consts = _resolve(coin, t, params)
+    table = binomial_table(t)
+    return consts, ((t - 2 * m, m, _pair_sums(consts, m, t - m - 1, table))
+                    for m in range(1, t // 2 + 1))
 
 
 def _to_prob(x: float) -> float:
@@ -298,20 +304,11 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
     Values are floats, double-double pairs, or Fractions depending on the
     requested precision; ``line_exact`` wraps this into a Distribution.
     """
-    if t < 1:
-        raise ValueError(f"closed form needs t >= 1, got {t}")
-    consts = _resolve(coin, t, params)
-    table = binomial_table(t)
-    pref = consts.pref
-    out: dict[int, object] = {-t - 1: pref, -t: pref}
-    for m in range(1, t // 2 + 1):
-        sums = _pair_sums(consts, m, t - m - 1, table)
-        right = sums.weighted(m)
-        left = sums.weighted(t - m)
-        out[t - 2 * m] = right
-        out[t - 2 * m - 1] = right
-        out[-(t - 2 * m) - 1] = left
-        out[-(t - 2 * m)] = left
+    consts, branches = _branches(coin, t, params)
+    out: dict[int, object] = {-t - 1: consts.pref, -t: consts.pref}
+    for x, m, sums in branches:
+        out[x] = out[x - 1] = sums.weighted(m)
+        out[-x - 1] = out[-x] = sums.weighted(t - m)
     consts.check_completeness(out.values())
     return out
 
@@ -343,37 +340,16 @@ def half_line_exact_values(coin: Coin, t: int,
     total column is evaluated through its own combined weight, not by adding
     the inner columns, so the split consistency stays a real check.
     """
-    if t < 1:
-        raise ValueError(f"closed form needs t >= 1, got {t}")
-    consts = _resolve(coin, t, params)
-    table = binomial_table(t + 1)
+    consts, branches = _branches(coin, t, params)
     out: dict[int, tuple] = {}
-    pref = consts.pref
-    if t % 2 == 0:
-        half = t // 2
-        for m in range(1, half):
-            sums = _pair_sums(consts, m, t - m - 1, table)
-            v0 = sums.weighted(m)
-            v1 = sums.weighted(t - m)
-            vt = sums.weighted_pair(m, t - m)
-            for x in (2 * (half - m), 2 * (half - m) - 1):
-                out[x] = (v0, v1, vt)
-        # origin term, even times only: both inners share one value
-        sums = _origin_sums(consts, half, table)
-        vo = sums.weighted(half)
-        out[0] = (vo, vo, sums.weighted_pair(half, half))
-    else:
-        half = (t - 1) // 2
-        for m in range(1, half + 1):
-            sums = _pair_sums(consts, m, t - m - 1, table)
-            v0 = sums.weighted(m)
-            v1 = sums.weighted(t - m)
-            vt = sums.weighted_pair(m, t - m)
-            for x in (2 * (half - m) + 1, 2 * (half - m)):
-                out[x] = (v0, v1, vt)
+    for x, m, sums in branches:
+        vals = (sums.weighted(m), sums.weighted(t - m),
+                sums.weighted_pair(m, t - m))
+        out[x] = vals
+        if x > 0:
+            out[x - 1] = vals
     # frontier pair carries inner 1 only
-    out[t] = (None, pref, pref)
-    out[t - 1] = (None, pref, pref)
+    out[t] = out[t - 1] = (None, consts.pref, consts.pref)
     consts.check_completeness(v[2] for v in out.values())
     return out
 
@@ -382,14 +358,14 @@ def half_line_exact(coin: Coin, t: int) -> Distribution:
     """Both inner columns and the total over 0..t from one closed-form
     evaluation.
 
-    ``p0`` is None on the frontier pair, where only inner 1 is positive.
+    ``p0`` is 0.0 on the frontier pair, where only inner 1 is positive.
     """
     vals = half_line_exact_values(
         coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     v0s, v1s, vts = zip(*(vals[x] for x in range(t + 1)))
     return Distribution(
         kind=WalkKind.HALF_LINE, t=t, offset=0,
-        p0=tuple(None if v is None else _to_prob(v) for v in v0s),
+        p0=tuple(0.0 if v is None else _to_prob(v) for v in v0s),
         p1=tuple(map(_to_prob, v1s)), p=tuple(map(_to_prob, vts)))
 
 

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import asymptotics
 from .asymptotics import ApproxKind, DensityKind, LimitDensity
-from .closed_form import (
-    FormulaDomainError,
-    half_line_exact,
-    half_line_exact_total,
-    line_exact,
-)
+from .closed_form import FormulaDomainError, half_line_exact, line_exact
 from .core import Coin, Distribution, WalkKind, make_coin, make_coin_pi
 from .evolution import distribution, evolve, iter_states, probability_arrays
 
@@ -270,8 +265,7 @@ def _exact_vs_sim_residual(coin: Coin, line_state, half_state) -> float:
 def _inner_split_residual(coin: Coin, t: int) -> float:
     """Total column against the sum of the inner columns, one evaluation."""
     dist = half_line_exact(coin, t)
-    return max(abs(p - (0.0 if p0 is None else p0) - p1)
-               for p0, p1, p in zip(dist.p0, dist.p1, dist.p))
+    return max(abs(p - p0 - p1) for p0, p1, p in zip(dist.p0, dist.p1, dist.p))
 
 
 def _ks_residual(coin: Coin, half_state) -> float:
@@ -503,26 +497,10 @@ def read_rows_csv(path) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
 # figure data
 
 FIGURES = tuple(f"fig{i}" for i in range(1, 10))
+ROUTES = ("evolve", "exact", "approx")
 
 _PI4 = Fraction(1, 4)
 _PI3 = Fraction(1, 3)
-
-
-def _evolve_table(coin: Coin, kind: WalkKind, t: int, label: str) -> OutputTable:
-    dist = distribution(evolve(kind, coin, t))
-    return table_from_distribution(dist, "evolve", coin.theta, label)
-
-
-def half_line_exact_table(coin: Coin, t: int, label: str) -> OutputTable:
-    """Half-line closed-form table with both inner columns and the total."""
-    dist = half_line_exact(coin, t)
-    rows = tuple(zip(dist.positions(),
-                     (0.0 if p0 is None else p0 for p0 in dist.p0),
-                     dist.p1, dist.p))
-    return OutputTable(
-        kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=t, route="exact",
-        columns=("x", "p0", "p1", "p"), rows=rows, label=label,
-    )
 
 
 def approx_table(coin: Coin, t: int, label: str) -> OutputTable:
@@ -542,6 +520,24 @@ def approx_table(coin: Coin, t: int, label: str) -> OutputTable:
         kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=t, route="approx",
         columns=("x", "p0", "p1", "p"), rows=rows, label=label,
     )
+
+
+def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
+                label: str = "") -> OutputTable:
+    """The table of one route: evolve, exact or approx (half line only)."""
+    if route == "approx":
+        if walk is not WalkKind.HALF_LINE:
+            raise ValueError("the large-t approximation is defined on the "
+                             "half line only")
+        return approx_table(coin, t, label)
+    if route == "evolve":
+        dist = distribution(evolve(walk, coin, t))
+    elif route == "exact":
+        dist = (line_exact if walk is WalkKind.LINE else half_line_exact)(
+            coin, t)
+    else:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return table_from_distribution(dist, route, coin.theta, label)
 
 
 def _series_tables(coin: Coin, t_max: int, step: int) -> list[OutputTable]:
@@ -572,8 +568,8 @@ def figure_data(figure: str) -> list[OutputTable]:
     pi4 = make_coin_pi(_PI4)
     pi3 = make_coin_pi(_PI3)
     if figure == "fig1":
-        return [_evolve_table(pi4, WalkKind.HALF_LINE, 500,
-                              "fig1_halfline_theta_pi4_t500_evolve")]
+        return [route_table("evolve", WalkKind.HALF_LINE, pi4, 500,
+                            "fig1_halfline_theta_pi4_t500_evolve")]
     if figure == "fig2":
         return _series_tables(pi4, 500, 10)
     if figure == "fig3":
@@ -584,8 +580,8 @@ def figure_data(figure: str) -> list[OutputTable]:
             make_coin_pi(Fraction(2, 5)),
         )
         return [
-            _evolve_table(
-                coin, WalkKind.HALF_LINE, 150,
+            route_table(
+                "evolve", WalkKind.HALF_LINE, coin, 150,
                 f"fig3_halfline_theta_{_theta_tag(coin)}_t150_evolve",
             )
             for coin in coins
@@ -600,20 +596,18 @@ def figure_data(figure: str) -> list[OutputTable]:
         coin, t = pairs[figure]
         tag = _theta_tag(coin)
         return [
-            _evolve_table(coin, WalkKind.HALF_LINE, t,
-                          f"{figure}_halfline_theta_{tag}_t{t}_evolve"),
-            half_line_exact_table(coin, t,
-                         f"{figure}_halfline_theta_{tag}_t{t}_exact"),
+            route_table(route, WalkKind.HALF_LINE, coin, t,
+                        f"{figure}_halfline_theta_{tag}_t{t}_{route}")
+            for route in ("evolve", "exact")
         ]
     approx_pairs = {"fig8": pi4, "fig9": pi3}
     if figure in approx_pairs:
         coin = approx_pairs[figure]
         tag = _theta_tag(coin)
         return [
-            _evolve_table(coin, WalkKind.HALF_LINE, 500,
-                          f"{figure}_halfline_theta_{tag}_t500_evolve"),
-            approx_table(coin, 500,
-                          f"{figure}_halfline_theta_{tag}_t500_approx"),
+            route_table(route, WalkKind.HALF_LINE, coin, 500,
+                        f"{figure}_halfline_theta_{tag}_t500_{route}")
+            for route in ("evolve", "approx")
         ]
     raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
 

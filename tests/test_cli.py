@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwalk import make_coin_pi
+from qwalk import cli, make_coin_pi
 from qwalk.closed_form import (
     ExactParams,
     Precision,
@@ -338,6 +338,30 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_approx_on_the_line_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--route", "approx", "--walk", "line",
+                   "--thetas", "pi/4", "--ts", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "half line only" in err
+        assert not out.exists()
+
+    def test_repeated_jobs_are_written_once(self, tmp_path, monkeypatch):
+        written = []
+        emit = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda table, fmt, dest: (
+            written.append(dest.name), emit(table, fmt, dest)))
+        rc = main(["sweep", "--thetas", "pi/4,pi/4", "--ts", "3,3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        name = "evolve_halfline_theta-pi_4_t-3.csv"
+        assert written == [name]
+        assert (tmp_path / "manifest.txt").read_text() == name + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name,
+                                                                "manifest.txt"]
 
     def test_sweep_deterministic_files(self, tmp_path):
         a = tmp_path / "a"

@@ -28,6 +28,7 @@ from qwalk import (
     q2_oracle_series,
 )
 from qwalk import dd
+from qwalk.closed_form import half_line_exact
 
 from conftest import ROUTE_THETAS, THETA_GRID_20
 
@@ -140,6 +141,17 @@ class TestHalfLineExact:
                 expected = coin.c ** (4 * half_t) / 2
                 assert by1.inner_dict(1)[t] == approx(expected, abs=1e-15)
                 assert by1.inner_dict(1)[t - 1] == approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 14, 15])
+    def test_frontier_inner0_is_zero(self, pi3_coin, t):
+        """The Distribution holds the walk's 0.0 on the frontier pair, as
+        evolution does; the precision-typed values keep None there."""
+        dist = half_line_exact(pi3_coin, t)
+        sim = distribution(evolve(WalkKind.HALF_LINE, pi3_coin, t))
+        vals = half_line_exact_values(pi3_coin, t)
+        for x in (t - 1, t):
+            assert dist.p0[x] == sim.p0[x] == 0.0
+            assert vals[x][0] is None
 
     def test_even_time_pairing(self):
         """Interior positions 2k and 2k-1 carry one shared value."""

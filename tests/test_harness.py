@@ -11,23 +11,27 @@ from qwalk import (
     Distribution,
     OutputTable,
     WalkKind,
+    distribution,
     emit,
+    evolve,
     figure_data,
+    line_exact,
     make_coin,
     make_coin_pi,
     q2_oracle_distribution,
     run_checks,
 )
+from qwalk.closed_form import half_line_exact
 from qwalk.harness import (
     EXACT_VS_SIM_MAX_T,
     SUITES,
     CheckResult,
     approx_table,
     canonical_coins,
-    half_line_exact_table,
     ks_tolerance,
     read_rows_csv,
     read_table_json,
+    route_table,
     table_from_distribution,
     table_from_exact,
 )
@@ -295,11 +299,34 @@ class TestFigureData:
 
 class TestComposedTables:
     def test_half_line_exact_table_matches_components(self, pi4_coin):
-        table = half_line_exact_table(pi4_coin, 14, "x")
+        table = route_table("exact", WalkKind.HALF_LINE, pi4_coin, 14, "x")
         total = sum(r[3] for r in table.rows)
         assert total == approx(1.0, abs=1e-12)
         for x, p0, p1, p in table.rows:
             assert p == approx(p0 + p1, abs=1e-12)
+
+    @pytest.mark.parametrize("route, walk, build", [
+        ("evolve", WalkKind.LINE,
+         lambda coin, t: distribution(evolve(WalkKind.LINE, coin, t))),
+        ("evolve", WalkKind.HALF_LINE,
+         lambda coin, t: distribution(evolve(WalkKind.HALF_LINE, coin, t))),
+        ("exact", WalkKind.LINE, line_exact),
+        ("exact", WalkKind.HALF_LINE, half_line_exact),
+    ], ids=["evolve-line", "evolve-halfline", "exact-line", "exact-halfline"])
+    def test_route_table_is_the_route_distribution(self, route, walk, build):
+        for coin in (make_coin_pi(Fraction(1, 3)), make_coin(1.0)):
+            for t in (1, 2, 15):
+                assert route_table(route, walk, coin, t, "x") == \
+                    table_from_distribution(build(coin, t), route, coin.theta,
+                                            "x")
+
+    @pytest.mark.parametrize("route, walk", [
+        ("oracle", WalkKind.HALF_LINE), ("limit", WalkKind.LINE),
+        ("approx", WalkKind.LINE)])
+    def test_route_table_refuses_unknown_route_and_line_approx(
+            self, pi4_coin, route, walk):
+        with pytest.raises(ValueError):
+            route_table(route, walk, pi4_coin, 5)
 
     def test_approx_table_columns(self, pi4_coin):
         table = approx_table(pi4_coin, 50, "x")
