@@ -29,7 +29,6 @@ from .closed_form import (
     line_exact_values,
 )
 from .core import (
-    AmplitudePair,
     Coin,
     Distribution,
     HalfLineState,
@@ -65,7 +64,6 @@ from .qfield import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudePair",
     "ApproxKind",
     "BinomialTable",
     "CheckResult",

@@ -110,12 +110,6 @@ class BinomialTable:
             row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
             self._rows.append(row)
 
-    def binom(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            return 0
-        self.ensure(n)
-        return self._rows[n][k]
-
     def row(self, n: int) -> tuple[int, ...]:
         self.ensure(n)
         return tuple(self._rows[n])

@@ -85,18 +85,6 @@ def make_coin_pi(fraction: Union[Fraction, int, str]) -> Coin:
                 pi_fraction=frac)
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Complex amplitudes of the two inner components at one position."""
-
-    a0: complex
-    a1: complex
-
-    @property
-    def weight(self) -> float:
-        return abs(self.a0) ** 2 + abs(self.a1) ** 2
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -126,12 +114,6 @@ class _WalkState:
     @property
     def offset(self) -> int:
         return 0 if self.kind is WalkKind.HALF_LINE else -self.t - 1
-
-    def pair(self, x: int) -> AmplitudePair:
-        i = x - self.offset
-        if 0 <= i < self.amps.shape[0]:
-            return AmplitudePair(complex(self.amps[i, 0]), complex(self.amps[i, 1]))
-        return AmplitudePair(0j, 0j)
 
     def amplitude(self, x: int, inner: int) -> complex:
         i = x - self.offset

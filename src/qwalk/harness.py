@@ -273,10 +273,21 @@ def _ks_residual(coin: Coin, half_state) -> float:
                                    state=half_state).ks
 
 
+def _mass_off(coin: Coin, tol: float) -> Optional[str]:
+    # the laws on the double c, s have mass ~ 1 + e/(2 s^2), e = c^2 + s^2 - 1
+    # taken exactly, which no integration undoes; exact cos^2 makes e = 0
+    c, s = Fraction(coin.c), Fraction(coin.s)
+    e = 0 if coin.cos2_exact() is not None else abs(c * c + s * s - 1)
+    if e <= 2 * Fraction(tol) * s * s:
+        return None
+    return ("theta excluded (double cos, sin: limit mass off by "
+            f"{float(e / (2 * s * s)):.1e})")
+
+
 def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
     """Total mass of each limit law; one entry per law, at t = 0."""
     tol = TOLERANCES["limitNorm"]
-    reason = _degenerate(coin)
+    reason = _degenerate(coin) or _mass_off(coin, tol)
     if reason:
         return [_error_check("limitNorm", coin, 0, tol, reason)]
 
@@ -327,7 +338,7 @@ _REGISTRY: dict[str, tuple[_SuiteChecks, Callable[[int], bool]]] = {
     "ksConvergence": (_walk_suite("ksConvergence[halfTotal]", _ks_residual,
                                   (WalkKind.HALF_LINE,),
                                   tolerance=ks_tolerance,
-                                  excluded=_degenerate),
+                                  excluded=_degenerate, min_t=1),
                       _ks_range),
 }
 

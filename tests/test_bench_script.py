@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -49,3 +50,13 @@ def test_bench_script_tiny(tmp_path):
             assert set(entry) == {"median", "q1", "q3", "kernel_ms"}
             assert 0 <= entry["q1"] <= entry["median"] <= entry["q3"]
             assert entry["kernel_ms"] > 0
+
+
+def test_every_traced_name_resolves():
+    """perfbench's tracer wraps qwalk functions by name; each must exist."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for home, name, *_ in tracing._TARGETS:
+        assert callable(getattr(home, name)), (home.__name__, name)

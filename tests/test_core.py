@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from pytest import approx
 
 from qwalk import (
-    AmplitudePair,
     Distribution,
     HalfLineState,
     LineState,
@@ -82,15 +81,14 @@ class TestInitialStates:
     def test_half_line_amplitudes_pi4(self, pi4_coin):
         state = initial_half_line(pi4_coin)
         phase = complex(pi4_coin.c, -pi4_coin.s)
-        pair = state.pair(0)
-        assert pair.a0 == approx(phase * SQRT1_2, abs=1e-16)
-        assert pair.a1 == approx(1j * phase * SQRT1_2, abs=1e-16)
+        assert state.amplitude(0, 0) == approx(phase * SQRT1_2, abs=1e-16)
+        assert state.amplitude(0, 1) == approx(1j * phase * SQRT1_2, abs=1e-16)
         assert state.norm_sq() == approx(1.0, abs=1e-15)
 
     def test_half_line_theta_zero_has_unit_phase(self):
         state = initial_half_line(make_coin(0.0))
-        assert state.pair(0).a0 == approx(SQRT1_2, abs=1e-16)
-        assert state.pair(0).a1 == approx(1j * SQRT1_2, abs=1e-16)
+        assert state.amplitude(0, 0) == approx(SQRT1_2, abs=1e-16)
+        assert state.amplitude(0, 1) == approx(1j * SQRT1_2, abs=1e-16)
 
     def test_half_line_localized(self):
         for theta in (0.0, 0.7, 2.0, 4.5):
@@ -101,12 +99,12 @@ class TestInitialStates:
     def test_line_amplitudes(self, pi4_coin, pi3_coin):
         state = initial_line(pi4_coin)
         for x in (-1, 0):
-            assert state.pair(x).a0 == approx(0.5, abs=1e-15)
-            assert state.pair(x).a1 == approx(0.5, abs=1e-15)
+            assert state.amplitude(x, 0) == approx(0.5, abs=1e-15)
+            assert state.amplitude(x, 1) == approx(0.5, abs=1e-15)
         state = initial_line(pi3_coin)
         for x in (-1, 0):
-            assert state.pair(x).a0 == approx(0.5 * SQRT1_2, abs=1e-15)
-            assert state.pair(x).a1 == approx(
+            assert state.amplitude(x, 0) == approx(0.5 * SQRT1_2, abs=1e-15)
+            assert state.amplitude(x, 1) == approx(
                 math.sqrt(3) / 2 * SQRT1_2, abs=1e-15)
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
@@ -140,17 +138,13 @@ class TestStates:
         with pytest.raises(ValueError):
             LineState(t=1, amps=np.zeros((3, 2), dtype=complex))
 
-    def test_amplitude_pair_weight(self):
-        pair = AmplitudePair(a0=0.6, a1=0.8j)
-        assert pair.weight == approx(1.0, abs=1e-15)
-
     def test_kind_and_offset(self):
         half = HalfLineState(t=2, amps=np.zeros((3, 2), dtype=complex))
         line = LineState(t=2, amps=np.zeros((6, 2), dtype=complex))
         assert (half.kind, half.offset) == (WalkKind.HALF_LINE, 0)
         assert (line.kind, line.offset) == (WalkKind.LINE, -3)
-        assert line.pair(-3) == AmplitudePair(0j, 0j)
-        assert line.pair(3) == AmplitudePair(0j, 0j)
+        assert line.amplitude(-3, 0) == line.amplitude(-3, 1) == 0j
+        assert line.amplitude(3, 0) == line.amplitude(3, 1) == 0j
 
 
 class TestDistribution:

@@ -88,6 +88,18 @@ class TestRunChecks:
         assert "limitNorm[lineTotal]" in names
         assert "limitNorm[halfInner0+halfInner1]" in names
 
+    def test_limit_norm_excludes_angles_whose_doubles_miss_unit_mass(self):
+        # cos rounds to +-1 at the first two, so 1 - |c| is 0; at 1e-6 the
+        # double-rounded laws miss unit mass by 4.4e-5 whatever the integrator
+        thetas = [1e-9, math.pi - 1e-9, 1e-6]
+        checks = run_checks("limitNorm", thetas, [1]).checks
+        assert [(c.name, c.theta, c.passed) for c in checks] == [
+            ("limitNorm", theta, False) for theta in thetas]
+        assert all(c.error.startswith("theta excluded") for c in checks)
+        # exact rational cos^2 leaves nothing to exclude
+        assert run_checks("limitNorm", [make_coin_pi(Fraction(1, 3))],
+                          [1]).all_passed
+
     def test_all_suite_small_grid(self, pi4_coin):
         report = run_checks("all", [pi4_coin], [1, 2, 14])
         assert report.all_passed
@@ -132,13 +144,16 @@ class TestRunChecks:
             run_checks("nope", [pi4_coin], [1])
 
     def test_bad_times_rejected(self, pi4_coin):
-        for suite in ("lemma1", "exactVsSim"):
+        for suite in ("lemma1", "exactVsSim", "ksConvergence"):
             with pytest.raises(ValueError):
                 run_checks(suite, [pi4_coin], [-3, 2])
+
+    def test_ks_suite_skips_times_below_1(self, pi4_coin):
         # the KS tolerance curve is undefined at t = 0, excluded angle or not
         for coin in (pi4_coin, make_coin_pi(Fraction(1, 2))):
-            with pytest.raises(ValueError):
-                run_checks("ksConvergence", [coin], [0])
+            assert run_checks("ksConvergence", [coin], [0]).checks == ()
+            assert (run_checks("ksConvergence", [coin], [0, 100]).checks
+                    == run_checks("ksConvergence", [coin], [100]).checks)
 
     def test_no_angles_rejected(self):
         for suite in ("lemma1", "limitNorm", "all"):
