@@ -16,12 +16,10 @@ from .asymptotics import (
     total_mass,
 )
 from .closed_form import (
-    BinomialTable,
     ExactParams,
     FormulaDomainError,
     Precision,
     PrecisionError,
-    binomial_table,
     half_line_exact_by_inner,
     half_line_exact_total,
     half_line_exact_values,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxKind",
-    "BinomialTable",
     "CheckResult",
     "Coin",
     "DensityKind",
@@ -84,7 +81,6 @@ __all__ = [
     "VerificationReport",
     "WalkKind",
     "approx_prob",
-    "binomial_table",
     "cdf_at",
     "density_at",
     "distribution",

@@ -18,22 +18,41 @@ with the two single sums
 
 Both single sums have integer coefficients (the 1/j is absorbed by
 C(m-1,j-1)/j = C(m,j)/m). Writing cos^2 = p/q and sin^2 = b/q over one
-integer denominator, (-r)^j = u^j / p^j with u = -b, so p^m A0 and p^m m A1
-are Horner sums in u over Python ints, with the powers of p folded into the
-coefficients. Each table value is then one exact rational, whose
-denominator collects the prefactor's 2 q^(t-1), the 1/s^2 = q/b and the
-m^2 p^(2m) of the two sums, and it is rounded once to the requested
-precision: a correctly rounded double, a double-double pair whose low part
-is the correctly rounded remainder, or the exact Fraction (theta = pi/4
-only). The ``*_values`` functions take the precision; the Distribution
-functions hold correctly rounded doubles, which is what every precision
-gives once rounded to a double.
+integer denominator, (-r)^j = u^j / p^j with u = -b, so N0 = p^m A0 and
+N1 = p^m m A1 are integers: with M = t - m - 1,
+
+    N0(m) = u F(m-1),   F(a) = sum_i C(a,i) C(t-2-a,i) u^i p^(a-i),
+    N1(m) = G(m),       G(m) = sum_j C(m,j) C(M,j-1) u^j p^(m-j).
+
+Both are hypergeometric in the branch index, so each branch follows from
+the two before it by a three-term recurrence with the common divisor
+d(m) = m (m - t + 1)(2m - t - 1):
+
+    d(m) F(m)   = -(2m - t) [(t-1)((t-3)u + p) - 2(2u - p)(m-1)(t-1-m)] F(m-1)
+                  - p^2 (m-1)(m-t)(2m-t+1) F(m-2),
+    d(m) G(m+1) = -(2m - t) [(t^2-1)u - 2(2u - p) m (t-m)] G(m)
+                  - p^2 m (m-t-1)(2m-t+1) G(m-1),
+
+from F(-1) = G(0) = 0, F(0) = 1 and G(1) = u. For 1 <= m < t/2 the
+divisor is a nonzero int and the quotient exact, so a branch costs O(1)
+big-int operations instead of an O(m) sum over binomial coefficients.
+
+Each table value is then one exact rational, whose denominator collects
+the prefactor's 2 q^(t-1), the 1/s^2 = q/b and the m^2 p^(2m) of the two
+sums, and it is rounded once to the requested precision: a correctly
+rounded double, a double-double pair whose low part is the correctly
+rounded remainder, or the exact Fraction (theta = pi/4 only). The
+``*_values`` functions take the precision; the Distribution functions hold
+correctly rounded doubles, which is what every precision gives once
+rounded to a double.
 
 At the angles with rational cos^2 (pi/6, pi/4, pi/3, ...) p/q and b/q are
 exact and b = q - p. At any other angle the model is the one the doubles
 give: cos^2 and sin^2 are the exact squares of the double c and s, dyadic
 rationals whose sum differs from 1 in the last bits. Their integers carry
-about 106 bits per power of p, so the cost of a table grows about like t^3.
+about 106 bits per power of p, so a branch's integers have O(t) words, and
+the products and roundings of the t/2 branches, not the recurrences, set
+the cost of a table: it grows about like t^2.5.
 """
 from __future__ import annotations
 
@@ -47,12 +66,10 @@ from typing import Optional
 from .core import _PROB_FLOOR, Coin, Distribution, WalkKind
 
 __all__ = [
-    "BinomialTable",
     "ExactParams",
     "FormulaDomainError",
     "Precision",
     "PrecisionError",
-    "binomial_table",
     "half_line_exact",
     "half_line_exact_by_inner",
     "half_line_exact_total",
@@ -94,34 +111,6 @@ class ExactParams:
     def for_coin(cls, coin: Coin, t: int,
                  precision: Precision = Precision.DOUBLE_DOUBLE) -> "ExactParams":
         return cls(theta=coin.theta, t=t, precision=precision)
-
-
-class BinomialTable:
-    """Triangular Pascal table of exact integers, grown on demand."""
-
-    def __init__(self, n_max: int = 0) -> None:
-        self._rows: list[list[int]] = [[1]]
-        self.ensure(n_max)
-
-    def ensure(self, n_max: int) -> None:
-        while len(self._rows) <= n_max:
-            prev = self._rows[-1]
-            n = len(self._rows)
-            row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-            self._rows.append(row)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        self.ensure(n)
-        return tuple(self._rows[n])
-
-
-_SHARED_TABLE = BinomialTable()
-
-
-def binomial_table(n_max: int = 0) -> BinomialTable:
-    """The shared process-wide table, grown to cover n_max."""
-    _SHARED_TABLE.ensure(n_max)
-    return _SHARED_TABLE
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +215,9 @@ class _IntegerBranch:
     to p^(t-1-2m), which is p^-1 at m = t/2.
     """
 
-    def __init__(self, consts: _RationalConsts, m: int,
-                 coeffs_a0, coeffs_b1) -> None:
-        p, q, b, u = consts.p, consts.q, consts.b, consts.u
-        n0 = n1 = 0
-        pw = 1  # j = m down to 1: coefficient j carries p^(m-j)
-        for c0, c1 in zip(reversed(coeffs_a0), reversed(coeffs_b1)):
-            n0 = n0 * u + c0 * pw
-            n1 = n1 * u + c1 * pw
-            pw *= p
-        n0 *= u
-        n1 *= u
+    def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int
+                 ) -> None:
+        p, q, b = consts.p, consts.q, consts.b
         self.round = consts.round
         e = consts.t - 1 - 2 * m
         self.num = p ** max(e, 0)
@@ -256,14 +237,34 @@ class _IntegerBranch:
         return self.round(self.num * k, self.den)
 
 
-def _pair_sums(consts: _RationalConsts, m: int, M: int,
-               table: BinomialTable) -> _IntegerBranch:
-    row_m1 = table.row(m - 1)
-    row_m = table.row(m)
-    row_M = table.row(M)
-    a0 = [row_m1[j - 1] * row_M[j - 1] for j in range(1, m + 1)]
-    b1 = [row_m[j] * row_M[j - 1] for j in range(1, m + 1)]
-    return _IntegerBranch(consts, m, a0, b1)
+def _sums(consts: _RationalConsts, t: int):
+    """(m, N0, N1) for the branches m = 1..t//2, each pair from the two
+    before it by the recurrences of the module docstring.
+
+    Both recurrences share the divisor m (m - t + 1)(2m - t - 1), a nonzero
+    int for 1 <= m < t/2, and every quotient is exact; a remainder would
+    mean a wrong value, so it raises rather than rounds.
+    """
+    p, u = consts.p, consts.u
+    pp, v = p * p, 2 * (2 * u - p)
+    cf = (t - 1) * ((t - 3) * u + p)
+    cg = (t * t - 1) * u
+    f_prev, f, g_prev, g = 0, 1, 0, u  # F(m-2), F(m-1), G(m-1), G(m)
+    for m in range(1, t // 2 + 1):
+        yield m, u * f, g
+        if 2 * m + 2 > t:
+            return
+        d = m * (m - t + 1) * (2 * m - t - 1)
+        f_next, rf = divmod(
+            -(2 * m - t) * (cf - v * (m - 1) * (t - 1 - m)) * f
+            - pp * (m - 1) * (m - t) * (2 * m - t + 1) * f_prev, d)
+        g_next, rg = divmod(
+            -(2 * m - t) * (cg - v * m * (t - m)) * g
+            - pp * m * (m - t - 1) * (2 * m - t + 1) * g_prev, d)
+        if rf or rg:
+            raise PrecisionError(f"branch recurrence left a remainder at "
+                                 f"t = {t}, m = {m + 1}")
+        f_prev, f, g_prev, g = f, f_next, g, g_next
 
 
 def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
@@ -277,9 +278,8 @@ def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
     consts = _resolve(coin, t, params)
-    table = binomial_table(t)
-    return consts, ((t - 2 * m, m, _pair_sums(consts, m, t - m - 1, table))
-                    for m in range(1, t // 2 + 1))
+    return consts, ((t - 2 * m, m, _IntegerBranch(consts, m, n0, n1))
+                    for m, n0, n1 in _sums(consts, t))
 
 
 def _to_prob(x: float) -> float:

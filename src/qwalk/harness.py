@@ -35,7 +35,7 @@ TOLERANCES = {
 }
 
 # the closed-form suites run to t = 60 inside 'all'. Every closed-form value
-# is exact and rounded once at any t, so this bounds cost (about t^3 per
+# is exact and rounded once at any t, so this bounds cost (about t^2.5 per
 # table at float angles), not validity; larger requested times are skipped
 EXACT_VS_SIM_MAX_T = 60
 

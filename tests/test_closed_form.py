@@ -1,19 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 from pytest import approx
 
 from qwalk import (
-    BinomialTable,
     Coin,
     ExactParams,
     FormulaDomainError,
     Precision,
     PrecisionError,
     WalkKind,
-    binomial_table,
     distribution,
     evolve,
     half_line_exact_by_inner,
@@ -24,30 +22,12 @@ from qwalk import (
     line_exact_values,
     make_coin,
     make_coin_pi,
-    q2_oracle_distribution,
     q2_oracle_series,
 )
 from qwalk import dd
 from qwalk.closed_form import half_line_exact
 
 from conftest import ROUTE_THETAS, THETA_GRID_20
-
-
-class TestBinomialTable:
-    def test_small_values(self):
-        t = BinomialTable(6)
-        assert t.row(6) == (1, 6, 15, 20, 15, 6, 1)
-        assert t.row(0) == (1,)
-
-    def test_grows_on_demand(self):
-        t = BinomialTable()
-        assert t.row(40)[20] == 137846528820
-
-    @given(st.integers(min_value=1, max_value=120))
-    def test_pascal_identity(self, n):
-        t = binomial_table(n)
-        prev = (0,) + t.row(n - 1) + (0,)
-        assert t.row(n) == tuple(prev[k] + prev[k + 1] for k in range(n + 1))
 
 
 class TestLineExact:
@@ -347,31 +327,25 @@ class _BranchSums:
         return ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq))
 
 
-def _pair_sums(consts: _Consts, m: int, M: int, table: BinomialTable) -> _BranchSums:
-    row_m1 = table.row(m - 1)
-    row_m = table.row(m)
-    row_M = table.row(M)
-    a0 = [row_m1[j - 1] * row_M[j - 1] for j in range(1, m + 1)]
-    b1 = [row_m[j] * row_M[j - 1] for j in range(1, m + 1)]
+def _pair_sums(consts: _Consts, m: int, M: int) -> _BranchSums:
+    a0 = [math.comb(m - 1, j - 1) * math.comb(M, j - 1) for j in range(1, m + 1)]
+    b1 = [math.comb(m, j) * math.comb(M, j - 1) for j in range(1, m + 1)]
     return _BranchSums(consts, m, a0, b1)
 
 
-def _origin_sums(consts: _Consts, T: int, table: BinomialTable) -> _BranchSums:
+def _origin_sums(consts: _Consts, T: int) -> _BranchSums:
     # origin branch of even times: squared binomial coefficients
-    row_t1 = table.row(T - 1)
-    row_t = table.row(T)
-    a0 = [row_t1[j - 1] ** 2 for j in range(1, T + 1)]
-    b1 = [row_t[j] * row_t1[j - 1] for j in range(1, T + 1)]
+    a0 = [math.comb(T - 1, j - 1) ** 2 for j in range(1, T + 1)]
+    b1 = [math.comb(T, j) * math.comb(T - 1, j - 1) for j in range(1, T + 1)]
     return _BranchSums(consts, T, a0, b1)
 
 
 def _reference_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     consts = _Consts(coin, ctx)
-    table = binomial_table(t)
     pref = consts.prefactor(t - 1)
     out: dict[int, object] = {-t - 1: pref, -t: pref}
     for m in range(1, t // 2 + 1):
-        sums = _pair_sums(consts, m, t - m - 1, table)
+        sums = _pair_sums(consts, m, t - m - 1)
         right = ctx.mul(pref, sums.weighted(m))
         left = ctx.mul(pref, sums.weighted(t - m))
         out[t - 2 * m] = right
@@ -383,26 +357,25 @@ def _reference_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
 
 def _reference_half_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     consts = _Consts(coin, ctx)
-    table = binomial_table(t + 1)
     out: dict[int, tuple] = {}
     pref = consts.prefactor(t - 1)
     if t % 2 == 0:
         half = t // 2
         for m in range(1, half):
-            sums = _pair_sums(consts, m, t - m - 1, table)
+            sums = _pair_sums(consts, m, t - m - 1)
             v0 = ctx.mul(pref, sums.weighted(m))
             v1 = ctx.mul(pref, sums.weighted(t - m))
             vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
             for x in (2 * (half - m), 2 * (half - m) - 1):
                 out[x] = (v0, v1, vt)
         # origin term, even times only: both inners share one value
-        sums = _origin_sums(consts, half, table)
+        sums = _origin_sums(consts, half)
         vo = ctx.mul(pref, sums.weighted(half))
         out[0] = (vo, vo, ctx.add(vo, vo))
     else:
         half = (t - 1) // 2
         for m in range(1, half + 1):
-            sums = _pair_sums(consts, m, t - m - 1, table)
+            sums = _pair_sums(consts, m, t - m - 1)
             v0 = ctx.mul(pref, sums.weighted(m))
             v1 = ctx.mul(pref, sums.weighted(t - m))
             vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
@@ -438,6 +411,36 @@ _ROUNDING_COINS = {
 }
 
 
+@pytest.mark.parametrize("coin", [
+    make_coin_pi(Fraction(1, 6)), make_coin_pi(Fraction(1, 4)),
+    make_coin_pi(Fraction(1, 3)), make_coin(1.0), make_coin(2.5),
+    make_coin(-0.7)], ids=["pi/6", "pi/4", "pi/3", "1.0", "2.5", "-0.7"])
+def test_branch_recurrences_match_direct_sums(coin):
+    """N0 = sum_j C(m-1,j-1) C(M,j-1) u^j p^(m-j) and
+    N1 = sum_j C(m,j) C(M,j-1) u^j p^(m-j), M = t - m - 1, summed term by
+    term, equal what the recurrences give for every branch up to t = 200."""
+    from qwalk.closed_form import _resolve, _sums
+
+    t_max = 200
+    rows = [[math.comb(n, k) for k in range(n + 1)] for n in range(t_max)]
+    consts = _resolve(coin, t_max, None)
+    p, u = consts.p, consts.u
+    monomials = [[1]]  # monomials[m][j] = u^j p^(m-j)
+    for m in range(1, t_max // 2 + 1):
+        monomials.append([x * p for x in monomials[-1]] + [monomials[-1][-1] * u])
+    for t in range(1, t_max + 1):
+        want = []
+        for m in range(1, t // 2 + 1):
+            row_M, mono = rows[t - m - 1], monomials[m]
+            want.append((
+                m,
+                sum(rows[m - 1][j - 1] * row_M[j - 1] * mono[j]
+                    for j in range(1, m + 1)),
+                sum(rows[m][j] * row_M[j - 1] * mono[j]
+                    for j in range(1, m + 1))))
+        assert list(_sums(consts, t)) == want, t
+
+
 class TestExactRationalPath:
     def test_requires_pi4(self, pi3_coin, pi4_coin):
         with pytest.raises(ValueError):
@@ -452,24 +455,21 @@ class TestExactRationalPath:
             pi4_coin, 4, ExactParams.for_coin(pi4_coin, 4, Precision.EXACT_Q2))
 
     def test_line_matches_oracle_exactly(self, pi4_coin):
-        oracle = {d.t: d for d in q2_oracle_series(WalkKind.LINE, 100)}
-        oracle.update((t, q2_oracle_distribution(WalkKind.LINE, t))
-                      for t in (150, 200))
-        for t in [*range(1, 101), 150, 200]:
+        # the series starts at t = 0, which has no closed form
+        for ex in itertools.islice(q2_oracle_series(WalkKind.LINE, 200), 1, None):
+            t = ex.t
             params = ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2)
             vals = line_exact_values(pi4_coin, t, params)
-            ora = oracle[t].as_dict()
+            ora = ex.as_dict()
             for x, v in vals.items():
                 assert v == ora.get(x, Fraction(0)), (t, x)
 
     def test_half_matches_oracle_exactly(self, pi4_coin):
-        oracle = {d.t: d for d in q2_oracle_series(WalkKind.HALF_LINE, 100)}
-        oracle.update((t, q2_oracle_distribution(WalkKind.HALF_LINE, t))
-                      for t in (150, 200))
-        for t in [*range(1, 101), 150, 200]:
+        for ex in itertools.islice(
+                q2_oracle_series(WalkKind.HALF_LINE, 200), 1, None):
+            t = ex.t
             params = ExactParams.for_coin(pi4_coin, t, Precision.EXACT_Q2)
             vals = half_line_exact_values(pi4_coin, t, params)
-            ex = oracle[t]
             e0 = ex.inner_dict(0)
             e1 = ex.inner_dict(1)
             et = ex.as_dict()
