@@ -215,8 +215,8 @@ class _IntegerBranch:
     to p^(t-1-2m), which is p^-1 at m = t/2.
     """
 
-    def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int
-                 ) -> None:
+    def __init__(self, consts: _RationalConsts, m: int,
+                 n0: int, n1: int) -> None:
         p, q, b = consts.p, consts.q, consts.b
         self.round = consts.round
         e = consts.t - 1 - 2 * m
