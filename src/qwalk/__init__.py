@@ -20,6 +20,7 @@ from .closed_form import (
     FormulaDomainError,
     Precision,
     PrecisionError,
+    half_line_exact,
     half_line_exact_by_inner,
     half_line_exact_total,
     half_line_exact_values,
@@ -87,6 +88,7 @@ __all__ = [
     "emit",
     "evolve",
     "figure_data",
+    "half_line_exact",
     "half_line_exact_by_inner",
     "half_line_exact_total",
     "half_line_exact_values",

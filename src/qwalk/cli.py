@@ -70,13 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # simulate, exact and approx each run one harness route
     p = sub.add_parser("simulate", help="evolve the walk and emit probabilities")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
     _add_common(p)
+    p.set_defaults(route="evolve")
 
     p = sub.add_parser("exact", help="closed-form probabilities")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
     _add_common(p)
+    p.set_defaults(route="exact")
 
     p = sub.add_parser("oracle", help="exact rational walk at theta = pi/4")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
@@ -91,12 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="halfTotal")
     p.add_argument("--quantity", choices=("density", "cdf"), default="density")
     p.add_argument("--points", type=int, default=512)
-    p.add_argument("--theta", default="pi/4")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-")
+    _add_common(p, steps=False)
 
     p = sub.add_parser("approx", help="large-t approximation of the half-line walk")
     _add_common(p)
+    p.set_defaults(route="approx", walk="halfline")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=harness.SUITES + ("all",), default="all")
@@ -125,38 +127,9 @@ def _walk_kind(name: str) -> WalkKind:
     return WalkKind.HALF_LINE if name == "halfline" else WalkKind.LINE
 
 
-def _check_job(route: str, walk: WalkKind, coin: Coin, t: int) -> None:
-    """Refuse, with the route's own message, a job the route would refuse."""
-    if route == "approx" and walk is not WalkKind.HALF_LINE:
-        raise UsageError("the large-t approximation is defined on the half "
-                         "line only")
-    if route == "evolve":
-        if t < 0:
-            raise UsageError(f"steps must be >= 0, got {t}")
-    elif t < 1:
-        raise UsageError(f"closed form needs t >= 1, got {t}"
-                         if route == "exact" else f"t must be >= 1, got {t}")
-    elif coin.is_degenerate():
-        raise UsageError("closed forms require theta not a multiple of pi/2"
-                         if route == "exact" else
-                         "the large-t approximation needs theta away from "
-                         "multiples of pi/2")
-
-
-def _cmd_simulate(args) -> int:
-    coin = parse_theta(args.theta)
-    table = harness.route_table("evolve", _walk_kind(args.walk), coin,
-                                args.steps)
-    emit(table, args.format, args.out)
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    coin = parse_theta(args.theta)
-    if args.steps < 1:
-        raise UsageError("closed forms need --steps >= 1")
-    table = harness.route_table("exact", _walk_kind(args.walk), coin,
-                                args.steps)
+def _cmd_route(args) -> int:
+    table = harness.route_table(args.route, _walk_kind(args.walk),
+                                parse_theta(args.theta), args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -195,15 +168,6 @@ def _cmd_limit(args) -> int:
         kind=args.kind, theta=coin.theta, t=None, route="limit",
         columns=columns, rows=tuple(rows),
     )
-    emit(table, args.format, args.out)
-    return 0
-
-
-def _cmd_approx(args) -> int:
-    coin = parse_theta(args.theta)
-    if args.steps < 1:
-        raise UsageError("--steps must be >= 1")
-    table = harness.route_table("approx", WalkKind.HALF_LINE, coin, args.steps)
     emit(table, args.format, args.out)
     return 0
 
@@ -254,7 +218,7 @@ def _cmd_sweep(args) -> int:
             jobs.setdefault(name, (coin, t))
     # a refused job fails the sweep before anything is written
     for coin, t in jobs.values():
-        _check_job(args.route, walk, coin, t)
+        harness.check_route(args.route, walk, coin, t)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, (coin, t) in jobs.items():
@@ -267,11 +231,11 @@ def _cmd_sweep(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "exact": _cmd_exact,
+    "simulate": _cmd_route,
+    "exact": _cmd_route,
     "oracle": _cmd_oracle,
     "limit": _cmd_limit,
-    "approx": _cmd_approx,
+    "approx": _cmd_route,
     "verify": _cmd_verify,
     "figure": _cmd_figure,
     "sweep": _cmd_sweep,

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import asymptotics
 from .asymptotics import ApproxKind, DensityKind, LimitDensity
-from .closed_form import FormulaDomainError, half_line_exact, line_exact
+from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
+                          line_exact)
 from .core import Coin, Distribution, WalkKind, make_coin, make_coin_pi
 from .evolution import distribution, evolve, iter_states, probability_arrays
 
@@ -114,10 +115,10 @@ def _error_check(name: str, coin: Coin, t: int, tol: float, msg: str) -> CheckRe
 
 def _check(name: str, coin: Coin, t: int, tol: float,
            residual: Callable[..., float], *args) -> CheckResult:
-    """Check ``residual(*args)``; a closed-form domain error is an error entry."""
+    """Check ``residual(*args)``; a closed form that refuses is an error entry."""
     try:
         res = residual(*args)
-    except FormulaDomainError as exc:
+    except (FormulaDomainError, PrecisionError) as exc:
         return _error_check(name, coin, t, tol, str(exc))
     return CheckResult(name=name, theta=coin.theta, t=t, max_residual=res,
                        tolerance=tol)
@@ -505,7 +506,7 @@ def read_rows_csv(path) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# figure data
+# route tables and figure data
 
 FIGURES = tuple(f"fig{i}" for i in range(1, 10))
 ROUTES = ("evolve", "exact", "approx")
@@ -514,118 +515,86 @@ _PI4 = Fraction(1, 4)
 _PI3 = Fraction(1, 3)
 
 
-def approx_table(coin: Coin, t: int, label: str) -> OutputTable:
-    if coin.is_degenerate():
-        raise ValueError(
-            "the large-t approximation needs theta away from multiples of pi/2")
-    rows = tuple(
-        (
-            x,
-            asymptotics.approx_prob(coin, t, x, ApproxKind.INNER0),
-            asymptotics.approx_prob(coin, t, x, ApproxKind.INNER1),
-            asymptotics.approx_prob(coin, t, x, ApproxKind.TOTAL),
-        )
-        for x in range(0, t + 1)
-    )
-    return OutputTable(
-        kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=t, route="approx",
-        columns=("x", "p0", "p1", "p"), rows=rows, label=label,
-    )
+def check_route(route: str, walk: WalkKind, coin: Coin, t: int) -> None:
+    """Raise ValueError, with the route's own message, for a job it refuses."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if route == "approx" and walk is not WalkKind.HALF_LINE:
+        raise ValueError("the large-t approximation is defined on the half "
+                         "line only")
+    if route == "evolve":
+        if t < 0:
+            raise ValueError(f"steps must be >= 0, got {t}")
+    elif t < 1:
+        raise ValueError(f"closed form needs t >= 1, got {t}"
+                         if route == "exact" else f"t must be >= 1, got {t}")
+    elif coin.is_degenerate():
+        raise ValueError("closed forms require theta not a multiple of pi/2"
+                         if route == "exact" else
+                         "the large-t approximation needs theta away from "
+                         "multiples of pi/2")
 
 
 def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
                 label: str = "") -> OutputTable:
     """The table of one route: evolve, exact or approx (half line only)."""
-    if route == "approx":
-        if walk is not WalkKind.HALF_LINE:
-            raise ValueError("the large-t approximation is defined on the "
-                             "half line only")
-        return approx_table(coin, t, label)
+    check_route(route, walk, coin, t)
     if route == "evolve":
         dist = distribution(evolve(walk, coin, t))
     elif route == "exact":
         dist = (line_exact if walk is WalkKind.LINE else half_line_exact)(
             coin, t)
     else:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+        p0, p1, p = (tuple(asymptotics.approx_prob(coin, t, x, kind)
+                           for x in range(t + 1))
+                     for kind in ApproxKind)
+        dist = Distribution(walk, t, 0, p0, p1, p)
     return table_from_distribution(dist, route, coin.theta, label)
 
 
 def _series_tables(coin: Coin, t_max: int, step: int) -> list[OutputTable]:
     """Long-format (t, x, p) time series of the half-line walk, per column."""
-    selectors = (("inner0", 1), ("inner1", 2), ("total", 3))
-    collected: dict[str, list[tuple]] = {name: [] for name, _ in selectors}
+    series: dict[str, list[tuple]] = {"inner0": [], "inner1": [], "total": []}
     for t, state in iter_states(WalkKind.HALF_LINE, coin, t_max):
-        if t % step != 0:
-            continue
-        p0, p1 = probability_arrays(state)
-        for x in range(len(p0)):
-            row = (t, x, float(p0[x]), float(p1[x]), float(p0[x] + p1[x]))
-            for name, col in selectors:
-                collected[name].append((t, x, row[col + 1]))
+        if t % step == 0:
+            p0, p1 = probability_arrays(state)
+            for rows, column in zip(series.values(), (p0, p1, p0 + p1)):
+                rows.extend((t, x, p) for x, p in enumerate(column.tolist()))
     return [
         OutputTable(
             kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=None,
-            route="evolve", columns=("t", "x", "p"),
-            rows=tuple(collected[name]),
+            route="evolve", columns=("t", "x", "p"), rows=tuple(rows),
             label=f"fig2_{name}_series",
         )
-        for name, _ in selectors
+        for name, rows in series.items()
     ]
+
+
+# figure -> (angles as fractions of pi, time, routes); fig2 is the series
+_FIGURES = {
+    "fig1": ((_PI4,), 500, ("evolve",)),
+    "fig3": ((Fraction(1, 6), _PI4, _PI3, Fraction(2, 5)), 150, ("evolve",)),
+    "fig4": ((_PI4,), 14, ("evolve", "exact")),
+    "fig5": ((_PI4,), 15, ("evolve", "exact")),
+    "fig6": ((_PI3,), 14, ("evolve", "exact")),
+    "fig7": ((_PI3,), 15, ("evolve", "exact")),
+    "fig8": ((_PI4,), 500, ("evolve", "approx")),
+    "fig9": ((_PI3,), 500, ("evolve", "approx")),
+}
 
 
 def figure_data(figure: str) -> list[OutputTable]:
     """Numeric content behind one of the nine reproduction figures."""
-    pi4 = make_coin_pi(_PI4)
-    pi3 = make_coin_pi(_PI3)
-    if figure == "fig1":
-        return [route_table("evolve", WalkKind.HALF_LINE, pi4, 500,
-                            "fig1_halfline_theta_pi4_t500_evolve")]
     if figure == "fig2":
-        return _series_tables(pi4, 500, 10)
-    if figure == "fig3":
-        coins = (
-            make_coin_pi(Fraction(1, 6)),
-            pi4,
-            pi3,
-            make_coin_pi(Fraction(2, 5)),
-        )
-        return [
-            route_table(
-                "evolve", WalkKind.HALF_LINE, coin, 150,
-                f"fig3_halfline_theta_{_theta_tag(coin)}_t150_evolve",
-            )
-            for coin in coins
-        ]
-    pairs = {
-        "fig4": (pi4, 14),
-        "fig5": (pi4, 15),
-        "fig6": (pi3, 14),
-        "fig7": (pi3, 15),
-    }
-    if figure in pairs:
-        coin, t = pairs[figure]
-        tag = _theta_tag(coin)
-        return [
-            route_table(route, WalkKind.HALF_LINE, coin, t,
-                        f"{figure}_halfline_theta_{tag}_t{t}_{route}")
-            for route in ("evolve", "exact")
-        ]
-    approx_pairs = {"fig8": pi4, "fig9": pi3}
-    if figure in approx_pairs:
-        coin = approx_pairs[figure]
-        tag = _theta_tag(coin)
-        return [
-            route_table(route, WalkKind.HALF_LINE, coin, 500,
-                        f"{figure}_halfline_theta_{tag}_t500_{route}")
-            for route in ("evolve", "approx")
-        ]
-    raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-
-
-def _theta_tag(coin: Coin) -> str:
-    if coin.pi_fraction is not None:
-        f = coin.pi_fraction
-        num = "" if f.numerator == 1 else str(f.numerator)
-        return f"{num}pi{f.denominator}" if f.denominator != 1 else f"{num}pi"
-    return f"{coin.theta:.6g}".replace(".", "_").replace("-", "m")
+        return _series_tables(make_coin_pi(_PI4), 500, 10)
+    if figure not in _FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    fractions, t, routes = _FIGURES[figure]
+    tables = []
+    for f in fractions:
+        coin = make_coin_pi(f)
+        tag = f"{'' if f.numerator == 1 else f.numerator}pi{f.denominator}"
+        tables += [route_table(route, WalkKind.HALF_LINE, coin, t,
+                               f"{figure}_halfline_theta_{tag}_t{t}_{route}")
+                   for route in routes]
+    return tables

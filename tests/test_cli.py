@@ -137,6 +137,18 @@ class TestExitCodes:
         rc = main(["simulate", "--theta", "pi/4", "--steps", "-3"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, route, steps", [
+        ("simulate", "evolve", "-1"), ("exact", "exact", "0"),
+        ("approx", "approx", "0")])
+    def test_refused_steps_message_is_the_sweep_message(
+            self, tmp_path, capsys, command, route, steps):
+        assert main([command, "--steps", steps]) == 2
+        err = capsys.readouterr().err
+        assert main(["sweep", "--route", route, "--thetas", "pi/4", "--ts",
+                     steps, "--out", str(tmp_path / "sweep")]) == 2
+        assert capsys.readouterr().err == err
+        assert len(err.splitlines()) == 1
+
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--theta", "1.0", "--steps", "99999999999"],

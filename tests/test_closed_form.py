@@ -608,3 +608,12 @@ class TestParams:
                               ExactParams(theta=pi4_coin.theta, t=6))
         with pytest.raises(ValueError):
             line_exact_values(pi4_coin, 5, ExactParams(theta=1.0, t=5))
+
+
+def test_package_exports_resolve():
+    import qwalk
+    from qwalk import closed_form
+
+    missing = [name for name in qwalk.__all__ if not hasattr(qwalk, name)]
+    assert missing == []
+    assert qwalk.half_line_exact is closed_form.half_line_exact

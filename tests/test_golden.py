@@ -5,8 +5,9 @@ the columnar Distribution, the two oracle digests at t = 200 from the
 oracle that built one Fraction per site, and the float-angle exact and
 sweep digests while `exact` and `sweep` still took a precision option, and
 the figure, pi/3 exact and evolve/approx sweep digests while the half-line
-closed form still ran separate branch loops for even and odd t; any change
-to them is a change of output bytes.
+closed form still ran separate branch loops for even and odd t, and the
+fig2 and fig3 digests before `figure_data` read its figures from one table;
+any change to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -155,6 +156,24 @@ def test_exact_sweep_files_are_pinned(tmp_path):
             "129f6433b45b93e2de855ca8a34143f3ac0acbd0d2532040f73413531de8c676",
         "fig9_halfline_theta_pi3_t500_evolve.csv":
             "5e9898b9a4707f1b082af12b91d96148384c26e8893669f19a96acfbfbf8e413",
+    }),
+    ("fig2", {
+        "fig2_inner0_series.csv":
+            "37e7e5dc99fec3c81ea7bbe9a7d241e6d82a18535e1b6b04fb5383238ee7067c",
+        "fig2_inner1_series.csv":
+            "a6edcf18a79d3495ace73047d2dabb2a6cbbe5f80127f8ca04963b1e72334744",
+        "fig2_total_series.csv":
+            "385c7d68637528fd7409255b8f2e8308280ca86d262a8b704108949ee8d09391",
+    }),
+    ("fig3", {
+        "fig3_halfline_theta_2pi5_t150_evolve.csv":
+            "ea9cac317879727f01791b0a34323e175d312a095da91752d1cadf859d6f564b",
+        "fig3_halfline_theta_pi3_t150_evolve.csv":
+            "9b976f680539c6ef7ee4c02139f2da5d3baceee8898c38d26a721f4af7a86a4f",
+        "fig3_halfline_theta_pi4_t150_evolve.csv":
+            "8d21561574bb7ada622f6cb2f49152044ed0d5c238ceabba38e7f2e90f04c486",
+        "fig3_halfline_theta_pi6_t150_evolve.csv":
+            "d75f21f62441b08544832a0c00afb418ab88187ce4454c662200bb14f08c743f",
     }),
 ])
 def test_figure_csv_bytes_are_pinned(figure, digests, tmp_path):

@@ -26,7 +26,6 @@ from qwalk.harness import (
     EXACT_VS_SIM_MAX_T,
     SUITES,
     CheckResult,
-    approx_table,
     canonical_coins,
     ks_tolerance,
     read_rows_csv,
@@ -70,6 +69,20 @@ class TestRunChecks:
         assert check.error is not None
         assert math.isnan(check.max_residual)
         assert not check.passed
+        assert not report.all_passed
+
+    def test_closed_form_precision_error_is_an_error_entry(self, pi4_coin):
+        # near pi/2 the closed form refuses its table; the report survives
+        report = run_checks("all", [1.5707, pi4_coin], [2])
+        near = [c for c in report.checks if c.theta == 1.5707
+                and c.name in ("exactVsSim", "innerSplit")]
+        assert [c.name for c in near] == ["exactVsSim", "innerSplit"]
+        for check in near:
+            assert check.error == ("closed-form table sums to "
+                                   "1.0000000061507703, not 1")
+            assert math.isnan(check.max_residual)
+        assert all(c.passed for c in report.checks
+                   if c.theta == pi4_coin.theta)
         assert not report.all_passed
 
     def test_identity_angle_gives_error_entries(self):
@@ -344,7 +357,7 @@ class TestComposedTables:
             route_table(route, walk, pi4_coin, 5)
 
     def test_approx_table_columns(self, pi4_coin):
-        table = approx_table(pi4_coin, 50, "x")
+        table = route_table("approx", WalkKind.HALF_LINE, pi4_coin, 50, "x")
         assert table.columns == ("x", "p0", "p1", "p")
         assert len(table.rows) == 51
 
@@ -354,12 +367,12 @@ class TestComposedTables:
         ids=["pi/2", "0", "pi", "0.0", "float pi/2"])
     def test_approx_table_rejects_degenerate_coin(self, coin):
         with pytest.raises(ValueError, match="multiples of pi/2"):
-            approx_table(coin, 5, "x")
+            route_table("approx", WalkKind.HALF_LINE, coin, 5, "x")
 
     def test_approx_table_checks_the_coin_once(self, pi4_coin, monkeypatch):
         calls = []
         check = Coin.is_degenerate
         monkeypatch.setattr(Coin, "is_degenerate",
                             lambda self: calls.append(1) or check(self))
-        approx_table(pi4_coin, 50, "x")
+        route_table("approx", WalkKind.HALF_LINE, pi4_coin, 50, "x")
         assert len(calls) == 1
