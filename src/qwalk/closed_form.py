@@ -50,9 +50,12 @@ At the angles with rational cos^2 (pi/6, pi/4, pi/3, ...) p/q and b/q are
 exact and b = q - p. At any other angle the model is the one the doubles
 give: cos^2 and sin^2 are the exact squares of the double c and s, dyadic
 rationals whose sum differs from 1 in the last bits. Their integers carry
-about 106 bits per power of p, so a branch's integers have O(t) words, and
-the products and roundings of the t/2 branches, not the recurrences, set
-the cost of a table: it grows about like t^2.5.
+about 106 bits per power of p, so a branch's integers have O(t) words. The
+double and dd precisions round such a branch from the top bits of its
+factors after one exact difference (``_CutBranch``), so every step of
+a branch is linear in its size and a table grows about like t^2: 5-9 ms at
+t = 200 and 0.1 s at t = 1000 on a 2-vCPU host, where the full products
+took 40-90 ms and 2.6-3.1 s. The exact precision keeps the full products.
 """
 from __future__ import annotations
 
@@ -133,6 +136,24 @@ _ROUNDING = {
     Precision.EXACT_Q2: Fraction,
 }
 
+# the float precisions round a value from the top W bits of its factors
+# (_CutBranch): W per precision, so that the bracket, 2^(4-W) relative,
+# is far inside the 2^-53 of a double or the 2^-106 a dd pair resolves
+_CUT_BITS = {Precision.DOUBLE: 128, Precision.DOUBLE_DOUBLE: 200}
+# tables and branches whose integers all have at most this many bits keep
+# the full products, which cost no more than the cuts there: every table of
+# pi/6, pi/4 and pi/3 up to t = 500
+_CUT_MIN_BITS = 1000
+# the smallest normal double
+_NORMAL_MIN = 2.0 ** -1022
+
+
+def _top(x: int, bits: int) -> tuple[int, int]:
+    """x >= 0 cut to its top bits: (x >> s, s) with
+    s = max(bitlen(x) - bits, 0)."""
+    s = max(x.bit_length() - bits, 0)
+    return x >> s, s
+
 
 def _resolve(coin: Coin, t: int, params: Optional[ExactParams]
              ) -> "_RationalConsts":
@@ -182,6 +203,20 @@ class _RationalConsts:
         # the prefactor c^(2(t-1)) / 2
         self.pref_den = 2 * q ** (t - 1)
         self.pref = self.round(self.p ** (t - 1), self.pref_den)
+        # every table value is power K / (den m^2): power = p^(t-2m), K the
+        # branch's weight and den = pref_den b p (_IntegerBranch)
+        self.den = self.pref_den * self.b * self.p
+        # the cut factors need a non-negative weight, q - b > 0
+        self.cut_bits = (_CUT_BITS.get(precision) if q > self.b and
+                         self.pref_den.bit_length() > _CUT_MIN_BITS else None)
+        if self.cut_bits is not None:
+            self.cut_qb = _top(q - self.b, self.cut_bits)
+            self.cut_b = _top(self.b, self.cut_bits)
+            self.cut_qb_bits = (q - self.b).bit_length()
+            self.cut_b_bits = self.b.bit_length()
+            self.cut_den = _top(self.den, self.cut_bits)
+            self.slack = 1 << (self.cut_bits - 4)
+            self.zero = self.round(0, 1)
 
     def check_completeness(self, totals) -> None:
         """The table must sum to 1: exactly at the exact precision, else
@@ -209,32 +244,162 @@ class _RationalConsts:
 class _IntegerBranch:
     """One branch on Python ints: N0 = p^m A0 and N1 = p^m m A1.
 
-    With D = m^2 p^(2m) b, the weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2 is
-    (w^2 k1 - w k01 + k0) / D, so a table value is the prefactor
-    p^(t-1) / pref_den times that, rounded once. The powers of p cancel down
-    to p^(t-1-2m), which is p^-1 at m = t/2.
+    The weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2 is
+    (w^2 k1 - w k01 + k0) / (m^2 p^(2m) b), so with the prefactor
+    p^(t-1) / pref_den a table value is power K / (den m^2), rounded once:
+    K = w^2 k1 - w k01 + k0, power = p^(t-2m) and den = pref_den b p.
+    These full products give every value of the exact precision and of
+    branches with small integers; _CutBranch gives the rest.
     """
 
-    def __init__(self, consts: _RationalConsts, m: int,
-                 n0: int, n1: int) -> None:
-        p, q, b = consts.p, consts.q, consts.b
+    def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
+                 power: int) -> None:
+        self.consts = consts
         self.round = consts.round
-        e = consts.t - 1 - 2 * m
-        self.num = p ** max(e, 0)
-        self.den = consts.pref_den * m * m * b * p ** max(-e, 0)
-        self.k1 = n1 * n1 * b
-        self.k01 = 2 * m * n0 * n1 * b
-        self.k0 = m * m * q * n0 * n0
+        self.m, self.n0, self.n1, self.power = m, n0, n1, power
+        self._products()
+
+    def _products(self) -> None:
+        consts, m, n0, n1 = self.consts, self.m, self.n0, self.n1
+        self.k1 = n1 * n1 * consts.b
+        self.k01 = 2 * m * n0 * n1 * consts.b
+        self.k0 = m * m * consts.q * n0 * n0
+        self.den = consts.den * m * m
 
     def weighted(self, w: int):
         """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
-        return self.round(self.num * (w * w * self.k1 - w * self.k01 + self.k0),
-                          self.den)
+        return self.round(
+            self.power * (w * w * self.k1 - w * self.k01 + self.k0), self.den)
 
     def weighted_pair(self, w1: int, w2: int):
         """weighted(w1) + weighted(w2), via the combined weight."""
         k = (w1 * w1 + w2 * w2) * self.k1 - (w1 + w2) * self.k01 + 2 * self.k0
-        return self.round(self.num * k, self.den)
+        return self.round(self.power * k, self.den)
+
+
+class _CutBranch(_IntegerBranch):
+    """A branch with large integers at the double or dd precision, whose
+    values are rounded from the top bits of their factors.
+
+    K is a sum of non-negative terms,
+
+        w^2 k1 - w k01 + k0 = b d^2 + m^2 N0^2 (q - b),   d = w N1 - m N0,
+
+    and the pair weight is b (d1^2 + d2^2) + 2 m^2 N0^2 (q - b). The
+    big-int difference d is exact. Then |d|, N0, b, q - b, power and den
+    are each cut to their top W bits: x becomes x' = (x >> s) << s,
+    s = max(bitlen(x) - W, 0), so that x' <= x < x' (1 + eps) with
+    eps = 2^(1-W).
+    - Each term of K has three cut factors (d twice and b, or N0 twice and
+      q - b), so the cut weight is in (K (1 + eps)^-3, K].
+    - With the cut power the numerator has four cuts, and the denominator
+      has one.
+    - So the exact value V and the value A of the cut factors satisfy
+      (1 + eps)^-1 < V / A < (1 + eps)^4, and V is strictly inside the
+      bracket A (1 -+ 2^(4-W)).
+    The power is exact, carried from branch to branch by exact division,
+    and cut once, so the bracket does not widen with t.
+
+    Rounding to nearest is monotone, and so is the remainder V - hi once hi
+    is fixed. So when both ends of the bracket round to the same double, or
+    to the same (hi, lo) pair, V rounds to it too: the value is the exact
+    rational rounded once. Where the ends differ, or where the value is
+    below the normal range of the doubles, the full products of
+    _IntegerBranch give it instead; tables where q - b <= 0 would leave a
+    term negative have no cut branches. Bit lengths alone settle the values
+    far below that range: where they put V under 2^-1075, it rounds to
+    zero.
+    """
+
+    def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
+                 power: int) -> None:
+        # the full products wait for the first value that needs them
+        self.consts = consts
+        self.round = consts.round
+        self.m, self.n0, self.n1, self.power = m, n0, n1, power
+        self.k1 = None
+        bits = consts.cut_bits
+        y, sy = _top(abs(n0), bits)
+        qb, sqb = consts.cut_qb
+        self.cut_term0 = (m * m * y * y * qb, 2 * sy + sqb)
+        self.mn0 = m * n0
+        # the cut value is cut_num K' 2^cut_shift / cut_den, and cut_den
+        # carries the 2^(W-4) of the bracket's ends
+        self.cut_num, spw = _top(power, bits)
+        den, sden = consts.cut_den
+        self.cut_den = den * m * m << (bits - 4)
+        self.cut_shift = spw - sden
+        # V < 2^-1075 once K has at most zero_bits bits, as
+        # x >= 2^(bitlen(x) - 1) for den and m^2
+        m2_bits = (m * m).bit_length()
+        self.zero_bits = (consts.den.bit_length() + m2_bits - 2
+                          - power.bit_length() - 1075)
+        # the N0 term is below 2^term0_bits, with 2 m^2 for the pair
+        self.term0_bits = (m2_bits + 1 + 2 * n0.bit_length()
+                           + consts.cut_qb_bits)
+
+    def weighted(self, w: int):
+        value = self._bracketed((w,))
+        if value is None:
+            self._full_products()
+            value = super().weighted(w)
+        return value
+
+    def weighted_pair(self, w1: int, w2: int):
+        value = self._bracketed((w1, w2))
+        if value is None:
+            self._full_products()
+            value = super().weighted_pair(w1, w2)
+        return value
+
+    def _full_products(self) -> None:
+        if self.k1 is None:
+            self._products()
+
+    def _bracketed(self, ws):
+        """The value rounded from the cut factors, or None where the ends
+        of its bracket differ or it is below the normal range."""
+        consts = self.consts
+        bits = consts.cut_bits
+        b, sb = consts.cut_b
+        weight, low = self.cut_term0
+        weight *= len(ws)
+        top_bits = self.term0_bits  # a bound on the largest term's bits
+        for w in ws:
+            d = abs(w * self.n1 - self.mn0)
+            n = d.bit_length()
+            top_bits = max(top_bits, consts.cut_b_bits + 2 * n)
+            sd = max(n - bits, 0)
+            s = sb + 2 * sd
+            if s < low:
+                weight, low = weight << (low - s), s
+            d >>= sd
+            weight += b * d * d << (s - low)
+        # at most three terms, each below 2^top_bits
+        if top_bits + 2 <= self.zero_bits:
+            return consts.zero
+        num, den = weight * self.cut_num, self.cut_den
+        shift = self.cut_shift + low
+        if shift >= 0:
+            num <<= shift
+        else:
+            den <<= -shift
+        value = self.round(num * (consts.slack - 1), den)
+        if value != self.round(num * (consts.slack + 1), den):
+            return None
+        head = value[0] if isinstance(value, tuple) else value
+        return value if head >= _NORMAL_MIN else None
+
+
+def _branch(consts: _RationalConsts, m: int, n0: int, n1: int, power: int
+            ) -> _IntegerBranch:
+    """A cut branch where the table has cut widths and the branch's
+    integers are large, else the full products."""
+    if consts.cut_bits is not None and max(
+            n0.bit_length(), n1.bit_length(),
+            power.bit_length()) > _CUT_MIN_BITS:
+        return _CutBranch(consts, m, n0, n1, power)
+    return _IntegerBranch(consts, m, n0, n1, power)
 
 
 def _sums(consts: _RationalConsts, t: int):
@@ -278,8 +443,18 @@ def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
     consts = _resolve(coin, t, params)
-    return consts, ((t - 2 * m, m, _IntegerBranch(consts, m, n0, n1))
-                    for m, n0, n1 in _sums(consts, t))
+    return consts, ((t - 2 * m, m, _branch(consts, m, n0, n1, power))
+                    for (m, n0, n1), power in zip(_sums(consts, t),
+                                                  _powers(consts.p, t)))
+
+
+def _powers(p: int, t: int):
+    """p^(t - 2m) for the branches m = 1..t//2, each from the one before by
+    an exact division."""
+    power, pp = p ** max(t - 2, 0), p * p
+    for _ in range(t // 2):
+        yield power
+        power //= pp
 
 
 def _to_prob(x: float) -> float:

@@ -36,8 +36,9 @@ TOLERANCES = {
 }
 
 # the closed-form suites run to t = 60 inside 'all'. Every closed-form value
-# is exact and rounded once at any t, so this bounds cost (about t^2.5 per
-# table at float angles), not validity; larger requested times are skipped
+# is exact and rounded once at any t, so this bounds cost (about t^2 per
+# table at float angles, 0.1 s at t = 1000), not validity; larger requested
+# times are skipped
 EXACT_VS_SIM_MAX_T = 60
 
 # KS thresholds frozen from a calibration sweep over the canonical angles:

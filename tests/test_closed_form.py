@@ -24,7 +24,7 @@ from qwalk import (
     make_coin_pi,
     q2_oracle_series,
 )
-from qwalk import dd
+from qwalk import closed_form, dd
 from qwalk.closed_form import half_line_exact
 
 from conftest import ROUTE_THETAS, THETA_GRID_20
@@ -211,143 +211,111 @@ class TestRouteEquivalence:
                 assert worst <= 1e-9, (theta, t)
 
 
-# The exact backend as it evaluated every term through a Fraction context
-# before the integer sums: the reference the integer backend is pinned to.
-class _ExactCtx:
-    precision = Precision.EXACT_Q2
-    zero = Fraction(0)
-    one = Fraction(1)
+# The closed forms evaluated term by term: every binomial sum is summed over
+# its terms, with no recurrence, and each value is one Fraction. The
+# reference the integer backend is pinned to.
+class _Reference:
+    """cos^2 = P/Q and sin^2 = B/Q of the model over one denominator, so
+    (-r)^j = U^j / P^j with U = -B, and the monomials U^j P^(m-j)."""
 
-    from_int = staticmethod(Fraction)
-    from_fraction = staticmethod(Fraction)
-
-    @staticmethod
-    def from_float(a: float) -> Fraction:
-        return Fraction(a)
-
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    div = staticmethod(lambda a, b: a / b)
-    neg = staticmethod(lambda a: -a)
-
-    @staticmethod
-    def ipow(a: Fraction, n: int) -> Fraction:
-        return a**n
-
-    to_float = staticmethod(float)
-
-    @staticmethod
-    def is_finite(a: Fraction) -> bool:
-        return True
-
-
-class _Consts:
-    """Per-(coin, backend) constants: -r, 1/s^2, c^2, and (-r)^j powers."""
-
-    def __init__(self, coin: Coin, ctx) -> None:
+    def __init__(self, coin: Coin) -> None:
         if coin.is_degenerate():
             raise FormulaDomainError(
                 "closed forms require theta not a multiple of pi/2"
             )
-        self.ctx = ctx
         cos2 = coin.cos2_exact()
-        if ctx.precision == Precision.EXACT_Q2:
-            if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
-                raise ValueError(
-                    "exact rational evaluation is supported only at theta = pi/4"
-                )
         if cos2 is not None:
-            c2 = ctx.from_fraction(cos2)
-            s2 = ctx.from_fraction(1 - cos2)
+            c2, s2 = cos2, 1 - cos2
         else:
-            c = ctx.from_float(coin.c)
-            s = ctx.from_float(coin.s)
-            c2 = ctx.mul(c, c)
-            s2 = ctx.mul(s, s)
-        self.c2 = c2
-        self.inv_s2 = ctx.div(ctx.one, s2)
-        self.neg_r = ctx.neg(ctx.div(s2, c2))
-        self._pows = [ctx.one]
+            c2, s2 = Fraction(coin.c) ** 2, Fraction(coin.s) ** 2
+        self.q = math.lcm(c2.denominator, s2.denominator)
+        self.p = c2.numerator * (self.q // c2.denominator)
+        self.b = s2.numerator * (self.q // s2.denominator)
+        self.monomials = [[1]]  # monomials[m][j] = U^j P^(m-j)
 
-    def neg_r_pow(self, j: int):
-        while len(self._pows) <= j:
-            self._pows.append(self.ctx.mul(self._pows[-1], self.neg_r))
-        return self._pows[j]
+    def monomial_row(self, m: int) -> list:
+        while len(self.monomials) <= m:
+            last = self.monomials[-1]
+            self.monomials.append([x * self.p for x in last]
+                                  + [last[-1] * -self.b])
+        return self.monomials[m]
 
-    def prefactor(self, c2_exponent: int):
-        """c^(2*c2_exponent) / 2, guarding against a silent underflow to 0."""
-        p = self.ctx.mul(
-            self.ctx.ipow(self.c2, c2_exponent),
-            self.ctx.from_fraction(Fraction(1, 2)),
-        )
-        if self.ctx.to_float(p) == 0.0:
-            raise PrecisionError(
-                "prefactor underflowed to zero; time too large for this backend"
-            )
-        return p
+    def prefactor(self, t: int) -> Fraction:
+        """c^(2(t-1)) / 2."""
+        return Fraction(self.p ** (t - 1), 2 * self.q ** (t - 1))
 
 
 class _BranchSums:
-    """The factored sums A0, A1 of one branch, pre-combined into products.
+    """The factored sums A0 = X0 / P^m and A1 = X1 / (m P^m) of one branch
+    at time t, with the prefactor c^(2(t-1)) / 2 = P^(t-1) / (2 Q^(t-1)).
 
     ``coeffs_a0[j-1]`` and ``coeffs_b1[j-1]`` are the integer coefficients of
     (-r)^j in A0 and in m*A1 respectively.
     """
 
-    def __init__(self, consts: _Consts, m: int,
+    def __init__(self, ref: _Reference, t: int, m: int,
                  coeffs_a0, coeffs_b1) -> None:
-        ctx = consts.ctx
-        a0 = ctx.zero
-        b1 = ctx.zero
-        for j in range(m, 0, -1):
-            pw = consts.neg_r_pow(j)
-            a0 = ctx.add(a0, ctx.mul(pw, ctx.from_int(coeffs_a0[j - 1])))
-            b1 = ctx.add(b1, ctx.mul(pw, ctx.from_int(coeffs_b1[j - 1])))
-        a1 = ctx.div(b1, ctx.from_int(m))
-        self.ctx = ctx
-        self.inv_s2 = consts.inv_s2
-        self.a1_sq = ctx.mul(a1, a1)
-        self.a0_a1 = ctx.mul(a0, a1)
-        self.a0_sq = ctx.mul(a0, a0)
+        mono = ref.monomial_row(m)
+        x0 = sum(a * mono[j] for j, a in enumerate(coeffs_a0, 1))
+        x1 = sum(a * mono[j] for j, a in enumerate(coeffs_b1, 1))
+        # A1^2, A0 A1 and A0^2 / s^2 over the common denominator
+        # m^2 B P^(2m), with 1/s^2 = Q/B
+        self.a1_sq = x1 * x1 * ref.b
+        self.a0_a1 = m * x0 * x1 * ref.b
+        self.a0_sq_s2 = m * m * x0 * x0 * ref.q
+        # the prefactor over that denominator, P^(t-1) / P^(2m) cancelled
+        e = t - 1 - 2 * m
+        self.num = ref.p ** max(e, 0)
+        self.den = (2 * ref.q ** (t - 1) * m * m * ref.b
+                    * ref.p ** max(-e, 0))
 
-    def weighted(self, w: int):
-        """w^2 A1^2 - 2w A0 A1 + A0^2 / s^2."""
-        ctx = self.ctx
-        out = ctx.mul(ctx.from_int(w * w), self.a1_sq)
-        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * w), self.a0_a1))
-        return ctx.add(out, ctx.mul(self.inv_s2, self.a0_sq))
+    def weighted(self, w: int) -> Fraction:
+        """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
+        return self._times(
+            w * w * self.a1_sq - 2 * w * self.a0_a1 + self.a0_sq_s2)
 
-    def weighted_pair(self, w1: int, w2: int):
+    def weighted_pair(self, w1: int, w2: int) -> Fraction:
         """weighted(w1) + weighted(w2), via the combined weight."""
-        ctx = self.ctx
-        out = ctx.mul(ctx.from_int(w1 * w1 + w2 * w2), self.a1_sq)
-        out = ctx.sub(out, ctx.mul(ctx.from_int(2 * (w1 + w2)), self.a0_a1))
-        two_inv_s2 = ctx.add(self.inv_s2, self.inv_s2)
-        return ctx.add(out, ctx.mul(two_inv_s2, self.a0_sq))
+        return self._times(
+            (w1 * w1 + w2 * w2) * self.a1_sq - 2 * (w1 + w2) * self.a0_a1
+            + 2 * self.a0_sq_s2)
+
+    def _times(self, weight: int) -> Fraction:
+        return Fraction(weight * self.num, self.den)
 
 
-def _pair_sums(consts: _Consts, m: int, M: int) -> _BranchSums:
+def _pair_sums(ref: _Reference, m: int, M: int) -> _BranchSums:
     a0 = [math.comb(m - 1, j - 1) * math.comb(M, j - 1) for j in range(1, m + 1)]
     b1 = [math.comb(m, j) * math.comb(M, j - 1) for j in range(1, m + 1)]
-    return _BranchSums(consts, m, a0, b1)
+    return _BranchSums(ref, m + M + 1, m, a0, b1)
 
 
-def _origin_sums(consts: _Consts, T: int) -> _BranchSums:
+def _origin_sums(ref: _Reference, T: int) -> _BranchSums:
     # origin branch of even times: squared binomial coefficients
     a0 = [math.comb(T - 1, j - 1) ** 2 for j in range(1, T + 1)]
     b1 = [math.comb(T, j) * math.comb(T - 1, j - 1) for j in range(1, T + 1)]
-    return _BranchSums(consts, T, a0, b1)
+    return _BranchSums(ref, 2 * T, T, a0, b1)
 
 
-def _reference_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
-    consts = _Consts(coin, ctx)
-    pref = consts.prefactor(t - 1)
+# one reference per angle, so the monomials are built once per test run
+_REFERENCES: dict = {}
+
+
+def _reference(coin: Coin) -> _Reference:
+    key = (coin.theta, coin.pi_fraction)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _Reference(coin)
+    return _REFERENCES[key]
+
+
+def _reference_line_values(coin: Coin, t: int) -> dict:
+    ref = _reference(coin)
+    pref = ref.prefactor(t)
     out: dict[int, object] = {-t - 1: pref, -t: pref}
     for m in range(1, t // 2 + 1):
-        sums = _pair_sums(consts, m, t - m - 1)
-        right = ctx.mul(pref, sums.weighted(m))
-        left = ctx.mul(pref, sums.weighted(t - m))
+        sums = _pair_sums(ref, m, t - m - 1)
+        right = sums.weighted(m)
+        left = sums.weighted(t - m)
         out[t - 2 * m] = right
         out[t - 2 * m - 1] = right
         out[-(t - 2 * m) - 1] = left
@@ -355,30 +323,30 @@ def _reference_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     return out
 
 
-def _reference_half_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
-    consts = _Consts(coin, ctx)
+def _reference_half_line_values(coin: Coin, t: int) -> dict:
+    ref = _reference(coin)
     out: dict[int, tuple] = {}
-    pref = consts.prefactor(t - 1)
+    pref = ref.prefactor(t)
     if t % 2 == 0:
         half = t // 2
         for m in range(1, half):
-            sums = _pair_sums(consts, m, t - m - 1)
-            v0 = ctx.mul(pref, sums.weighted(m))
-            v1 = ctx.mul(pref, sums.weighted(t - m))
-            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            sums = _pair_sums(ref, m, t - m - 1)
+            v0 = sums.weighted(m)
+            v1 = sums.weighted(t - m)
+            vt = sums.weighted_pair(m, t - m)
             for x in (2 * (half - m), 2 * (half - m) - 1):
                 out[x] = (v0, v1, vt)
         # origin term, even times only: both inners share one value
-        sums = _origin_sums(consts, half)
-        vo = ctx.mul(pref, sums.weighted(half))
-        out[0] = (vo, vo, ctx.add(vo, vo))
+        sums = _origin_sums(ref, half)
+        vo = sums.weighted(half)
+        out[0] = (vo, vo, vo + vo)
     else:
         half = (t - 1) // 2
         for m in range(1, half + 1):
-            sums = _pair_sums(consts, m, t - m - 1)
-            v0 = ctx.mul(pref, sums.weighted(m))
-            v1 = ctx.mul(pref, sums.weighted(t - m))
-            vt = ctx.mul(pref, sums.weighted_pair(m, t - m))
+            sums = _pair_sums(ref, m, t - m - 1)
+            v0 = sums.weighted(m)
+            v1 = sums.weighted(t - m)
+            vt = sums.weighted_pair(m, t - m)
             for x in (2 * (half - m) + 1, 2 * (half - m)):
                 out[x] = (v0, v1, vt)
     # frontier pair carries inner 1 only
@@ -387,20 +355,12 @@ def _reference_half_line_values(coin: Coin, t: int, ctx=_ExactCtx) -> dict:
     return out
 
 
-# the reference's _Consts refuses angles other than pi/4 only when the
-# context's precision is EXACT_Q2
-class _AnyAngleCtx(_ExactCtx):
-    precision = None
-
-
 def _columns(vals: dict, half: bool) -> dict:
     """(position, column) -> value of either walk's table, None dropped."""
     return {(x, i): v for x, vs in vals.items()
             for i, v in enumerate(vs if half else (vs,)) if v is not None}
 
 
-# the float angles stay away from pi/2: the reference's float prefactor
-# guard raises at theta ~ 1.536 from t = 150 on
 _ROUNDING_COINS = {
     "1.0": make_coin(1.0),
     "0.3": make_coin(0.3),
@@ -507,10 +467,10 @@ class TestExactRationalPath:
         # every double-double pair is the reference value rounded once
         coin = make_coin_pi(frac)
         for t in range(1, 41):
-            ref = _reference_line_values(coin, t, _AnyAngleCtx)
+            ref = _reference_line_values(coin, t)
             assert line_exact_values(coin, t) == {
                 x: dd.from_fraction(v) for x, v in ref.items()}, t
-            ref = _reference_half_line_values(coin, t, _AnyAngleCtx)
+            ref = _reference_half_line_values(coin, t)
             assert half_line_exact_values(coin, t) == {
                 x: tuple(None if v is None else dd.from_fraction(v) for v in vs)
                 for x, vs in ref.items()}, t
@@ -535,10 +495,10 @@ class TestExactRationalPath:
             cos2 = coin.cos2_exact()
             for t in (2, 3, 7, 12):
                 consts = _RationalConsts(cos2, 1 - cos2, t, Precision.EXACT_Q2)
-                line = _reference_line_values(coin, t, _AnyAngleCtx)
+                line = _reference_line_values(coin, t)
                 consts.check_completeness(line.values())
                 totals = [v[2] for v in
-                          _reference_half_line_values(coin, t, _AnyAngleCtx).values()]
+                          _reference_half_line_values(coin, t).values()]
                 consts.check_completeness(totals)
                 with pytest.raises(PrecisionError):
                     consts.check_completeness(totals[1:])
@@ -589,7 +549,7 @@ def test_values_are_the_reference_rounded_once(angle, values, reference):
     coin = _ROUNDING_COINS[angle]
     half = values is half_line_exact_values
     for t in [*range(1, 81), 150, 200]:
-        ref = _columns(reference(coin, t, _AnyAngleCtx), half)
+        ref = _columns(reference(coin, t), half)
         double = _columns(values(
             coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE)), half)
         pair = _columns(values(
@@ -599,6 +559,103 @@ def test_values_are_the_reference_rounded_once(angle, values, reference):
         for k, r in ref.items():
             assert double[k] == float(r), (t, k)
             assert abs(dd.to_fraction(pair[k]) - r) <= r / 2**104, (t, k)
+
+
+# the float precisions round most values at float angles from the top bits
+# of their factors, with the full products only where a bracket straddles;
+# with no cut widths every value comes from the full products
+_NO_CUTS = {}
+_CUT_TS = [*range(1, 41), 99, 200, 300]
+
+
+def _tables(coin, ts=_CUT_TS):
+    """Every table of both walks at double and dd, at the times ts."""
+    return {(values.__name__, t, prec): values(
+                coin, t, ExactParams.for_coin(coin, t, prec))
+            for values in (line_exact_values, half_line_exact_values)
+            for t in ts
+            for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE)}
+
+
+# theta = 1.5 puts values below the normal range of the doubles from
+# t = 150 on
+@pytest.mark.parametrize("theta", [1.0, 2.5, -0.7, 0.3, 1e-3, 3.1415, 1.5])
+def test_cut_factors_round_as_the_full_products(monkeypatch, theta):
+    """Bit-identical doubles and dd pairs with and without the cuts."""
+    coin = make_coin(theta)
+    cut = _tables(coin)
+    monkeypatch.setattr(closed_form, "_CUT_BITS", _NO_CUTS)
+    assert cut == _tables(coin)
+
+
+def test_cut_factors_raise_as_the_full_products(monkeypatch):
+    """Near pi/2 both paths refuse the same table with the same message."""
+    coin = make_coin(1.5707)
+    errors = []
+    for cut_bits in (closed_form._CUT_BITS, _NO_CUTS):
+        monkeypatch.setattr(closed_form, "_CUT_BITS", cut_bits)
+        for values in (line_exact_values, half_line_exact_values):
+            for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE):
+                with pytest.raises(PrecisionError) as err:
+                    values(coin, 200, ExactParams.for_coin(coin, 200, prec))
+                errors.append(str(err.value))
+    assert errors[:4] == errors[4:]
+
+
+def test_straddled_brackets_take_the_full_products(monkeypatch):
+    """With W small many brackets straddle a rounding boundary; those
+    values come from the full products, and every value stays the same."""
+    coin = make_coin(1.0)
+    ts = [*range(1, 31), 120]
+    want = _tables(coin, ts)
+    monkeypatch.setattr(closed_form, "_CUT_MIN_BITS", 0)
+    outcomes = {Precision.DOUBLE: [], Precision.DOUBLE_DOUBLE: []}
+    bracketed = closed_form._CutBranch._bracketed
+
+    def counted(self, ws):
+        value = bracketed(self, ws)
+        outcomes[self.consts.precision].append(value is None)
+        return value
+
+    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    monkeypatch.setattr(closed_form, "_CUT_BITS", {
+        Precision.DOUBLE: 58, Precision.DOUBLE_DOUBLE: 112})
+    assert _tables(coin, ts) == want
+    for fell_back in outcomes.values():
+        assert any(fell_back) and not all(fell_back)
+
+
+def test_values_below_the_normal_range(monkeypatch):
+    """At theta = 1.5, t = 300 some values round to zero by bit lengths
+    alone and some take the full products, which the rest never need."""
+    coin = make_coin(1.5)
+    want = _tables(coin, [300])
+    outcomes = []
+    bracketed = closed_form._CutBranch._bracketed
+
+    def counted(self, ws):
+        value = bracketed(self, ws)
+        outcomes.append("full" if value is None else
+                        "zero" if value in (0.0, (0.0, 0.0)) else "cut")
+        return value
+
+    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    assert _tables(coin, [300]) == want
+    assert {"full", "zero", "cut"} == set(outcomes)
+    assert outcomes.count("full") < outcomes.count("zero")
+
+
+def test_float_angle_tables_need_no_full_products(monkeypatch):
+    """At theta = 1.0, t = 200 every value comes from the cut factors."""
+    coin = make_coin(1.0)
+    want = _tables(coin, [200])
+
+    def refuse(self, *args):
+        raise AssertionError("full products at theta = 1.0, t = 200")
+
+    for name in ("weighted", "weighted_pair"):
+        monkeypatch.setattr(closed_form._IntegerBranch, name, refuse)
+    assert _tables(coin, [200]) == want
 
 
 class TestParams:
