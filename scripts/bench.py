@@ -39,8 +39,8 @@ the script runs itself --rounds times on this checkout's src and on the
 baseline checkout's src, alternating which goes first, and records each
 tree's entries over all its runs:
 
-    python scripts/bench.py --baseline ../parent --rounds 5 --runs 1 \
-        --out BENCH_<n>.json
+    PYTHONPATH=src python scripts/bench.py --baseline ../parent \
+        --rounds 5 --runs 1 --out BENCH_<n>.json
 """
 from __future__ import annotations
 

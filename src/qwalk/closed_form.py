@@ -53,9 +53,10 @@ rationals whose sum differs from 1 in the last bits. Their integers carry
 about 106 bits per power of p, so a branch's integers have O(t) words. The
 double and dd precisions round such a branch from the top bits of its
 factors after one exact difference (``_CutBranch``), so every step of
-a branch is linear in its size and a table grows about like t^2: 5-9 ms at
-t = 200 and 0.1 s at t = 1000 on a 2-vCPU host, where the full products
-took 40-90 ms and 2.6-3.1 s. The exact precision keeps the full products.
+a branch is linear in its size and a table grows about like t^2: 5-8 ms at
+t = 200 and 0.09-0.12 s at t = 1000 on a 2-vCPU host, where the full
+products took 41-54 ms and 2.3-3.1 s. The exact precision keeps the full
+products.
 """
 from __future__ import annotations
 
