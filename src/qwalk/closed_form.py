@@ -56,7 +56,9 @@ factors after one exact difference (``_CutBranch``), so every step of
 a branch is linear in its size and a table grows about like t^2: 5-8 ms at
 t = 200 and 0.09-0.12 s at t = 1000 on a 2-vCPU host, where the full
 products took 41-54 ms and 2.3-3.1 s. The exact precision keeps the full
-products.
+products, and so do the tables whose integers are small enough that the
+products cost less than the cuts (``_CUT_MIN_BITS``): t < 23-28 at float
+angles, t < 1401 at pi/6 and pi/3 and t < 2800 at pi/4.
 """
 from __future__ import annotations
 
@@ -141,10 +143,12 @@ _ROUNDING = {
 # (_CutBranch): W per precision, so that the bracket, 2^(4-W) relative,
 # is far inside the 2^-53 of a double or the 2^-106 a dd pair resolves
 _CUT_BITS = {Precision.DOUBLE: 128, Precision.DOUBLE_DOUBLE: 200}
-# tables and branches whose integers all have at most this many bits keep
-# the full products, which cost no more than the cuts there: every table of
-# pi/6, pi/4 and pi/3 up to t = 500
-_CUT_MIN_BITS = 1000
+# tables whose 2 q^(t-1) has at most this many bits keep the full products.
+# The two paths cost the same at 2,500-3,000 bits, at float angles and at
+# pi/6, pi/4 and pi/3 alike: at 2,500 bits the cuts take 1.0-1.16 times as
+# long as the full products, at 3,000 bits 0.72-0.97 times (t = 25-30 at
+# theta = 1.0, t = 1250-1500 at pi/3 and pi/6, t = 2500-3000 at pi/4)
+_CUT_MIN_BITS = 2800
 # the smallest normal double
 _NORMAL_MIN = 2.0 ** -1022
 
@@ -213,11 +217,8 @@ class _RationalConsts:
         if self.cut_bits is not None:
             self.cut_qb = _top(q - self.b, self.cut_bits)
             self.cut_b = _top(self.b, self.cut_bits)
-            self.cut_qb_bits = (q - self.b).bit_length()
-            self.cut_b_bits = self.b.bit_length()
             self.cut_den = _top(self.den, self.cut_bits)
             self.slack = 1 << (self.cut_bits - 4)
-            self.zero = self.round(0, 1)
 
     def check_completeness(self, totals) -> None:
         """The table must sum to 1: exactly at the exact precision, else
@@ -249,8 +250,8 @@ class _IntegerBranch:
     (w^2 k1 - w k01 + k0) / (m^2 p^(2m) b), so with the prefactor
     p^(t-1) / pref_den a table value is power K / (den m^2), rounded once:
     K = w^2 k1 - w k01 + k0, power = p^(t-2m) and den = pref_den b p.
-    These full products give every value of the exact precision and of
-    branches with small integers; _CutBranch gives the rest.
+    These full products, built on first use, give every value of the exact
+    precision and of tables with small integers; _CutBranch gives the rest.
     """
 
     def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
@@ -258,9 +259,11 @@ class _IntegerBranch:
         self.consts = consts
         self.round = consts.round
         self.m, self.n0, self.n1, self.power = m, n0, n1, power
-        self._products()
+        self.k1 = None
 
     def _products(self) -> None:
+        if self.k1 is not None:
+            return
         consts, m, n0, n1 = self.consts, self.m, self.n0, self.n1
         self.k1 = n1 * n1 * consts.b
         self.k01 = 2 * m * n0 * n1 * consts.b
@@ -269,11 +272,13 @@ class _IntegerBranch:
 
     def weighted(self, w: int):
         """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
+        self._products()
         return self.round(
             self.power * (w * w * self.k1 - w * self.k01 + self.k0), self.den)
 
     def weighted_pair(self, w1: int, w2: int):
         """weighted(w1) + weighted(w2), via the combined weight."""
+        self._products()
         k = (w1 * w1 + w2 * w2) * self.k1 - (w1 + w2) * self.k01 + 2 * self.k0
         return self.round(self.power * k, self.den)
 
@@ -307,18 +312,12 @@ class _CutBranch(_IntegerBranch):
     rational rounded once. Where the ends differ, or where the value is
     below the normal range of the doubles, the full products of
     _IntegerBranch give it instead; tables where q - b <= 0 would leave a
-    term negative have no cut branches. Bit lengths alone settle the values
-    far below that range: where they put V under 2^-1075, it rounds to
-    zero.
+    term negative have no cut branches.
     """
 
     def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
                  power: int) -> None:
-        # the full products wait for the first value that needs them
-        self.consts = consts
-        self.round = consts.round
-        self.m, self.n0, self.n1, self.power = m, n0, n1, power
-        self.k1 = None
+        super().__init__(consts, m, n0, n1, power)
         bits = consts.cut_bits
         y, sy = _top(abs(n0), bits)
         qb, sqb = consts.cut_qb
@@ -330,32 +329,14 @@ class _CutBranch(_IntegerBranch):
         den, sden = consts.cut_den
         self.cut_den = den * m * m << (bits - 4)
         self.cut_shift = spw - sden
-        # V < 2^-1075 once K has at most zero_bits bits, as
-        # x >= 2^(bitlen(x) - 1) for den and m^2
-        m2_bits = (m * m).bit_length()
-        self.zero_bits = (consts.den.bit_length() + m2_bits - 2
-                          - power.bit_length() - 1075)
-        # the N0 term is below 2^term0_bits, with 2 m^2 for the pair
-        self.term0_bits = (m2_bits + 1 + 2 * n0.bit_length()
-                           + consts.cut_qb_bits)
 
     def weighted(self, w: int):
         value = self._bracketed((w,))
-        if value is None:
-            self._full_products()
-            value = super().weighted(w)
-        return value
+        return super().weighted(w) if value is None else value
 
     def weighted_pair(self, w1: int, w2: int):
         value = self._bracketed((w1, w2))
-        if value is None:
-            self._full_products()
-            value = super().weighted_pair(w1, w2)
-        return value
-
-    def _full_products(self) -> None:
-        if self.k1 is None:
-            self._products()
+        return super().weighted_pair(w1, w2) if value is None else value
 
     def _bracketed(self, ws):
         """The value rounded from the cut factors, or None where the ends
@@ -365,20 +346,14 @@ class _CutBranch(_IntegerBranch):
         b, sb = consts.cut_b
         weight, low = self.cut_term0
         weight *= len(ws)
-        top_bits = self.term0_bits  # a bound on the largest term's bits
         for w in ws:
             d = abs(w * self.n1 - self.mn0)
-            n = d.bit_length()
-            top_bits = max(top_bits, consts.cut_b_bits + 2 * n)
-            sd = max(n - bits, 0)
+            sd = max(d.bit_length() - bits, 0)
             s = sb + 2 * sd
             if s < low:
                 weight, low = weight << (low - s), s
             d >>= sd
             weight += b * d * d << (s - low)
-        # at most three terms, each below 2^top_bits
-        if top_bits + 2 <= self.zero_bits:
-            return consts.zero
         num, den = weight * self.cut_num, self.cut_den
         shift = self.cut_shift + low
         if shift >= 0:
@@ -390,17 +365,6 @@ class _CutBranch(_IntegerBranch):
             return None
         head = value[0] if isinstance(value, tuple) else value
         return value if head >= _NORMAL_MIN else None
-
-
-def _branch(consts: _RationalConsts, m: int, n0: int, n1: int, power: int
-            ) -> _IntegerBranch:
-    """A cut branch where the table has cut widths and the branch's
-    integers are large, else the full products."""
-    if consts.cut_bits is not None and max(
-            n0.bit_length(), n1.bit_length(),
-            power.bit_length()) > _CUT_MIN_BITS:
-        return _CutBranch(consts, m, n0, n1, power)
-    return _IntegerBranch(consts, m, n0, n1, power)
 
 
 def _sums(consts: _RationalConsts, t: int):
@@ -444,7 +408,8 @@ def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
     consts = _resolve(coin, t, params)
-    return consts, ((t - 2 * m, m, _branch(consts, m, n0, n1, power))
+    branch = _IntegerBranch if consts.cut_bits is None else _CutBranch
+    return consts, ((t - 2 * m, m, branch(consts, m, n0, n1, power))
                     for (m, n0, n1), power in zip(_sums(consts, t),
                                                   _powers(consts.p, t)))
 

@@ -561,31 +561,61 @@ def test_values_are_the_reference_rounded_once(angle, values, reference):
             assert abs(dd.to_fraction(pair[k]) - r) <= r / 2**104, (t, k)
 
 
-# the float precisions round most values at float angles from the top bits
-# of their factors, with the full products only where a bracket straddles;
-# with no cut widths every value comes from the full products
+# the float precisions round most values of tables with large integers from
+# the top bits of their factors, with the full products only where a bracket
+# straddles; with no cut widths every value comes from the full products
 _NO_CUTS = {}
 _CUT_TS = [*range(1, 41), 99, 200, 300]
 
 
-def _tables(coin, ts=_CUT_TS):
-    """Every table of both walks at double and dd, at the times ts."""
+def _tables(coin, ts=_CUT_TS, precs=(Precision.DOUBLE,
+                                     Precision.DOUBLE_DOUBLE)):
+    """Every table of both walks at the precisions precs, at the times ts."""
     return {(values.__name__, t, prec): values(
                 coin, t, ExactParams.for_coin(coin, t, prec))
             for values in (line_exact_values, half_line_exact_values)
             for t in ts
-            for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE)}
+            for prec in precs}
 
 
 # theta = 1.5 puts values below the normal range of the doubles from
 # t = 150 on
-@pytest.mark.parametrize("theta", [1.0, 2.5, -0.7, 0.3, 1e-3, 3.1415, 1.5])
-def test_cut_factors_round_as_the_full_products(monkeypatch, theta):
-    """Bit-identical doubles and dd pairs with and without the cuts."""
-    coin = make_coin(theta)
+_CUT_COINS = {
+    **{str(theta): make_coin(theta)
+       for theta in (1.0, 2.5, -0.7, 0.3, 1e-3, 3.1415, 1.5)},
+    "pi/6": make_coin_pi(Fraction(1, 6)),
+    "pi/4": make_coin_pi(Fraction(1, 4)),
+    "pi/3": make_coin_pi(Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("angle", list(_CUT_COINS))
+def test_cut_factors_round_as_the_full_products(monkeypatch, angle):
+    """Bit-identical doubles and dd pairs with and without the cuts, here
+    taken at every t, below _CUT_MIN_BITS too."""
+    coin = _CUT_COINS[angle]
+    monkeypatch.setattr(closed_form, "_CUT_MIN_BITS", 0)
     cut = _tables(coin)
     monkeypatch.setattr(closed_form, "_CUT_BITS", _NO_CUTS)
     assert cut == _tables(coin)
+
+
+def test_long_rational_angle_tables_take_the_cuts(monkeypatch):
+    """pi/3 at t = 1500 is past _CUT_MIN_BITS: its dd values come from the
+    cut factors and are the full products' values."""
+    coin = make_coin_pi(Fraction(1, 3))
+    bracketed = []
+    cut_bracketed = closed_form._CutBranch._bracketed
+
+    def counted(self, ws):
+        bracketed.append(ws)
+        return cut_bracketed(self, ws)
+
+    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    cut = _tables(coin, [1500], [Precision.DOUBLE_DOUBLE])
+    assert bracketed
+    monkeypatch.setattr(closed_form, "_CUT_BITS", _NO_CUTS)
+    assert cut == _tables(coin, [1500], [Precision.DOUBLE_DOUBLE])
 
 
 def test_cut_factors_raise_as_the_full_products(monkeypatch):
@@ -626,8 +656,8 @@ def test_straddled_brackets_take_the_full_products(monkeypatch):
 
 
 def test_values_below_the_normal_range(monkeypatch):
-    """At theta = 1.5, t = 300 some values round to zero by bit lengths
-    alone and some take the full products, which the rest never need."""
+    """At theta = 1.5, t = 300 the values below the normal range take the
+    full products, which the rest never need."""
     coin = make_coin(1.5)
     want = _tables(coin, [300])
     outcomes = []
@@ -635,14 +665,19 @@ def test_values_below_the_normal_range(monkeypatch):
 
     def counted(self, ws):
         value = bracketed(self, ws)
-        outcomes.append("full" if value is None else
-                        "zero" if value in (0.0, (0.0, 0.0)) else "cut")
+        full = closed_form._IntegerBranch
+        outcomes.append(
+            ("full", full.weighted(self, *ws) if len(ws) == 1
+             else full.weighted_pair(self, *ws)) if value is None
+            else ("cut", value))
         return value
 
     monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
     assert _tables(coin, [300]) == want
-    assert {"full", "zero", "cut"} == set(outcomes)
-    assert outcomes.count("full") < outcomes.count("zero")
+    assert {"full", "cut"} == {how for how, _ in outcomes}
+    for how, value in outcomes:
+        head = value[0] if isinstance(value, tuple) else value
+        assert (how == "full") == (head < 2.0 ** -1022)
 
 
 def test_float_angle_tables_need_no_full_products(monkeypatch):
