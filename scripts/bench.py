@@ -18,8 +18,9 @@ Measured, each as the median process time of --runs runs:
   exact-oracle benchmark gates every dd value with);
 - `line_exact_values` and `half_line_exact_values` at t = 50, 100, 150,
   200: dd and exact at theta = pi/4, double and dd at theta = 1.0 (a float
-  angle, whose integer sums grow fastest) and dd at pi/3; and at t = 1000,
-  double and dd at theta = 1.0;
+  angle, whose integer sums grow fastest) and dd at pi/3; and double and dd
+  at t = 1000, theta = 1.0 and at t = 3000, theta = pi/3 (long enough that
+  pi/3's tables too are rounded from the top bits of their factors);
 - `render_csv` and `render_json` of the line walk's table at t = 5000,
   theta = 1.0 (the table is built once, outside the timing).
 
@@ -32,15 +33,6 @@ versions. --tiny shrinks every size so a test can run the script in about a
 second. Run from a checkout:
 
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json
-
-Raw process times of one tree move by up to 40 % between runs on a shared
-host, so a comparison of two trees times them in turn. With --baseline,
-the script runs itself --rounds times on this checkout's src and on the
-baseline checkout's src, alternating which goes first, and records each
-tree's entries over all its runs:
-
-    PYTHONPATH=src python scripts/bench.py --baseline ../parent \
-        --rounds 5 --runs 1 --out BENCH_<n>.json
 """
 from __future__ import annotations
 
@@ -72,11 +64,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
 
 # (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts,
-# long closed-form t, rendered table t)
+# long closed-form t at theta = 1.0 and at pi/3, rendered table t)
 SIZES = {
     "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150, 200),
-             1000, 5000),
-    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20), 30, 50),
+             (1000, 3000), 5000),
+    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20), (30, 40), 50),
 }
 
 # a short walk takes about a millisecond, so each of its runs averages this
@@ -113,12 +105,6 @@ def _quartiles(times: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def _entry(times: list[float], scale: float, kernel_ms: float) -> dict:
-    q1, median, q3 = _quartiles(times)
-    return {"median": median * scale, "q1": q1 * scale, "q3": q3 * scale,
-            "kernel_ms": kernel_ms, "scale": scale}
-
-
 def _drain(states) -> None:
     for _ in states:
         pass
@@ -136,16 +122,18 @@ def _git(tree: Path) -> dict:
 
 
 def measure(size: str, runs: int) -> dict:
-    t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts, t_cf_long, t_render = (
-        SIZES[size])
+    (t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts, (t_cf_float, t_cf_pi3),
+     t_render) = SIZES[size]
     results: dict = {}
     raw: dict = {}
 
     def record(metric: str, key: str, fn, scale: float, calls: int = 1) -> None:
         kernel_s = statistics.median(_run_s(interpreter_kernel, runs, 1))
         times = _run_s(fn, runs, calls)
-        results.setdefault(metric, {})[key] = _entry(times, scale,
-                                                     kernel_s * 1e3)
+        q1, median, q3 = _quartiles(times)
+        results.setdefault(metric, {})[key] = {
+            "median": median * scale, "q1": q1 * scale, "q3": q3 * scale,
+            "kernel_ms": kernel_s * 1e3}
         raw.setdefault(metric, {})[key] = times
 
     for name, coin in _coins().items():
@@ -183,12 +171,16 @@ def measure(size: str, runs: int) -> dict:
     record(f"to_fraction_t{t_oracle}.us_per_call", "dd@pi/4",
            lambda: [dd.to_fraction(v) for v in dd_values],
            1e6 / len(dd_values), SHORT_CALLS)
+    pi3 = make_coin_pi(Fraction(1, 3))
     float_coins = (("1.0", one, Precision.DOUBLE),
                    ("1.0", one, Precision.DOUBLE_DOUBLE))
+    pi3_coins = (("pi/3", pi3, Precision.DOUBLE),
+                 ("pi/3", pi3, Precision.DOUBLE_DOUBLE))
     cf_coins = (("pi/4", pi4, Precision.DOUBLE_DOUBLE),
                 ("pi/4", pi4, Precision.EXACT_Q2), *float_coins,
-                ("pi/3", make_coin_pi(Fraction(1, 3)), Precision.DOUBLE_DOUBLE))
-    for ts, coins in ((cf_ts, cf_coins), ((t_cf_long,), float_coins)):
+                pi3_coins[1])
+    for ts, coins in ((cf_ts, cf_coins), ((t_cf_float,), float_coins),
+                      ((t_cf_pi3,), pi3_coins)):
         for t in ts:
             for name, coin, prec in coins:
                 params = ExactParams.for_coin(coin, t, prec)
@@ -220,66 +212,17 @@ def measure(size: str, runs: int) -> dict:
     }
 
 
-def _pooled(docs: list[dict]) -> dict:
-    """One tree's entries over the runs of all its records; kernel_ms is
-    the median of the records' kernel times."""
-    results: dict = {}
-    raw: dict = {}
-    for metric, per_key in docs[0]["results"].items():
-        for key, entry in per_key.items():
-            times = [x for doc in docs for x in doc["raw_s"][metric][key]]
-            kernel_ms = statistics.median(
-                doc["results"][metric][key]["kernel_ms"] for doc in docs)
-            results.setdefault(metric, {})[key] = _entry(
-                times, entry["scale"], kernel_ms)
-            raw.setdefault(metric, {})[key] = times
-    return {"git": docs[0]["git"], "results": results, "raw_s": raw}
-
-
-def compare(size: str, runs: int, rounds: int, baseline: Path) -> dict:
-    """This checkout and the baseline, each measured `rounds` times in a
-    fresh interpreter, taking turns at going first."""
-    script = Path(__file__).resolve()
-    trees = {"this": script.parents[1], "baseline": baseline.resolve()}
-    docs: dict = {name: [] for name in trees}
-    for r in range(rounds):
-        for name in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-            proc = subprocess.run(
-                [sys.executable, str(script), "--runs", str(runs),
-                 *(["--tiny"] if size == "tiny" else [])],
-                env=dict(os.environ, PYTHONPATH=str(trees[name] / "src")),
-                check=True, capture_output=True, text=True)
-            docs[name].append(json.loads(proc.stdout))
-    first = docs["this"][0]
-    return {
-        "about": "the timings of this checkout and of a baseline, measured "
-                 "in turn; each tree's entries pool the runs of all rounds",
-        **{k: first[k] for k in ("machine", "python", "numpy", "size")},
-        "runs": runs,
-        "rounds": rounds,
-        **{name: _pooled(tree_docs) for name, tree_docs in docs.items()},
-    }
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--tiny", action="store_true",
                     help="small sizes, for a quick test of the script")
     ap.add_argument("--out", default="-", help="JSON path, '-' for stdout")
-    ap.add_argument("--baseline", type=Path,
-                    help="another checkout to time in turn with this one")
-    ap.add_argument("--rounds", type=int, default=5,
-                    help="runs of the script per tree with --baseline")
     args = ap.parse_args()
-    if args.runs < 1 or args.rounds < 1:
-        ap.error("--runs and --rounds must be >= 1")
-    size = "tiny" if args.tiny else "full"
-    if args.baseline is None:
-        record = measure(size, args.runs)
-    else:
-        record = compare(size, args.runs, args.rounds, args.baseline)
-    doc = json.dumps(record, indent=1) + "\n"
+    if args.runs < 1:
+        ap.error("--runs must be >= 1")
+    doc = json.dumps(measure("tiny" if args.tiny else "full", args.runs),
+                     indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(doc)
     else:

@@ -8,21 +8,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench(tmp_path, *args: str) -> dict:
+def test_bench_script_tiny(tmp_path):
     out = tmp_path / "bench.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--tiny",
-         *args, "--out", str(out)],
+         "--runs", "2", "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(out.read_text())
-
-
-def _check_results(results: dict) -> None:
+    doc = json.loads(out.read_text())
+    assert doc["size"] == "tiny" and doc["runs"] == 2
+    assert set(doc["git"]) == {"sha", "dirty"}
+    assert doc["python"] and doc["numpy"] and doc["machine"]["cpus"]
     walks = {f"{k}@{c}" for k in ("halfline", "line") for c in ("pi/4", "1.0")}
+    results = doc["results"]
     assert set(results) == {
         "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
         "ks_distance_t50.ms", "ks_suite_t10-12.s",
@@ -31,6 +32,7 @@ def _check_results(results: dict) -> None:
         "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
         "line_exact_values_t20.ms", "half_line_exact_values_t20.ms",
         "line_exact_values_t30.ms", "half_line_exact_values_t30.ms",
+        "line_exact_values_t40.ms", "half_line_exact_values_t40.ms",
         "render_csv_t50.ms", "render_json_t50.ms"}
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
@@ -43,36 +45,16 @@ def _check_results(results: dict) -> None:
         for t in (10, 20):
             assert set(results[f"{fn}_t{t}.ms"]) == {
                 "dd@pi/4", "exact@pi/4", "double@1.0", "dd@1.0", "dd@pi/3"}
-        # the long closed-form entry, t = 1000 at full size
+        # the long closed-form entries, t = 1000 and 3000 at full size
         assert set(results[f"{fn}_t30.ms"]) == {"double@1.0", "dd@1.0"}
+        assert set(results[f"{fn}_t40.ms"]) == {"double@pi/3", "dd@pi/3"}
     for fn in ("render_csv", "render_json"):
         assert set(results[f"{fn}_t50.ms"]) == {"line@1.0"}
     for per_key in results.values():
         for entry in per_key.values():
-            assert set(entry) == {"median", "q1", "q3", "kernel_ms", "scale"}
+            assert set(entry) == {"median", "q1", "q3", "kernel_ms"}
             assert 0 <= entry["q1"] <= entry["median"] <= entry["q3"]
             assert entry["kernel_ms"] > 0
-
-
-def test_bench_script_tiny(tmp_path):
-    doc = _bench(tmp_path, "--runs", "2")
-    assert doc["size"] == "tiny" and doc["runs"] == 2
-    assert set(doc["git"]) == {"sha", "dirty"}
-    assert doc["python"] and doc["numpy"] and doc["machine"]["cpus"]
-    _check_results(doc["results"])
-
-
-def test_bench_script_against_a_baseline(tmp_path):
-    """--baseline times two checkouts in turn (here the same one twice) and
-    pools each tree's runs over the rounds."""
-    doc = _bench(tmp_path, "--runs", "1", "--rounds", "2",
-                 "--baseline", str(ROOT))
-    assert doc["size"] == "tiny" and (doc["runs"], doc["rounds"]) == (1, 2)
-    for tree in ("this", "baseline"):
-        assert set(doc[tree]) == {"git", "results", "raw_s"}
-        _check_results(doc[tree]["results"])
-        assert all(len(times) == 2 for per_key in doc[tree]["raw_s"].values()
-                   for times in per_key.values())
 
 
 def test_every_traced_name_resolves():
