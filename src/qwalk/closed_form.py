@@ -310,9 +310,11 @@ class _CutBranch(_IntegerBranch):
     is fixed. So when both ends of the bracket round to the same double, or
     to the same (hi, lo) pair, V rounds to it too: the value is the exact
     rational rounded once. Where the ends differ, or where the value is
-    below the normal range of the doubles, the full products of
+    below the normal range of the doubles and not zero, the full products of
     _IntegerBranch give it instead; tables where q - b <= 0 would leave a
-    term negative have no cut branches.
+    term negative have no cut branches. A zero needs no fallback: V is below
+    the bracket's upper end, and where that end rounds to zero it is at most
+    2^-1075, so V rounds to zero too.
     """
 
     def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
@@ -340,7 +342,8 @@ class _CutBranch(_IntegerBranch):
 
     def _bracketed(self, ws):
         """The value rounded from the cut factors, or None where the ends
-        of its bracket differ or it is below the normal range."""
+        of its bracket differ or it is below the normal range but not
+        zero."""
         consts = self.consts
         bits = consts.cut_bits
         b, sb = consts.cut_b
@@ -364,7 +367,7 @@ class _CutBranch(_IntegerBranch):
         if value != self.round(num * (consts.slack + 1), den):
             return None
         head = value[0] if isinstance(value, tuple) else value
-        return value if head >= _NORMAL_MIN else None
+        return value if head >= _NORMAL_MIN or not head else None
 
 
 def _sums(consts: _RationalConsts, t: int):

@@ -657,7 +657,7 @@ def test_straddled_brackets_take_the_full_products(monkeypatch):
 
 def test_values_below_the_normal_range(monkeypatch):
     """At theta = 1.5, t = 300 the values below the normal range take the
-    full products, which the rest never need."""
+    full products, which the rest never need; zeros come from the cuts."""
     coin = make_coin(1.5)
     want = _tables(coin, [300])
     outcomes = []
@@ -675,9 +675,11 @@ def test_values_below_the_normal_range(monkeypatch):
     monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
     assert _tables(coin, [300]) == want
     assert {"full", "cut"} == {how for how, _ in outcomes}
-    for how, value in outcomes:
-        head = value[0] if isinstance(value, tuple) else value
-        assert (how == "full") == (head < 2.0 ** -1022)
+    heads = [(how, value[0] if isinstance(value, tuple) else value)
+             for how, value in outcomes]
+    for how, head in heads:
+        assert (how == "full") == (0 < head < 2.0 ** -1022)
+    assert ("cut", 0.0) in heads
 
 
 def test_float_angle_tables_need_no_full_products(monkeypatch):
