@@ -252,6 +252,10 @@ class _IntegerBranch:
     K = w^2 k1 - w k01 + k0, power = p^(t-2m) and den = pref_den b p.
     These full products, built on first use, give every value of the exact
     precision and of tables with small integers; _CutBranch gives the rest.
+    It cuts six factors to their top W bits, each within 2^(1-W) relative,
+    so that the exact value lies strictly inside a bracket 2^(4-W) wide,
+    relative, and falls back to these products where the bracket's ends
+    round apart (the bound is derived in its docstring).
     """
 
     def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
