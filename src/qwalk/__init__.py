@@ -55,7 +55,6 @@ from .harness import (
 )
 from .qfield import (
     OracleLimitError,
-    QFieldComplex,
     q2_oracle_distribution,
     q2_oracle_series,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "OutputTable",
     "Precision",
     "PrecisionError",
-    "QFieldComplex",
     "VerificationReport",
     "WalkKind",
     "approx_prob",

