@@ -12,6 +12,8 @@ Measured, each as the median process time of --runs runs:
   builds: half-line total at t = 200 (201 points) and line total at
   t = 5000 (10,002 points);
 - `run_checks("ksConvergence", canonical_coins(), 100..200)`;
+- `total_mass` of each of the four limit laws at theta = 5e-5, 1e-3 and 1.0,
+  its cache cleared in every run;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
 - us per `dd.to_fraction` call over the dd values of
   `half_line_exact_values` at t = 200, theta = pi/4 (the conversion the
@@ -53,7 +55,7 @@ import qwalk
 from qwalk import dd
 from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
                    iter_states, ks_distance, make_coin, make_coin_pi,
-                   q2_oracle_series)
+                   q2_oracle_series, total_mass)
 from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
@@ -152,6 +154,11 @@ def measure(size: str, runs: int) -> dict:
            lambda: ks_distance(pi4, t_ks), 1e3)
     record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
            lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+    for text in ("5e-5", "1e-3", "1.0"):
+        for kind in DensityKind:
+            d = LimitDensity(make_coin(float(text)), kind)
+            record("total_mass.ms", f"{kind.value}@{text}",
+                   lambda: (total_mass.cache_clear(), total_mass(d)), 1e3)
     one = _coins()["1.0"]
     for walk, kind, t in ((WalkKind.HALF_LINE, DensityKind.HALF_TOTAL, t_short),
                           (WalkKind.LINE, DensityKind.LINE_TOTAL, t_render)):

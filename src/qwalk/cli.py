@@ -14,6 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
 from .closed_form import PrecisionError
@@ -157,7 +159,7 @@ def _cmd_limit(args) -> int:
     lo -= 0.05 * span
     hi += 0.05 * span
     n = args.points
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    xs = (lo + (hi - lo) * np.arange(n) / (n - 1)).tolist()
     if args.quantity == "density":
         rows = [(y, density_at(d, y)) for y in xs]
         columns = ("y", "density")

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import asymptotics
-from .asymptotics import ApproxKind, DensityKind, LimitDensity
+from .asymptotics import DensityKind, LimitDensity
 from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
                           line_exact)
 from .core import Coin, Distribution, WalkKind, make_coin, make_coin_pi
@@ -527,9 +527,8 @@ def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
         dist = (line_exact if walk is WalkKind.LINE else half_line_exact)(
             coin, t)
     else:
-        p0, p1, p = (tuple(asymptotics.approx_prob(coin, t, x, kind)
-                           for x in range(t + 1))
-                     for kind in ApproxKind)
+        p0, p1, p = (tuple(column.tolist()) for column in
+                     asymptotics.approx_columns(coin, t, np.arange(t + 1.0)))
         dist = Distribution(walk, t, 0, p0, p1, p)
     return table_from_distribution(dist, route, coin.theta, label)
 

@@ -23,8 +23,7 @@ from qwalk import (
     make_coin,
     total_mass,
 )
-from qwalk.asymptotics import (CDF_ABS_TOL, _adaptive_simpson, _cs,
-                               _phi_integrand, cdf_grid)
+from qwalk.asymptotics import _cs, _integral, cdf_grid
 
 from conftest import THETA_GRID_20
 
@@ -38,10 +37,9 @@ CDF_THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.0, 2.5, 0.3, -0.7,
 
 
 def _quadrature_cdf(d: LimitDensity, xs) -> list[float]:
-    """Reference CDF: adaptive Simpson of the phi integrand, panel by panel."""
+    """Reference CDF: the tanh-sinh rule on the phi integrand, panel by panel."""
     lo, hi = d.support
     sub_law = d.kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
-    f = _phi_integrand(d)
     prev = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
     acc = 0.0
     out = []
@@ -52,7 +50,7 @@ def _quadrature_cdf(d: LimitDensity, xs) -> list[float]:
             out.append(total_mass(d) if sub_law else 1.0)
         else:
             phi = math.asin(min(max(x / hi, -1.0), 1.0))
-            acc += _adaptive_simpson(f, prev, phi, 0.01 * CDF_ABS_TOL)
+            acc += _integral(d, prev, phi)
             prev = phi
             out.append(acc)
     return out
@@ -286,6 +284,30 @@ class TestSmallAngles:
             for kind, mass in m.items():
                 d = LimitDensity(coin, kind)
                 assert mass == approx(cdf_at(d, d.support[1]), abs=1e-10)
+
+    def test_limit_norm_just_above_the_exclusion(self):
+        """Where the peak is ~ 1/|s| high the check still returns at once;
+        pi - 5e-5, typed to ten decimals, stays excluded."""
+        thetas = ("5e-5", "7e-5", "1e-4", "2e-4", "5e-4", "1e-3",
+                  "3.1414926536", "3.1415426536")
+        sub_laws = (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
+        code = ("import json\nfrom qwalk import LimitDensity, make_coin, "
+                "total_mass\nfrom qwalk.harness import run_checks\n"
+                f"coins = [make_coin(float(t)) for t in {thetas!r}]\n"
+                "print(json.dumps([[[[c.passed, c.error] for c in "
+                "run_checks('limitNorm', [coin], [1]).checks], "
+                "[total_mass(LimitDensity(coin, k)) for k in "
+                f"{[k.value for k in sub_laws]!r}]] for coin in coins]))")
+        proc = _run_child(code)
+        assert proc.returncode == 0, proc.stderr
+        *kept, (excluded, _) = json.loads(proc.stdout)
+        assert len(excluded) == 1 and not excluded[0][0]
+        assert excluded[0][1].startswith("theta excluded")
+        for text, (checks, masses) in zip(thetas, kept):
+            assert [passed for passed, _ in checks] == [True] * 3, text
+            for kind, mass in zip(sub_laws, masses):
+                d = LimitDensity(make_coin(float(text)), kind)
+                assert mass == approx(cdf_at(d, d.support[1]), abs=1e-8)
 
 
 class TestApprox:

@@ -154,7 +154,11 @@ class TestExitCodes:
         ["simulate", "--theta", "1.0", "--steps", "99999999999"],
         ["sweep", "--route", "evolve", "--thetas", "1.0",
          "--ts", "99999999999", "--out", "{tmp}"],
-    ], ids=["simulate", "sweep"])
+        ["approx", "--theta", "1.0", "--steps", "99999999999"],
+        ["sweep", "--route", "approx", "--thetas", "1.0",
+         "--ts", "99999999999", "--out", "{tmp}"],
+        ["limit", "--theta", "1.0", "--points", "99999999999"],
+    ], ids=["simulate", "sweep", "approx", "sweep-approx", "limit"])
     def test_oversized_steps_is_exit_2(self, tmp_path, command):
         # 10^11 steps need terabytes, which numpy refuses at once; the
         # address-space limit makes sure the child never allocates lazily,
