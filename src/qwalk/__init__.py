@@ -30,8 +30,7 @@ from .closed_form import (
 from .core import (
     Coin,
     Distribution,
-    HalfLineState,
-    LineState,
+    State,
     WalkKind,
     initial_half_line,
     initial_line,
@@ -42,8 +41,7 @@ from .evolution import (
     distribution,
     evolve,
     iter_states,
-    step_half_line,
-    step_line,
+    step,
 )
 from .harness import (
     CheckResult,
@@ -69,14 +67,13 @@ __all__ = [
     "Distribution",
     "ExactParams",
     "FormulaDomainError",
-    "HalfLineState",
     "KSReport",
     "LimitDensity",
-    "LineState",
     "OracleLimitError",
     "OutputTable",
     "Precision",
     "PrecisionError",
+    "State",
     "VerificationReport",
     "WalkKind",
     "approx_prob",
@@ -101,7 +98,6 @@ __all__ = [
     "q2_oracle_distribution",
     "q2_oracle_series",
     "run_checks",
-    "step_half_line",
-    "step_line",
+    "step",
     "total_mass",
 ]

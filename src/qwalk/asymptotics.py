@@ -17,8 +17,18 @@ u = tan(phi/2) = y / (|c| + sqrt(c^2 - y^2)):
     half, inner 1: (2/pi) [arctan((u - |c|)/|s|) + arctan(|c|/|s|)]
     half, total:   (2/pi) arctan(|s| y / sqrt(c^2 - y^2))
 
-Only `total_mass` integrates, by one tanh-sinh rule in phi (a smooth bounded
-integrand), so the normalisation check stays independent of the closed forms.
+Only `total_mass` integrates, so the normalisation check stays independent
+of the closed forms. One tanh-sinh rule runs in psi, the angle from the end
+where the density peaks (y = |c| cos(psi), or -|c| cos(psi) on the line):
+
+    half, total:   2|s| / (pi (s^2 + c^2 sin^2 psi))            on [0, pi/2]
+    half, inner 0:  |s| / (pi (1 + |c| cos psi))                 on [0, pi/2]
+    half, inner 1:  |s| / (pi ((1 - |c|) + 2|c| sin^2(psi/2)))   on [0, pi/2]
+    line total:     the half, inner 1 integrand                  on [0, pi]
+
+No denominator cancels, and a peak ~ 1/|s| sits at psi = 0, where the
+mapped nodes psi = b * node round only relatively, not by ~ 1e-16 as nodes
+mapped near an end at fl(pi/2) do.
 """
 from __future__ import annotations
 
@@ -30,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Coin, WalkKind
-from .evolution import State, evolve, probability_arrays
+from .core import Coin, State, WalkKind
+from .evolution import evolve, probability_arrays
 
 
 class DensityKind(str, Enum):
@@ -91,8 +101,8 @@ def density_at(d: LimitDensity, y: float) -> float:
 
 
 # the tanh-sinh rule, h = 1/64 and |kh| <= 4, mapped from [-1, 1] onto [0, 1]:
-# its nodes crowd into both ends, where the integrand peaks at ~ 1/|s|. Built
-# with `math`, as numpy's sinh, tanh and cosh would map 0.3 MB more memory.
+# its nodes crowd into both ends, so into the peak at psi = 0. Built with
+# `math`, as numpy's sinh, tanh and cosh would map 0.3 MB more memory.
 _NODES = np.array([0.5 * (1.0 + math.tanh(0.5 * math.pi * math.sinh(k / 64)))
                    for k in range(-256, 257)])
 _WEIGHTS = np.array([math.pi / 256.0 * math.cosh(k / 64)
@@ -100,26 +110,20 @@ _WEIGHTS = np.array([math.pi / 256.0 * math.cosh(k / 64)
                      for k in range(-256, 257)])
 
 
-def _phi_integrand(d: LimitDensity, phi: np.ndarray) -> np.ndarray:
-    """Density transformed by y = |c| sin(phi); bounded and smooth.
-
-    Where 1 +- c sin(phi) cancels below 1/2 (so c > 1/2 and 1 - c is exact)
-    it is (1 - c) + 2c sin^2(pi/4 +- phi/2), and 1 - c^2 sin^2(phi) is
-    s^2 + c^2 cos^2(phi): the peak ~ 1/|s| keeps full precision at small |s|.
-    """
+def _psi_integrand(d: LimitDensity, psi: np.ndarray) -> np.ndarray:
+    """The density in psi, the angle from its peak end (see the module
+    docstring): bounded and smooth, with any peak at psi = 0."""
     c, s, c2, s2 = _cs(d.coin)
     if d.kind is DensityKind.HALF_TOTAL:
-        return 2.0 * s / (math.pi * (s2 + c2 * np.cos(phi) ** 2))
-    sign = -1.0 if d.kind is DensityKind.HALF_INNER1 else 1.0
-    den = 1.0 + sign * c * np.sin(phi)
-    den = np.where(den < 0.5, (1.0 - c) + 2.0 * c * np.sin(
-        0.25 * math.pi + sign * 0.5 * phi) ** 2, den)
-    return s / (math.pi * den)
+        return 2.0 * s / (math.pi * (s2 + c2 * np.sin(psi) ** 2))
+    if d.kind is DensityKind.HALF_INNER0:
+        return s / (math.pi * (1.0 + c * np.cos(psi)))
+    return s / (math.pi * ((1.0 - c) + 2.0 * c * np.sin(0.5 * psi) ** 2))
 
 
 def _integral(d: LimitDensity, a: float, b: float) -> float:
-    """Integral of `_phi_integrand` over [a, b] by the tanh-sinh rule."""
-    f = _phi_integrand(d, a + (b - a) * _NODES)
+    """Integral of `_psi_integrand` over [a, b] by the tanh-sinh rule."""
+    f = _psi_integrand(d, a + (b - a) * _NODES)
     # not `_WEIGHTS @ f`: the first BLAS call would map 0.5 MB more memory
     return (b - a) * float((_WEIGHTS * f).sum())
 
@@ -166,8 +170,8 @@ def cdf_at(d: LimitDensity, x: float) -> float:
 @lru_cache(maxsize=256)
 def total_mass(d: LimitDensity) -> float:
     """Integral of the density over its whole support."""
-    lo = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
-    return _integral(d, lo, 0.5 * math.pi)
+    hi = math.pi if d.kind is DensityKind.LINE_TOTAL else 0.5 * math.pi
+    return _integral(d, 0.0, hi)
 
 
 class ApproxKind(str, Enum):
@@ -232,7 +236,8 @@ def ks_distance(coin: Coin, t: int,
     elif getattr(state, "kind", None) is not walk or state.t != t:
         raise ValueError(
             f"state must be the {walk.value} walk at t = {t}, got "
-            f"{type(state).__name__} at t = {getattr(state, 't', None)}")
+            f"{getattr(state, 'kind', type(state).__name__)} at t = "
+            f"{getattr(state, 't', None)}")
     p0, p1 = probability_arrays(state)
     if kind is DensityKind.HALF_INNER0:
         weights = p0

@@ -178,6 +178,8 @@ def _cmd_verify(args) -> int:
     coins = [parse_theta(v) for v in args.thetas.split(",") if v]
     ts = _parse_int_list(args.ts)
     report = run_checks(args.suite, coins, ts)
+    if not report.checks:
+        raise UsageError(f"suite {args.suite} has no check at times {args.ts}")
     for check in report.checks:
         print(check.line())
     if args.out:

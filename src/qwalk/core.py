@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,6 +25,9 @@ _RATIONAL_COS2 = {
     4: Fraction(1, 2),
     6: Fraction(3, 4),
 }
+
+# a float angle's cos or sin below this counts as zero
+_TRIG_ZERO = 1e-12
 
 
 class WalkKind(str, Enum):
@@ -57,11 +60,11 @@ class Coin:
             return None
         return _RATIONAL_COS2.get((self.pi_fraction % 2).denominator)
 
-    def is_degenerate(self, tol: float = 1e-12) -> bool:
+    def is_degenerate(self) -> bool:
         """True for angles where the coin is diagonal/antidiagonal (multiples of pi/2)."""
         if self.pi_fraction is not None:
             return (self.pi_fraction % Fraction(1, 2)) == 0
-        return min(abs(self.c), abs(self.s)) < tol
+        return min(abs(self.c), abs(self.s)) < _TRIG_ZERO
 
 
 def make_coin(theta: float) -> Coin:
@@ -85,19 +88,15 @@ def make_coin_pi(fraction: Union[Fraction, int, str]) -> Coin:
                 pi_fraction=frac)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class _WalkState:
-    """Walk state at time t over the window offset..t; amps has one
-    (inner 0, inner 1) row per position, index 0 at ``offset``."""
+class State:
+    """Walk state at time t over the window offset..t: positions 0..t on the
+    half line, -t-1..t on the line. amps has one (inner 0, inner 1) row per
+    position, index 0 at ``offset``, and is frozen."""
 
+    kind: WalkKind
     t: int
     amps: np.ndarray
-    kind: ClassVar[WalkKind]
 
     def __post_init__(self) -> None:
         if self.t < 0:
@@ -109,7 +108,7 @@ class _WalkState:
                 f"support window must cover {lo}..t: expected {shape}, "
                 f"got {self.amps.shape}"
             )
-        _freeze(self.amps)
+        self.amps.flags.writeable = False
 
     @property
     def offset(self) -> int:
@@ -125,38 +124,21 @@ class _WalkState:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-@dataclass(frozen=True)
-class HalfLineState(_WalkState):
-    """Walk state on positions 0..t at time t; amps has shape (t+1, 2)."""
-
-    kind: ClassVar[WalkKind] = WalkKind.HALF_LINE
-
-
-@dataclass(frozen=True)
-class LineState(_WalkState):
-    """Walk state on positions -t-1..t at time t; amps has shape (2t+2, 2).
-
-    Array index 0 holds the amplitude pair of position ``offset`` = -t-1.
-    """
-
-    kind: ClassVar[WalkKind] = WalkKind.LINE
-
-
-def initial_half_line(coin: Coin) -> HalfLineState:
+def initial_half_line(coin: Coin) -> State:
     """State at t=0: position 0 carries e^{-i theta} (1, i)/sqrt(2)."""
     phase = complex(coin.c, -coin.s)
     amps = np.zeros((1, 2), dtype=np.complex128)
     amps[0, 0] = phase * SQRT1_2
     amps[0, 1] = 1j * phase * SQRT1_2
-    return HalfLineState(t=0, amps=amps)
+    return State(WalkKind.HALF_LINE, 0, amps)
 
 
-def initial_line(coin: Coin) -> LineState:
+def initial_line(coin: Coin) -> State:
     """Delocalized state at t=0: positions -1 and 0 carry (c, s)/sqrt(2), all real."""
     amps = np.zeros((2, 2), dtype=np.complex128)
     amps[:, 0] = coin.c * SQRT1_2
     amps[:, 1] = coin.s * SQRT1_2
-    return LineState(t=0, amps=amps)
+    return State(WalkKind.LINE, 0, amps)
 
 
 # probabilities below this are emitted as exact zero to keep subnormal noise

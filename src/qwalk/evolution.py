@@ -33,7 +33,7 @@ stay shareable values.
 """
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -41,15 +41,11 @@ from .core import (
     _PROB_FLOOR,
     Coin,
     Distribution,
-    HalfLineState,
-    LineState,
+    State,
     WalkKind,
     initial_half_line,
     initial_line,
 )
-
-State = Union[HalfLineState, LineState]
-_STATE_TYPES = {cls.kind: cls for cls in (HalfLineState, LineState)}
 
 # steps between scans that drop the subnormal edges of the live sites
 _TRIM_EVERY = 64
@@ -97,7 +93,7 @@ def _windows(kind: WalkKind, amps: np.ndarray, coin: Coin,
     inner 1 at sites lo and lo + 1, which no step writes, stays zero.
     """
     half = kind is WalkKind.HALF_LINE
-    # a complex line window (only step_line can pass one) keeps its
+    # a complex line window (only `step` can pass one) keeps its
     # imaginary part; the line's own start is real
     dtype = np.complex128 if half or amps.imag.any() else np.float64
     w = np.dtype(dtype).itemsize // 8  # floats per site
@@ -144,27 +140,18 @@ def _windows(kind: WalkKind, amps: np.ndarray, coin: Coin,
 
 def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
     """A state owning a complex copy of the (inner 0, inner 1) rows."""
-    amps = window.T.astype(np.complex128, order="C")
-    return _STATE_TYPES[kind](t=t, amps=amps)
+    return State(kind, t, window.T.astype(np.complex128, order="C"))
 
 
-def _step(kind: WalkKind, state: State, coin: Coin) -> State:
-    window = next(_windows(kind, state.amps, coin, 1))
-    return _state(kind, state.t + 1, window)
+def step(state: State, coin: Coin) -> State:
+    """Advance one step: coin everywhere, then the shift of the state's walk.
 
-
-def step_half_line(state: HalfLineState, coin: Coin) -> HalfLineState:
-    """Advance one step: coin everywhere, then the boundary-respecting shift.
-
-    Post-coin inner 0 at x >= 1 moves to x-1; at x = 0 it becomes inner 1 in
-    place; inner 1 moves from x to x+1.
+    On the line the shift is homogeneous. On the half line post-coin inner 0
+    at x >= 1 moves to x-1; at x = 0 it becomes inner 1 in place; inner 1
+    moves from x to x+1.
     """
-    return _step(WalkKind.HALF_LINE, state, coin)
-
-
-def step_line(state: LineState, coin: Coin) -> LineState:
-    """Advance one step: coin everywhere, then the homogeneous shift."""
-    return _step(WalkKind.LINE, state, coin)
+    window = next(_windows(state.kind, state.amps, coin, 1))
+    return _state(state.kind, state.t + 1, window)
 
 
 def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[WalkKind, State]:

@@ -23,7 +23,8 @@ from . import asymptotics
 from .asymptotics import DensityKind, LimitDensity
 from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
                           line_exact)
-from .core import Coin, Distribution, WalkKind, make_coin, make_coin_pi
+from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, make_coin,
+                   make_coin_pi)
 from .evolution import distribution, evolve, iter_states, probability_arrays
 
 TOLERANCES = {
@@ -130,7 +131,7 @@ def _sin_zero(coin: Coin) -> Optional[str]:
     if coin.pi_fraction is not None:
         zero = (coin.pi_fraction % 1) == 0
     else:
-        zero = abs(coin.s) < 1e-12
+        zero = abs(coin.s) < _TRIG_ZERO
     return "theta excluded (sin = 0)" if zero else None
 
 

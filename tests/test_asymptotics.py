@@ -37,10 +37,16 @@ CDF_THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, 1.0, 2.5, 0.3, -0.7,
 
 
 def _quadrature_cdf(d: LimitDensity, xs) -> list[float]:
-    """Reference CDF: the tanh-sinh rule on the phi integrand, panel by panel."""
+    """Reference CDF: the tanh-sinh rule on the psi integrand, panel by panel.
+
+    psi runs up from 0 at y = -|c| on the line and down from pi/2 at y = 0
+    on the half line, so a panel's mass is the absolute value of its
+    integral.
+    """
     lo, hi = d.support
     sub_law = d.kind in (DensityKind.HALF_INNER0, DensityKind.HALF_INNER1)
-    prev = -0.5 * math.pi if d.kind is DensityKind.LINE_TOTAL else 0.0
+    line = d.kind is DensityKind.LINE_TOTAL
+    prev = 0.0 if line else 0.5 * math.pi
     acc = 0.0
     out = []
     for x in xs:
@@ -49,9 +55,10 @@ def _quadrature_cdf(d: LimitDensity, xs) -> list[float]:
         elif x >= hi:
             out.append(total_mass(d) if sub_law else 1.0)
         else:
-            phi = math.asin(min(max(x / hi, -1.0), 1.0))
-            acc += _integral(d, prev, phi)
-            prev = phi
+            cos = min(max(x / hi, -1.0), 1.0)
+            psi = math.acos(-cos if line else cos)
+            acc += abs(_integral(d, prev, psi))
+            prev = psi
             out.append(acc)
     return out
 
@@ -284,6 +291,16 @@ class TestSmallAngles:
             for kind, mass in m.items():
                 d = LimitDensity(coin, kind)
                 assert mass == approx(cdf_at(d, d.support[1]), abs=1e-10)
+
+    @pytest.mark.parametrize("theta", [5e-5, 7e-5, 1e-4])
+    def test_half_total_mass_at_tiny_angles(self, theta):
+        """Over psi the halfTotal law of the squares c^2, s^2 has mass
+        1/sqrt(c^2 + s^2) exactly; the rule keeps it where the peak is
+        ~ 1/|s| high."""
+        coin = make_coin(theta)
+        _, _, c2, s2 = _cs(coin)
+        mass = total_mass(LimitDensity(coin, DensityKind.HALF_TOTAL))
+        assert abs(mass - 1.0 / math.sqrt(c2 + s2)) <= 2e-13
 
     def test_limit_norm_just_above_the_exclusion(self):
         """Where the peak is ~ 1/|s| high the check still returns at once;

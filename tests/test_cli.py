@@ -114,6 +114,19 @@ class TestExitCodes:
         assert (captured.err.startswith("error: ")
                 and len(captured.err.splitlines()) == 1)
 
+    @pytest.mark.parametrize("suite", ["ksConvergence", "exactVsSim"])
+    def test_verify_selecting_no_check_is_exit_2(self, tmp_path, capsys,
+                                                 suite):
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--suite", suite, "--ts", "0", "--out",
+                   str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and len(captured.err.splitlines()) == 1)
+        assert not out.exists()
+
     def test_verify_pass_is_exit_0(self, capsys):
         rc = main(["verify", "--suite", "theorem1", "--thetas", "pi/4",
                    "--ts", "1,2"])

@@ -8,8 +8,7 @@ from pytest import approx
 
 from qwalk import (
     Distribution,
-    HalfLineState,
-    LineState,
+    State,
     WalkKind,
     distribution,
     evolve,
@@ -17,7 +16,7 @@ from qwalk import (
     initial_line,
     make_coin,
     make_coin_pi,
-    step_half_line,
+    step,
 )
 
 SQRT1_2 = math.sqrt(0.5)
@@ -134,13 +133,13 @@ class TestStates:
 
     def test_window_shape_enforced(self):
         with pytest.raises(ValueError):
-            HalfLineState(t=2, amps=np.zeros((2, 2), dtype=complex))
+            State(WalkKind.HALF_LINE, 2, np.zeros((2, 2), dtype=complex))
         with pytest.raises(ValueError):
-            LineState(t=1, amps=np.zeros((3, 2), dtype=complex))
+            State(WalkKind.LINE, 1, np.zeros((3, 2), dtype=complex))
 
     def test_kind_and_offset(self):
-        half = HalfLineState(t=2, amps=np.zeros((3, 2), dtype=complex))
-        line = LineState(t=2, amps=np.zeros((6, 2), dtype=complex))
+        half = State(WalkKind.HALF_LINE, 2, np.zeros((3, 2), dtype=complex))
+        line = State(WalkKind.LINE, 2, np.zeros((6, 2), dtype=complex))
         assert (half.kind, half.offset) == (WalkKind.HALF_LINE, 0)
         assert (line.kind, line.offset) == (WalkKind.LINE, -3)
         assert line.amplitude(-3, 0) == line.amplitude(-3, 1) == 0j
@@ -184,11 +183,11 @@ def test_global_phase_invariance_at_distribution_level(pi4_coin):
     amps = np.zeros((1, 2), dtype=np.complex128)
     amps[0, 0] = SQRT1_2
     amps[0, 1] = 1j * SQRT1_2
-    unphased = HalfLineState(t=0, amps=amps)
+    unphased = State(WalkKind.HALF_LINE, 0, amps)
     phased = initial_half_line(pi4_coin)
     for _ in range(100):
-        unphased = step_half_line(unphased, pi4_coin)
-        phased = step_half_line(phased, pi4_coin)
+        unphased = step(unphased, pi4_coin)
+        phased = step(phased, pi4_coin)
         da = distribution(phased)
         db = distribution(unphased)
         worst = max(
@@ -201,6 +200,6 @@ def test_global_phase_invariance_at_distribution_level(pi4_coin):
 
 def test_evolve_accepts_kind_strings(pi4_coin):
     state = evolve("halfline", pi4_coin, 3)
-    assert isinstance(state, HalfLineState)
+    assert state.kind is WalkKind.HALF_LINE
     state = evolve("line", pi4_coin, 3)
-    assert isinstance(state, LineState)
+    assert state.kind is WalkKind.LINE

@@ -6,8 +6,7 @@ import pytest
 from pytest import approx
 
 from qwalk import (
-    HalfLineState,
-    LineState,
+    State,
     WalkKind,
     distribution,
     evolve,
@@ -16,8 +15,7 @@ from qwalk import (
     iter_states,
     make_coin,
     make_coin_pi,
-    step_half_line,
-    step_line,
+    step,
 )
 from qwalk.cli import main
 from qwalk.evolution import probability_arrays
@@ -43,7 +41,7 @@ EXACTNESS_COINS = (
 )
 
 
-def reference_step_half_line(state, coin):
+def reference_half_line_step(state, coin):
     """Complex-arithmetic step, one fresh window per step."""
     a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
     a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
@@ -52,10 +50,10 @@ def reference_step_half_line(state, coin):
     amps[: n - 2, 0] = a0[1:]
     amps[0, 1] = a0[0]
     amps[1:, 1] = a1
-    return HalfLineState(t=state.t + 1, amps=amps)
+    return State(WalkKind.HALF_LINE, state.t + 1, amps)
 
 
-def reference_step_line(state, coin):
+def reference_line_step(state, coin):
     """Complex-arithmetic step, one fresh window per step."""
     a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
     a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
@@ -65,12 +63,12 @@ def reference_step_line(state, coin):
     # the left-movers, old_index + 2 for the right-movers
     amps[:old, 0] = a0
     amps[2 : old + 2, 1] = a1
-    return LineState(t=state.t + 1, amps=amps)
+    return State(WalkKind.LINE, state.t + 1, amps)
 
 
 REFERENCE = {
-    WalkKind.HALF_LINE: (initial_half_line, reference_step_half_line),
-    WalkKind.LINE: (initial_line, reference_step_line),
+    WalkKind.HALF_LINE: (initial_half_line, reference_half_line_step),
+    WalkKind.LINE: (initial_line, reference_line_step),
 }
 
 
@@ -102,12 +100,12 @@ def trimmed_reference_states(kind, coin, steps):
             first = 0 if kind is WalkKind.HALF_LINE else normal[0]
             amps = np.zeros_like(state.amps)
             amps[first:normal[-1] + 1] = state.amps[first:normal[-1] + 1]
-            state = type(state)(t=t, amps=amps)
+            state = State(kind, t, amps)
 
 
 def assert_same_walk(state, ref):
     """Equal amplitudes (a zero may differ in sign), equal probability bytes."""
-    assert type(state) is type(ref) and state.t == ref.t
+    assert state.kind is ref.kind and state.t == ref.t
     assert state.amps.dtype == np.complex128
     assert np.array_equal(state.amps, ref.amps)
     for p, q in zip(probability_arrays(state), probability_arrays(ref)):
@@ -122,7 +120,7 @@ def assert_same_walk_where_squares_count(state, ref):
     component of size 2^-537 or more in either state is bit-identical, and
     an exact zero the reference does not hold replaces a subnormal.
     """
-    assert type(state) is type(ref) and state.t == ref.t
+    assert state.kind is ref.kind and state.t == ref.t
     for p, q in zip(probability_arrays(state), probability_arrays(ref)):
         assert p.tobytes() == q.tobytes()
     a = state.amps.view(np.float64)
@@ -163,7 +161,7 @@ class TestStepHalfLine:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 3, 1.0, 2.5])
     def test_one_step_amplitudes(self, theta):
         coin = make_coin(theta)
-        state = step_half_line(initial_half_line(coin), coin)
+        state = step(initial_half_line(coin), coin)
         b0, b1 = hand_half_line_t1(coin)
         assert state.t == 1
         assert state.amplitude(0, 0) == approx(0, abs=1e-16)
@@ -174,7 +172,7 @@ class TestStepHalfLine:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 1.0])
     def test_one_step_distribution_is_half_half(self, theta):
         coin = make_coin(theta)
-        dist = distribution(step_half_line(initial_half_line(coin), coin))
+        dist = distribution(step(initial_half_line(coin), coin))
         assert dist.prob(0) == approx(0.5, abs=1e-15)
         assert dist.prob(1) == approx(0.5, abs=1e-15)
 
@@ -201,7 +199,7 @@ class TestStepLine:
         # cancels on the first step, for every angle
         for theta in (0.4, math.pi / 4, 2.2):
             coin = make_coin(theta)
-            state = step_line(initial_line(coin), coin)
+            state = step(initial_line(coin), coin)
             assert state.amplitude(-2, 0) == approx(SQRT1_2, abs=1e-15)
             assert state.amplitude(-1, 0) == approx(SQRT1_2, abs=1e-15)
             p = distribution(state)
@@ -317,18 +315,18 @@ class TestExactness:
         assert capsys.readouterr().out == render_csv(table)
 
     def test_single_steps_from_any_state(self):
-        # step_line keeps the imaginary part of a complex line window
+        # step keeps the imaginary part of a complex line window
         rng = np.random.default_rng(7)
         coin = make_coin(0.8)
         for t in (0, 1, 5):
             amps = (rng.standard_normal((2 * t + 2, 2))
                     + 1j * rng.standard_normal((2 * t + 2, 2)))
-            line = LineState(t=t, amps=amps)
-            assert_same_walk(step_line(line, coin),
-                             reference_step_line(line, coin))
-            half = HalfLineState(t=t, amps=amps[: t + 1].copy())
-            assert_same_walk(step_half_line(half, coin),
-                             reference_step_half_line(half, coin))
+            line = State(WalkKind.LINE, t, amps)
+            assert_same_walk(step(line, coin),
+                             reference_line_step(line, coin))
+            half = State(WalkKind.HALF_LINE, t, amps[: t + 1].copy())
+            assert_same_walk(step(half, coin),
+                             reference_half_line_step(half, coin))
 
     @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
     def test_collected_states_stay_valid(self, kind):
@@ -387,12 +385,10 @@ class TestDistribution:
             assert abs(state.norm_sq() - 1.0) <= 1e-13
 
     def test_subnormal_probabilities_floored_to_zero(self):
-        from qwalk import LineState
-
         amps = np.zeros((2, 2), dtype=np.complex128)
         amps[0, 0] = 1e-160  # squares to a subnormal
         amps[1, 1] = 1.0
-        dist = distribution(LineState(t=0, amps=amps))
+        dist = distribution(State(WalkKind.LINE, 0, amps))
         assert dist.p0[0] == 0.0
         assert dist.p[0] == 0.0
         assert dist.p1[1] == 1.0

@@ -116,7 +116,7 @@ def _initial(kind: WalkKind) -> tuple[list, list, int]:
     )
 
 
-def _step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
+def _field_step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
     # coin at pi/4: a0' = (a + b)*sqrt2/2, a1' = (a - b)*sqrt2/2, then shift
     c0 = [(x + y).mul_sqrt2_half() for x, y in zip(a, b)]
     c1 = [(x - y).mul_sqrt2_half() for x, y in zip(a, b)]
@@ -143,7 +143,7 @@ def _reference_series(kind: WalkKind, t_max: int):
     a, b, offset = _initial(kind)
     yield _snapshot(kind, 0, a, b, offset)
     for t in range(1, t_max + 1):
-        a, b = _step(kind, a, b)
+        a, b = _field_step(kind, a, b)
         if kind is WalkKind.LINE:
             offset -= 1
         yield _snapshot(kind, t, a, b, offset)
