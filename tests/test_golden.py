@@ -6,8 +6,9 @@ oracle that built one Fraction per site, and the float-angle exact and
 sweep digests while `exact` and `sweep` still took a precision option, and
 the figure, pi/3 exact and evolve/approx sweep digests while the half-line
 closed form still ran separate branch loops for even and odd t, and the
-fig2 and fig3 digests before `figure_data` read its figures from one table;
-any change to them is a change of output bytes.
+fig2 and fig3 digests before `figure_data` read its figures from one table,
+and the t = 5000 simulate digests while the renderers still formatted one
+cell at a time; any change to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -49,6 +50,23 @@ def _sha(data: bytes) -> str:
 def test_stdout_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("walk, fmt, digest", [
+    ("line", "csv",
+     "8e4878bd67630a6ffc49b65bc335e60b4f539c6ce9d3281a56bef31b3933a690"),
+    ("line", "json",
+     "65a8b8c04ef08827b598bb3bf1f263619c10ec2df67393ff189e6ddf67cbbb12"),
+    ("halfline", "csv",
+     "cfcad923d6deb695c5150d6fb43a72cb9f52e3f0d5d554dfd50bca7a26c6df77"),
+    ("halfline", "json",
+     "add525854a086c94165aebbfd21ddaf798e5b5c299a89d5ec680ea09b9bd6c3e"),
+], ids=["line-csv", "line-json", "halfline-csv", "halfline-json"])
+def test_long_walk_table_bytes_are_pinned(walk, fmt, digest, tmp_path):
+    out = tmp_path / f"out.{fmt}"
+    assert main(["simulate", "--walk", walk, "--theta", "1.0", "--steps",
+                 "5000", "--format", fmt, "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == digest
 
 
