@@ -24,7 +24,8 @@ Measured, each as the median process time of --runs runs:
   at t = 1000, theta = 1.0 and at t = 3000, theta = pi/3 (long enough that
   pi/3's tables too are rounded from the top bits of their factors);
 - `render_csv` and `render_json` of the line walk's table at t = 5000,
-  theta = 1.0 (the table is built once, outside the timing).
+  theta = 1.0 (the table is built once, outside the timing), and
+  `read_table_json` of that table's JSON file.
 
 Each entry holds the median and the quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
@@ -45,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -59,8 +61,8 @@ from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
 from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
-from qwalk.harness import (canonical_coins, render_csv, render_json,
-                           run_checks, table_from_distribution)
+from qwalk.harness import (canonical_coins, read_table_json, render_csv,
+                           render_json, run_checks, table_from_distribution)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
@@ -200,10 +202,15 @@ def measure(size: str, runs: int) -> dict:
     for fn in (render_csv, render_json):
         record(f"{fn.__name__}_t{t_render}.ms", "line@1.0",
                lambda: fn(table), 1e3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(render_json(table), encoding="utf-8")
+        record(f"read_table_json_t{t_render}.ms", "line@1.0",
+               lambda: read_table_json(path), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {
-        "about": "evolution, oracle, closed-form and render timings; "
+        "about": "evolution, oracle, closed-form, render and read timings; "
                  "medians and quartiles of process time, each with the "
                  "interpreter kernel's median time taken just before it",
         "git": _git(tree),

@@ -150,6 +150,10 @@ _CUT_BITS = {Precision.DOUBLE: 128, Precision.DOUBLE_DOUBLE: 200}
 # at 3,000 bits 0.68-0.88 (theta = 1.0 and 0.3 at t = 20-30, pi/3 and
 # pi/6 at t = 1000-1500, pi/4 at t = 2000-3000)
 _CUT_MIN_BITS = 2400
+# the largest q^(t-1) a table may build: 100 times the 10^6 bits of a
+# table at theta = 1.0, t = 10^4, and far below what exhausts memory, so
+# an oversized t is refused before the power is taken
+_MAX_PREF_BITS = 10 ** 8
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
@@ -205,6 +209,11 @@ class _RationalConsts:
         self.t = t
         self.precision = precision
         self.round = _ROUNDING[precision]
+        if (t - 1) * q.bit_length() > _MAX_PREF_BITS:
+            raise MemoryError(
+                f"a closed-form table at t = {t} needs q^(t-1) of about "
+                f"{(t - 1) * q.bit_length()} bits, over the "
+                f"{_MAX_PREF_BITS}-bit cap")
         # the prefactor c^(2(t-1)) / 2
         self.pref_den = 2 * q ** (t - 1)
         self.pref = self.round(self.p ** (t - 1), self.pref_den)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,20 +427,51 @@ def _fmt(v) -> str:
     return repr(f)
 
 
+def _json_value(v) -> str:
+    # the text json.dumps gives one value; finite floats skip its encoder
+    if type(v) is float and math.isfinite(v):
+        return repr(v)
+    return json.dumps(v)
+
+
+def _cells(column: Sequence, fmt: Callable[[object], str]) -> list[str]:
+    """``fmt`` of each value of a column, run once per distinct value.
+
+    Equal values print differently only across types (1 and 1.0) or as zeros
+    of opposite sign (0.0 and -0.0), so only a column of one type shares its
+    texts, and each zero is formatted apart. Both formats print an int with
+    ``str``.
+    """
+    types = set(map(type, column))
+    if types == {int}:
+        return list(map(str, column))
+    if len(types) > 1:
+        return list(map(fmt, column))
+    memo = {v: fmt(v) for v in dict.fromkeys(column)}
+    return [memo[v] if v != 0.0 else fmt(v) for v in column]
+
+
+def _columns(rows: Sequence[tuple], width: int) -> list[tuple]:
+    """The columns of ``rows``; ``width`` empty ones when there is no row."""
+    return list(zip(*rows)) or [()] * width
+
+
 def render_csv(table: OutputTable) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cells = [_cells(column, _fmt)
+             for column in _columns(table.rows, len(table.columns))]
+    return "\n".join([",".join(table.columns),
+                      *map(",".join, zip(*cells))]) + "\n"
 
 
 def render_json(table: OutputTable) -> str:
-    rows = []
-    for i, row in enumerate(table.rows):
-        obj = dict(zip(table.columns, row))
-        if table.exact_rows:
-            obj.update(zip(table.exact_columns, table.exact_rows[i]))
-        rows.append(obj)
+    keys = table.columns
+    columns = _columns(table.rows, len(keys))
+    if table.exact_rows:
+        keys += table.exact_columns
+        columns += _columns(table.exact_rows, len(table.exact_columns))
+    cells = [_cells(column, _json_value) for column in columns]
+    template = "{%s}" % ",".join(json.dumps(k).replace("%", "%%") + ":%s"
+                                 for k in keys)
     doc = {
         "meta": {
             "kind": table.kind,
@@ -448,9 +480,12 @@ def render_json(table: OutputTable) -> str:
             "route": table.route,
         },
         "columns": list(table.columns),
-        "rows": rows,
+        "rows": [],
     }
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+    # the head is json.dumps's own text, up to the rows' closing "]}"
+    head = json.dumps(doc, indent=None, separators=(",", ":"))[:-2]
+    return (head + ",".join([template % values for values in zip(*cells)])
+            + "]}\n")
 
 
 def emit(table: OutputTable, format: str, destination) -> None:
@@ -467,24 +502,29 @@ def emit(table: OutputTable, format: str, destination) -> None:
     Path(destination).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _getter(keys: Sequence[str]) -> Callable[[dict], tuple]:
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda obj: tuple(obj[k] for k in keys)
+
+
 def read_table_json(path) -> OutputTable:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     meta = doc["meta"]
     columns = tuple(doc["columns"])
-    base_cols = [c for c in columns]
-    rows = []
-    exact_rows = []
-    exact_columns: tuple[str, ...] = ()
-    for obj in doc["rows"]:
-        rows.append(tuple(obj[c] for c in base_cols))
-        extras = tuple(k for k in obj if k not in base_cols)
-        if extras:
-            exact_columns = extras
-            exact_rows.append(tuple(obj[k] for k in extras))
+    objs = doc["rows"]
+    rows = tuple(map(_getter(columns), objs))
+    # a row with keys beyond the columns carries exact values
+    base = set(columns)
+    wide = [obj for obj in objs if len(obj) > len(base)]
+    exact_rows = tuple(tuple(obj[k] for k in obj if k not in base)
+                       for obj in wide)
+    exact_columns = (tuple(k for k in wide[-1] if k not in base) if wide
+                     else ())
     return OutputTable(
         kind=meta["kind"], theta=meta["theta"], t=meta["t"],
-        route=meta["route"], columns=columns, rows=tuple(rows),
-        exact_columns=exact_columns, exact_rows=tuple(exact_rows),
+        route=meta["route"], columns=columns, rows=rows,
+        exact_columns=exact_columns, exact_rows=exact_rows,
     )
 
 

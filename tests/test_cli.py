@@ -171,11 +171,16 @@ class TestExitCodes:
         ["sweep", "--route", "approx", "--thetas", "1.0",
          "--ts", "99999999999", "--out", "{tmp}"],
         ["limit", "--theta", "1.0", "--points", "99999999999"],
-    ], ids=["simulate", "sweep", "approx", "sweep-approx", "limit"])
+        ["exact", "--theta", "1.0", "--steps", "99999999999"],
+        ["sweep", "--route", "exact", "--thetas", "1.0",
+         "--ts", "99999999999", "--out", "{tmp}"],
+    ], ids=["simulate", "sweep", "approx", "sweep-approx", "limit", "exact",
+            "sweep-exact"])
     def test_oversized_steps_is_exit_2(self, tmp_path, command):
-        # 10^11 steps need terabytes, which numpy refuses at once; the
-        # address-space limit makes sure the child never allocates lazily,
-        # and one BLAS thread keeps numpy's own reservations under it
+        # 10^11 steps need terabytes, which numpy and the closed forms' bit
+        # cap refuse at once; the address-space limit makes sure the child
+        # never allocates lazily, and one BLAS thread keeps numpy's own
+        # reservations under it
         code = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)); "
                 "from qwalk.cli import main; sys.exit(main(sys.argv[1:]))")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from pytest import approx
 
 from qwalk import (
@@ -30,6 +31,8 @@ from qwalk.harness import (
     canonical_coins,
     ks_tolerance,
     read_table_json,
+    render_csv,
+    render_json,
     route_table,
     table_from_distribution,
     table_from_exact,
@@ -53,6 +56,67 @@ def read_rows_csv(path) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
                 vals.append(float(cell))
         rows.append(tuple(vals))
     return header, tuple(rows)
+
+
+def _reference_fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if f == 0.0:
+        return "0"
+    return repr(f)
+
+
+def reference_render_csv(table: OutputTable) -> str:
+    """CSV formatted one cell at a time: what render_csv must equal."""
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(_reference_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_json(table: OutputTable) -> str:
+    """JSON from one dict per row: what render_json must equal."""
+    rows = []
+    for i, row in enumerate(table.rows):
+        obj = dict(zip(table.columns, row))
+        if table.exact_rows:
+            obj.update(zip(table.exact_columns, table.exact_rows[i]))
+        rows.append(obj)
+    doc = {
+        "meta": {
+            "kind": table.kind,
+            "theta": table.theta,
+            "t": table.t,
+            "route": table.route,
+        },
+        "columns": list(table.columns),
+        "rows": rows,
+    }
+    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+
+
+def reference_read_table_json(path) -> OutputTable:
+    """A table read back one row at a time: what read_table_json must equal."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    meta = doc["meta"]
+    columns = tuple(doc["columns"])
+    rows = []
+    exact_rows = []
+    exact_columns: tuple[str, ...] = ()
+    for obj in doc["rows"]:
+        rows.append(tuple(obj[c] for c in columns))
+        extras = tuple(k for k in obj if k not in columns)
+        if extras:
+            exact_columns = extras
+            exact_rows.append(tuple(obj[k] for k in extras))
+    return OutputTable(
+        kind=meta["kind"], theta=meta["theta"], t=meta["t"],
+        route=meta["route"], columns=columns, rows=tuple(rows),
+        exact_columns=exact_columns, exact_rows=tuple(exact_rows),
+    )
 
 
 def hand_half_t1() -> Distribution:
@@ -287,6 +351,94 @@ class TestEmit:
         table = table_from_distribution(hand_half_t1(), "evolve", 1.0)
         with pytest.raises(OSError):
             emit(table, "csv", tmp_path / "missing_dir" / "t.csv")
+
+
+# equal values that print differently (0.0 and -0.0, 1 and 1.0), the
+# smallest subnormal, and the values JSON spells in words
+_SPECIALS = (0.0, -0.0, 0, 1, 1.0, -1.0, 5e-324, -5e-324, 1e-310, math.nan,
+             math.inf, -math.inf, None)
+
+# the values of one column: any double or int, None, numpy doubles, repeats
+# within one type, and repeats across types
+_COLUMN_VALUES = st.sampled_from([
+    st.floats(),
+    st.integers(),
+    st.none(),
+    st.floats().map(np.float64),
+    st.sampled_from((0.0, -0.0, 1.0, 5e-324, math.inf, 0.25)),
+    st.sampled_from(_SPECIALS),
+])
+
+
+@st.composite
+def _tables(draw) -> OutputTable:
+    names = draw(st.lists(st.text(), min_size=1, max_size=7, unique=True))
+    width = draw(st.integers(1, min(4, len(names))))
+    columns, exact_columns = tuple(names[:width]), tuple(names[width:])
+    n = draw(st.integers(0, 12))
+    cells = [draw(st.lists(draw(_COLUMN_VALUES), min_size=n, max_size=n))
+             for _ in columns]
+    exact = [draw(st.lists(st.text(), min_size=n, max_size=n))
+             for _ in exact_columns]
+    return OutputTable(
+        kind=draw(st.text()), theta=draw(st.floats()),
+        t=draw(st.none() | st.integers()), route=draw(st.text()),
+        columns=columns, rows=tuple(zip(*cells)),
+        exact_columns=exact_columns, exact_rows=tuple(zip(*exact)))
+
+
+def _table(columns, rows, **exact) -> OutputTable:
+    return OutputTable(kind="line", theta=1.0, t=3, route="evolve",
+                       columns=columns, rows=rows, **exact)
+
+
+class TestColumnRenderers:
+    """The column-wise renderers against the per-cell references."""
+
+    @pytest.fixture(scope="class")
+    def json_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("tables") / "table.json"
+
+    @given(table=_tables())
+    @example(table=_table(("p",), ((0.0,), (-0.0,), (1,), (1.0,), (-0.0,))))
+    @example(table=_table(("x", "p0", "p"), ()))
+    @example(table=_table(("x", "p0", "p"), ((-1, None, 0.5), (0, None, 0.5))))
+    @example(table=_table(
+        ("x", "p"), ((0, 0.5), (1, 0.5)), exact_columns=("p_exact",),
+        exact_rows=(("1/2",), ("1/2",))))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_reference_and_read_back(self, table, json_path):
+        assert render_csv(table) == reference_render_csv(table)
+        text = render_json(table)
+        assert text == reference_render_json(table)
+        json_path.write_text(text, encoding="utf-8")
+        back = read_table_json(json_path)
+        # repr, not ==, so a nan read back matches itself
+        assert repr(back) == repr(reference_read_table_json(json_path))
+        assert render_json(back) == text
+        assert len(back.rows) == len(table.rows)
+
+    def test_a_one_column_table_reads_back(self, json_path):
+        table = _table(("x",), ((1,), (2,)))
+        json_path.write_text(render_json(table), encoding="utf-8")
+        assert read_table_json(json_path).rows == table.rows
+
+    def test_signed_zeros_and_ints_keep_their_own_text(self):
+        table = _table(("p",), ((0.0,), (-0.0,), (1,), (1.0,), (-0.0,)))
+        assert render_json(table).endswith(
+            '"rows":[{"p":0.0},{"p":-0.0},{"p":1},{"p":1.0},{"p":-0.0}]}\n')
+        assert render_csv(table) == "p\n0\n0\n1\n1.0\n0\n"
+
+    def test_oracle_table_matches_the_reference(self):
+        table = table_from_exact(q2_oracle_distribution(WalkKind.LINE, 9),
+                                 math.pi / 4)
+        assert render_json(table) == reference_render_json(table)
+        assert render_csv(table) == reference_render_csv(table)
+
+    def test_fig2_series_matches_the_reference(self):
+        for table in figure_data("fig2")[:1]:
+            assert render_csv(table) == reference_render_csv(table)
+            assert render_json(table) == reference_render_json(table)
 
 
 class TestFigureData:
