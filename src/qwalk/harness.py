@@ -417,14 +417,14 @@ def table_from_exact(dist: Distribution, theta: float,
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if f == 0.0:
-        return "0"
-    return repr(f)
+    # an exact float, nearly every value a table holds, skips the type tests
+    if type(v) is not float:
+        if v is None:
+            return ""
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        v = float(v)
+    return repr(v) if v else "0"
 
 
 def _json_value(v) -> str:
