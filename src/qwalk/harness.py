@@ -503,6 +503,7 @@ def emit(table: OutputTable, format: str, destination) -> None:
 
 
 def _getter(keys: Sequence[str]) -> Callable[[dict], tuple]:
+    # itemgetter of one key gives the bare value, and of none is an error
     if len(keys) > 1:
         return operator.itemgetter(*keys)
     return lambda obj: tuple(obj[k] for k in keys)
