@@ -8,7 +8,9 @@ the figure, pi/3 exact and evolve/approx sweep digests while the half-line
 closed form still ran separate branch loops for even and odd t, and the
 fig2 and fig3 digests before `figure_data` read its figures from one table,
 and the t = 5000 simulate digests while the renderers still formatted one
-cell at a time; any change to them is a change of output bytes.
+cell at a time, and the two oracle CSV digests while the oracle table still
+held its exact values as a second column set; any change to them is a
+change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -46,6 +48,10 @@ def _sha(data: bytes) -> str:
      "cf8fec10b0538c7d6e13aeaf666f37b3fdddb46c0a0bbbb3ef60382fd3a9f95d"),
     (["oracle", "--walk", "halfline", "--steps", "200", "--format", "json"],
      "d2dbfc4198d1f919c53a63becd9cdce5681300d01bdb094a6277aacb4fd43c06"),
+    (["oracle", "--walk", "line", "--steps", "200", "--format", "csv"],
+     "2498e7027af20c6d0add40edf0776575804bec80d975ab15a9a052c443074e81"),
+    (["oracle", "--walk", "halfline", "--steps", "200", "--format", "csv"],
+     "193fb251e3cbb2b2f50e2fe89c70b14cf7dd58d7d3190f37c018b526724774d7"),
 ])
 def test_stdout_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"
