@@ -32,8 +32,7 @@ from .core import (
     Distribution,
     State,
     WalkKind,
-    initial_half_line,
-    initial_line,
+    initial,
     make_coin,
     make_coin_pi,
 )
@@ -87,8 +86,7 @@ __all__ = [
     "half_line_exact_by_inner",
     "half_line_exact_total",
     "half_line_exact_values",
-    "initial_half_line",
-    "initial_line",
+    "initial",
     "iter_states",
     "ks_distance",
     "line_exact",

@@ -101,9 +101,11 @@ def density_at(d: LimitDensity, y: float) -> float:
 
 
 # the tanh-sinh rule, h = 1/64 and |kh| <= 4, mapped from [-1, 1] onto [0, 1]:
-# its nodes crowd into both ends, so into the peak at psi = 0. Built with
-# `math`, as numpy's sinh, tanh and cosh would map 0.3 MB more memory.
-_NODES = np.array([0.5 * (1.0 + math.tanh(0.5 * math.pi * math.sinh(k / 64)))
+# its nodes crowd into both ends, so into the peak at psi = 0. A node is
+# 0.5 (1 + tanh(pi/2 sinh kh)) written as 1/(1 + e^(-pi sinh kh)), which
+# keeps its relative precision near 0, where 1 + tanh cancels. Built with
+# `math`, as numpy's sinh, exp and cosh would map 0.3 MB more memory.
+_NODES = np.array([1.0 / (1.0 + math.exp(-math.pi * math.sinh(k / 64)))
                    for k in range(-256, 257)])
 _WEIGHTS = np.array([math.pi / 256.0 * math.cosh(k / 64)
                      / math.cosh(0.5 * math.pi * math.sinh(k / 64)) ** 2

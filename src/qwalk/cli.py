@@ -20,7 +20,8 @@ from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
 from .closed_form import PrecisionError
 from .core import Coin, WalkKind, make_coin, make_coin_pi
-from .harness import OutputTable, emit, figure_data, run_checks, table_from_exact
+from .harness import (OutputTable, emit, figure_data, run_checks,
+                      table_from_distribution, table_meta)
 from .qfield import q2_oracle_distribution
 
 _PI_FORM = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
@@ -143,7 +144,8 @@ def _cmd_oracle(args) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     dist = q2_oracle_distribution(_walk_kind(args.walk), args.steps)
-    emit(table_from_exact(dist, coin.theta), args.format, args.out)
+    emit(table_from_distribution(dist, "oracle", coin.theta), args.format,
+         args.out)
     return 0
 
 
@@ -166,10 +168,8 @@ def _cmd_limit(args) -> int:
     else:
         rows = list(zip(xs, cdf_grid(d, xs).tolist()))
         columns = ("x", "cdf")
-    table = OutputTable(
-        kind=args.kind, theta=coin.theta, t=None, route="limit",
-        columns=columns, rows=tuple(rows),
-    )
+    table = OutputTable(meta=table_meta(args.kind, coin.theta, None, "limit"),
+                        columns=columns, rows=tuple(rows))
     emit(table, args.format, args.out)
     return 0
 

@@ -124,17 +124,16 @@ class State:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-def initial_half_line(coin: Coin) -> State:
-    """State at t=0: position 0 carries e^{-i theta} (1, i)/sqrt(2)."""
-    phase = complex(coin.c, -coin.s)
-    amps = np.zeros((1, 2), dtype=np.complex128)
-    amps[0, 0] = phase * SQRT1_2
-    amps[0, 1] = 1j * phase * SQRT1_2
-    return State(WalkKind.HALF_LINE, 0, amps)
-
-
-def initial_line(coin: Coin) -> State:
-    """Delocalized state at t=0: positions -1 and 0 carry (c, s)/sqrt(2), all real."""
+def initial(kind: WalkKind, coin: Coin) -> State:
+    """State at t=0. On the half line, position 0 carries
+    e^{-i theta} (1, i)/sqrt(2); the line starts delocalized, positions -1
+    and 0 carrying (c, s)/sqrt(2), all real."""
+    if WalkKind(kind) is WalkKind.HALF_LINE:
+        phase = complex(coin.c, -coin.s)
+        amps = np.zeros((1, 2), dtype=np.complex128)
+        amps[0, 0] = phase * SQRT1_2
+        amps[0, 1] = 1j * phase * SQRT1_2
+        return State(WalkKind.HALF_LINE, 0, amps)
     amps = np.zeros((2, 2), dtype=np.complex128)
     amps[:, 0] = coin.c * SQRT1_2
     amps[:, 1] = coin.s * SQRT1_2

@@ -43,8 +43,7 @@ from .core import (
     Distribution,
     State,
     WalkKind,
-    initial_half_line,
-    initial_line,
+    initial,
 )
 
 # steps between scans that drop the subnormal edges of the live sites
@@ -158,10 +157,8 @@ def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[WalkKind, State]:
     """The walk kind and its initial state, once ``steps`` is checked."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    kind = WalkKind(kind)
-    if kind is WalkKind.HALF_LINE:
-        return kind, initial_half_line(coin)
-    return kind, initial_line(coin)
+    state = initial(kind, coin)
+    return state.kind, state
 
 
 def evolve(kind: WalkKind, coin: Coin, steps: int) -> State:

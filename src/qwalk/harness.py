@@ -378,41 +378,27 @@ def run_checks(suite: str, thetas: Sequence[Union[Coin, float]],
 # output tables
 
 
+def table_meta(kind: str, theta: float, t: Optional[int], route: str) -> dict:
+    """The metadata that says how a table was made: its JSON "meta" object."""
+    return {"kind": kind, "theta": theta, "t": t, "route": route}
+
+
 @dataclass(frozen=True)
 class OutputTable:
     """Rows plus the metadata needed to reproduce them."""
 
-    kind: str
-    theta: float
-    t: Optional[int]
-    route: str
+    meta: dict
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     label: str = ""
-    exact_columns: tuple[str, ...] = ()
-    exact_rows: tuple[tuple, ...] = ()
 
 
 def table_from_distribution(dist: Distribution, route: str, theta: float,
                             label: str = "") -> OutputTable:
     rows = tuple(zip(dist.positions(), dist.p0, dist.p1, dist.p))
     return OutputTable(
-        kind=dist.kind.value, theta=theta, t=dist.t, route=route,
+        meta=table_meta(dist.kind.value, theta, dist.t, route),
         columns=("x", "p0", "p1", "p"), rows=rows, label=label,
-    )
-
-
-def table_from_exact(dist: Distribution, theta: float,
-                     label: str = "") -> OutputTable:
-    rows = tuple(zip(dist.positions(), map(float, dist.p0),
-                     map(float, dist.p1), map(float, dist.p)))
-    exact_rows = tuple(zip(map(str, dist.p0), map(str, dist.p1),
-                           map(str, dist.p)))
-    return OutputTable(
-        kind=dist.kind.value, theta=theta, t=dist.t, route="oracle",
-        columns=("x", "p0", "p1", "p"), rows=rows, label=label,
-        exact_columns=("p0_exact", "p1_exact", "p_exact"),
-        exact_rows=exact_rows,
     )
 
 
@@ -428,10 +414,11 @@ def _fmt(v) -> str:
 
 
 def _json_value(v) -> str:
-    # the text json.dumps gives one value; finite floats skip its encoder
+    # the text json.dumps gives one value, a Fraction's that of its double;
+    # finite floats skip its encoder
     if type(v) is float and math.isfinite(v):
         return repr(v)
-    return json.dumps(v)
+    return json.dumps(float(v) if type(v) is Fraction else v)
 
 
 def _cells(column: Sequence, fmt: Callable[[object], str]) -> list[str]:
@@ -466,22 +453,16 @@ def render_csv(table: OutputTable) -> str:
 def render_json(table: OutputTable) -> str:
     keys = table.columns
     columns = _columns(table.rows, len(keys))
-    if table.exact_rows:
-        keys += table.exact_columns
-        columns += _columns(table.exact_rows, len(table.exact_columns))
+    # a column of Fractions also gives its exact texts, after the row's other
+    # keys, as "<name>_exact"
+    for name, column in zip(table.columns, list(columns)):
+        if all(type(v) is Fraction for v in column):
+            keys += (name + "_exact",)
+            columns.append(list(map(str, column)))
     cells = [_cells(column, _json_value) for column in columns]
     template = "{%s}" % ",".join(json.dumps(k).replace("%", "%%") + ":%s"
                                  for k in keys)
-    doc = {
-        "meta": {
-            "kind": table.kind,
-            "theta": table.theta,
-            "t": table.t,
-            "route": table.route,
-        },
-        "columns": list(table.columns),
-        "rows": [],
-    }
+    doc = {"meta": table.meta, "columns": list(table.columns), "rows": []}
     # the head is json.dumps's own text, up to the rows' closing "]}"
     head = json.dumps(doc, indent=None, separators=(",", ":"))[:-2]
     return (head + ",".join([template % values for values in zip(*cells)])
@@ -511,22 +492,16 @@ def _getter(keys: Sequence[str]) -> Callable[[dict], tuple]:
 
 def read_table_json(path) -> OutputTable:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    meta = doc["meta"]
     columns = tuple(doc["columns"])
     objs = doc["rows"]
-    rows = tuple(map(_getter(columns), objs))
-    # a row with keys beyond the columns carries exact values
-    base = set(columns)
-    wide = [obj for obj in objs if len(obj) > len(base)]
-    exact_rows = tuple(tuple(obj[k] for k in obj if k not in base)
-                       for obj in wide)
-    exact_columns = (tuple(k for k in wide[-1] if k not in base) if wide
-                     else ())
-    return OutputTable(
-        kind=meta["kind"], theta=meta["theta"], t=meta["t"],
-        route=meta["route"], columns=columns, rows=rows,
-        exact_columns=exact_columns, exact_rows=exact_rows,
-    )
+    # a column with "<name>_exact" texts reads back as Fractions
+    extra = set(objs[0]).difference(columns) if objs else ()
+    keys = [c + "_exact" if c + "_exact" in extra else c for c in columns]
+    rows = tuple(map(_getter(keys), objs))
+    if extra:
+        rows = tuple(zip(*(map(Fraction, column) if key in extra else column
+                           for key, column in zip(keys, zip(*rows)))))
+    return OutputTable(meta=doc["meta"], columns=columns, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +560,9 @@ def _series_tables(coin: Coin, t_max: int, step: int) -> list[OutputTable]:
                 rows.extend((t, x, p) for x, p in enumerate(column.tolist()))
     return [
         OutputTable(
-            kind=WalkKind.HALF_LINE.value, theta=coin.theta, t=None,
-            route="evolve", columns=("t", "x", "p"), rows=tuple(rows),
+            meta=table_meta(WalkKind.HALF_LINE.value, coin.theta, None,
+                            "evolve"),
+            columns=("t", "x", "p"), rows=tuple(rows),
             label=f"fig2_{name}_series",
         )
         for name, rows in series.items()

@@ -300,7 +300,7 @@ class TestSmallAngles:
         coin = make_coin(theta)
         _, _, c2, s2 = _cs(coin)
         mass = total_mass(LimitDensity(coin, DensityKind.HALF_TOTAL))
-        assert abs(mass - 1.0 / math.sqrt(c2 + s2)) <= 2e-13
+        assert abs(mass - 1.0 / math.sqrt(c2 + s2)) <= 1e-15
 
     def test_limit_norm_just_above_the_exclusion(self):
         """Where the peak is ~ 1/|s| high the check still returns at once;

@@ -12,8 +12,7 @@ from qwalk import (
     WalkKind,
     distribution,
     evolve,
-    initial_half_line,
-    initial_line,
+    initial,
     make_coin,
     make_coin_pi,
     step,
@@ -78,29 +77,29 @@ def test_coin_row_norm_any_theta(theta):
 
 class TestInitialStates:
     def test_half_line_amplitudes_pi4(self, pi4_coin):
-        state = initial_half_line(pi4_coin)
+        state = initial(WalkKind.HALF_LINE, pi4_coin)
         phase = complex(pi4_coin.c, -pi4_coin.s)
         assert state.amplitude(0, 0) == approx(phase * SQRT1_2, abs=1e-16)
         assert state.amplitude(0, 1) == approx(1j * phase * SQRT1_2, abs=1e-16)
         assert state.norm_sq() == approx(1.0, abs=1e-15)
 
     def test_half_line_theta_zero_has_unit_phase(self):
-        state = initial_half_line(make_coin(0.0))
+        state = initial(WalkKind.HALF_LINE, make_coin(0.0))
         assert state.amplitude(0, 0) == approx(SQRT1_2, abs=1e-16)
         assert state.amplitude(0, 1) == approx(1j * SQRT1_2, abs=1e-16)
 
     def test_half_line_localized(self):
         for theta in (0.0, 0.7, 2.0, 4.5):
-            state = initial_half_line(make_coin(theta))
+            state = initial(WalkKind.HALF_LINE, make_coin(theta))
             assert state.t == 0
             assert distribution(state).prob(0) == approx(1.0, abs=1e-15)
 
     def test_line_amplitudes(self, pi4_coin, pi3_coin):
-        state = initial_line(pi4_coin)
+        state = initial(WalkKind.LINE, pi4_coin)
         for x in (-1, 0):
             assert state.amplitude(x, 0) == approx(0.5, abs=1e-15)
             assert state.amplitude(x, 1) == approx(0.5, abs=1e-15)
-        state = initial_line(pi3_coin)
+        state = initial(WalkKind.LINE, pi3_coin)
         for x in (-1, 0):
             assert state.amplitude(x, 0) == approx(0.5 * SQRT1_2, abs=1e-15)
             assert state.amplitude(x, 1) == approx(
@@ -109,25 +108,25 @@ class TestInitialStates:
     @given(st.floats(min_value=-10.0, max_value=10.0))
     def test_both_initial_states_normalized(self, theta):
         coin = make_coin(theta)
-        assert abs(initial_half_line(coin).norm_sq() - 1.0) <= 1e-15
-        assert abs(initial_line(coin).norm_sq() - 1.0) <= 1e-15
+        assert abs(initial(WalkKind.HALF_LINE, coin).norm_sq() - 1.0) <= 1e-15
+        assert abs(initial(WalkKind.LINE, coin).norm_sq() - 1.0) <= 1e-15
 
     def test_line_initial_is_real(self):
-        state = initial_line(make_coin(1.3))
+        state = initial(WalkKind.LINE, make_coin(1.3))
         assert np.all(state.amps.imag == 0.0)
 
 
 class TestStates:
     def test_amplitude_outside_window_is_zero(self):
-        state = initial_line(make_coin(1.0))
+        state = initial(WalkKind.LINE, make_coin(1.0))
         assert state.amplitude(5, 0) == 0
         assert state.amplitude(-3, 1) == 0
-        half = initial_half_line(make_coin(1.0))
+        half = initial(WalkKind.HALF_LINE, make_coin(1.0))
         assert half.amplitude(1, 0) == 0
         assert half.amplitude(-1, 0) == 0
 
     def test_states_are_frozen(self):
-        state = initial_half_line(make_coin(1.0))
+        state = initial(WalkKind.HALF_LINE, make_coin(1.0))
         with pytest.raises(ValueError):
             state.amps[0, 0] = 1.0
 
@@ -184,7 +183,7 @@ def test_global_phase_invariance_at_distribution_level(pi4_coin):
     amps[0, 0] = SQRT1_2
     amps[0, 1] = 1j * SQRT1_2
     unphased = State(WalkKind.HALF_LINE, 0, amps)
-    phased = initial_half_line(pi4_coin)
+    phased = initial(WalkKind.HALF_LINE, pi4_coin)
     for _ in range(100):
         unphased = step(unphased, pi4_coin)
         phased = step(phased, pi4_coin)

@@ -10,8 +10,7 @@ from qwalk import (
     WalkKind,
     distribution,
     evolve,
-    initial_half_line,
-    initial_line,
+    initial,
     iter_states,
     make_coin,
     make_coin_pi,
@@ -67,14 +66,14 @@ def reference_line_step(state, coin):
 
 
 REFERENCE = {
-    WalkKind.HALF_LINE: (initial_half_line, reference_half_line_step),
-    WalkKind.LINE: (initial_line, reference_line_step),
+    WalkKind.HALF_LINE: reference_half_line_step,
+    WalkKind.LINE: reference_line_step,
 }
 
 
 def reference_states(kind, coin, steps):
-    initial, step = REFERENCE[kind]
-    state = initial(coin)
+    step = REFERENCE[kind]
+    state = initial(kind, coin)
     yield state
     for _ in range(steps):
         state = step(state, coin)
@@ -88,8 +87,8 @@ def trimmed_reference_states(kind, coin, steps):
     the first or after the last site with a normal component is set to
     zero; the half line keeps its sites from the boundary on.
     """
-    initial, step = REFERENCE[kind]
-    state = initial(coin)
+    step = REFERENCE[kind]
+    state = initial(kind, coin)
     yield state
     for t in range(1, steps + 1):
         state = step(state, coin)
@@ -161,7 +160,7 @@ class TestStepHalfLine:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 3, 1.0, 2.5])
     def test_one_step_amplitudes(self, theta):
         coin = make_coin(theta)
-        state = step(initial_half_line(coin), coin)
+        state = step(initial(WalkKind.HALF_LINE, coin), coin)
         b0, b1 = hand_half_line_t1(coin)
         assert state.t == 1
         assert state.amplitude(0, 0) == approx(0, abs=1e-16)
@@ -172,7 +171,7 @@ class TestStepHalfLine:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 1.0])
     def test_one_step_distribution_is_half_half(self, theta):
         coin = make_coin(theta)
-        dist = distribution(step(initial_half_line(coin), coin))
+        dist = distribution(step(initial(WalkKind.HALF_LINE, coin), coin))
         assert dist.prob(0) == approx(0.5, abs=1e-15)
         assert dist.prob(1) == approx(0.5, abs=1e-15)
 
@@ -199,7 +198,7 @@ class TestStepLine:
         # cancels on the first step, for every angle
         for theta in (0.4, math.pi / 4, 2.2):
             coin = make_coin(theta)
-            state = step(initial_line(coin), coin)
+            state = step(initial(WalkKind.LINE, coin), coin)
             assert state.amplitude(-2, 0) == approx(SQRT1_2, abs=1e-15)
             assert state.amplitude(-1, 0) == approx(SQRT1_2, abs=1e-15)
             p = distribution(state)
@@ -234,7 +233,7 @@ class TestStepLine:
 class TestEvolve:
     def test_zero_steps_returns_initial(self, pi4_coin):
         state = evolve(WalkKind.HALF_LINE, pi4_coin, 0)
-        ref = initial_half_line(pi4_coin)
+        ref = initial(WalkKind.HALF_LINE, pi4_coin)
         assert np.array_equal(state.amps, ref.amps)
 
     def test_negative_steps_rejected(self, pi4_coin):

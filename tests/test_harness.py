@@ -35,7 +35,7 @@ from qwalk.harness import (
     render_json,
     route_table,
     table_from_distribution,
-    table_from_exact,
+    table_meta,
 )
 
 
@@ -79,44 +79,29 @@ def reference_render_csv(table: OutputTable) -> str:
 
 def reference_render_json(table: OutputTable) -> str:
     """JSON from one dict per row: what render_json must equal."""
+    exact = [i for i in range(len(table.columns))
+             if all(type(row[i]) is Fraction for row in table.rows)]
     rows = []
-    for i, row in enumerate(table.rows):
-        obj = dict(zip(table.columns, row))
-        if table.exact_rows:
-            obj.update(zip(table.exact_columns, table.exact_rows[i]))
+    for row in table.rows:
+        obj = {c: float(v) if type(v) is Fraction else v
+               for c, v in zip(table.columns, row)}
+        obj.update((table.columns[i] + "_exact", str(row[i])) for i in exact)
         rows.append(obj)
-    doc = {
-        "meta": {
-            "kind": table.kind,
-            "theta": table.theta,
-            "t": table.t,
-            "route": table.route,
-        },
-        "columns": list(table.columns),
-        "rows": rows,
-    }
+    doc = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
     return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
 
 
 def reference_read_table_json(path) -> OutputTable:
     """A table read back one row at a time: what read_table_json must equal."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    meta = doc["meta"]
     columns = tuple(doc["columns"])
     rows = []
-    exact_rows = []
-    exact_columns: tuple[str, ...] = ()
     for obj in doc["rows"]:
-        rows.append(tuple(obj[c] for c in columns))
-        extras = tuple(k for k in obj if k not in columns)
-        if extras:
-            exact_columns = extras
-            exact_rows.append(tuple(obj[k] for k in extras))
-    return OutputTable(
-        kind=meta["kind"], theta=meta["theta"], t=meta["t"],
-        route=meta["route"], columns=columns, rows=tuple(rows),
-        exact_columns=exact_columns, exact_rows=tuple(exact_rows),
-    )
+        rows.append(tuple(
+            Fraction(obj[c + "_exact"])
+            if c + "_exact" in obj and c + "_exact" not in columns else obj[c]
+            for c in columns))
+    return OutputTable(meta=doc["meta"], columns=columns, rows=tuple(rows))
 
 
 def hand_half_t1() -> Distribution:
@@ -292,7 +277,7 @@ class TestEmit:
         assert path.read_text() == "x,p0,p1,p\n-2,,,0.5\n-1,,,0.5\n"
 
     def test_empty_table_is_header_only(self, tmp_path):
-        table = OutputTable(kind="halfline", theta=1.0, t=0, route="evolve",
+        table = OutputTable(meta=table_meta("halfline", 1.0, 0, "evolve"),
                             columns=("x", "p0", "p1", "p"), rows=())
         path = tmp_path / "empty.csv"
         emit(table, "csv", path)
@@ -304,11 +289,10 @@ class TestEmit:
         path = tmp_path / "t.json"
         emit(table, "json", path)
         back = read_table_json(path)
-        assert back.kind == table.kind
-        assert back.theta == table.theta
-        assert back.t == table.t
-        assert back.route == table.route
+        assert back.meta == {"kind": "halfline", "theta": 0.25, "t": 1,
+                             "route": "evolve"}
         assert back.rows == table.rows
+        assert back == table
 
     def test_csv_round_trip_values(self, tmp_path):
         coin = make_coin(1.234)
@@ -335,12 +319,27 @@ class TestEmit:
 
     def test_oracle_json_has_exact_strings(self, tmp_path):
         dist = q2_oracle_distribution(WalkKind.HALF_LINE, 2)
-        table = table_from_exact(dist, math.pi / 4)
+        table = table_from_distribution(dist, "oracle", math.pi / 4)
         path = tmp_path / "o.json"
         emit(table, "json", path)
         doc = json.loads(path.read_text())
+        assert doc["columns"] == ["x", "p0", "p1", "p"]
+        assert list(doc["rows"][0]) == ["x", "p0", "p1", "p", "p0_exact",
+                                        "p1_exact", "p_exact"]
+        assert doc["rows"][0]["p"] == 0.5
         assert doc["rows"][0]["p_exact"] == "1/2"
         assert doc["meta"]["route"] == "oracle"
+
+    @pytest.mark.parametrize("walk", [WalkKind.LINE, WalkKind.HALF_LINE])
+    def test_oracle_table_reads_back_as_fractions(self, walk, tmp_path):
+        dist = q2_oracle_distribution(walk, 30)
+        table = table_from_distribution(dist, "oracle", math.pi / 4)
+        path = tmp_path / "o.json"
+        emit(table, "json", path)
+        back = read_table_json(path)
+        assert back == table
+        assert back.rows[0][1:] == (dist.p0[0], dist.p1[0], dist.p[0])
+        assert all(type(v) is Fraction for row in back.rows for v in row[1:])
 
     def test_unknown_format(self, tmp_path):
         table = table_from_distribution(hand_half_t1(), "evolve", 1.0)
@@ -370,26 +369,45 @@ _COLUMN_VALUES = st.sampled_from([
 ])
 
 
+def _no_exact_clash(names) -> bool:
+    # "<name>_exact" is the JSON key of a Fraction column's exact texts
+    return not any(name + "_exact" in names for name in names)
+
+
 @st.composite
 def _tables(draw) -> OutputTable:
-    names = draw(st.lists(st.text(), min_size=1, max_size=7, unique=True))
+    names = draw(st.lists(st.text(), min_size=1, max_size=7, unique=True)
+                 .filter(_no_exact_clash))
     width = draw(st.integers(1, min(4, len(names))))
-    columns, exact_columns = tuple(names[:width]), tuple(names[width:])
     n = draw(st.integers(0, 12))
-    cells = [draw(st.lists(draw(_COLUMN_VALUES), min_size=n, max_size=n))
-             for _ in columns]
-    exact = [draw(st.lists(st.text(), min_size=n, max_size=n))
-             for _ in exact_columns]
+    # the first ``width`` columns hold any values, the rest Fractions that
+    # have a double
+    fractions = st.fractions(min_value=-2**64, max_value=2**64)
+    cells = {name: draw(st.lists(draw(_COLUMN_VALUES) if i < width
+                                 else fractions, min_size=n, max_size=n))
+             for i, name in enumerate(names)}
+    columns = tuple(draw(st.permutations(names)))
     return OutputTable(
-        kind=draw(st.text()), theta=draw(st.floats()),
-        t=draw(st.none() | st.integers()), route=draw(st.text()),
-        columns=columns, rows=tuple(zip(*cells)),
-        exact_columns=exact_columns, exact_rows=tuple(zip(*exact)))
+        meta=table_meta(draw(st.text()), draw(st.floats()),
+                        draw(st.none() | st.integers()), draw(st.text())),
+        columns=columns, rows=tuple(zip(*(cells[c] for c in columns))))
 
 
-def _table(columns, rows, **exact) -> OutputTable:
-    return OutputTable(kind="line", theta=1.0, t=3, route="evolve",
-                       columns=columns, rows=rows, **exact)
+def _table(columns, rows) -> OutputTable:
+    return OutputTable(meta=table_meta("line", 1.0, 3, "evolve"),
+                       columns=columns, rows=rows)
+
+
+def _has_nan(table: OutputTable) -> bool:
+    values = (table.meta["theta"], *(v for row in table.rows for v in row))
+    return any(isinstance(v, float) and math.isnan(v) for v in values)
+
+
+def _as_read(table: OutputTable) -> OutputTable:
+    """The table as JSON gives it back: numpy doubles become floats."""
+    rows = tuple(tuple(float(v) if isinstance(v, np.floating) else v
+                       for v in row) for row in table.rows)
+    return OutputTable(meta=table.meta, columns=table.columns, rows=rows)
 
 
 class TestColumnRenderers:
@@ -404,8 +422,8 @@ class TestColumnRenderers:
     @example(table=_table(("x", "p0", "p"), ()))
     @example(table=_table(("x", "p0", "p"), ((-1, None, 0.5), (0, None, 0.5))))
     @example(table=_table(
-        ("x", "p"), ((0, 0.5), (1, 0.5)), exact_columns=("p_exact",),
-        exact_rows=(("1/2",), ("1/2",))))
+        ("x", "p", "q"), ((0, Fraction(1, 2), Fraction(0)),
+                          (1, Fraction(1, 3), Fraction(1)))))
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_reference_and_read_back(self, table, json_path):
         assert render_csv(table) == reference_render_csv(table)
@@ -416,7 +434,10 @@ class TestColumnRenderers:
         # repr, not ==, so a nan read back matches itself
         assert repr(back) == repr(reference_read_table_json(json_path))
         assert render_json(back) == text
-        assert len(back.rows) == len(table.rows)
+        if _has_nan(table):
+            assert repr(back) == repr(_as_read(table))
+        else:
+            assert back == table
 
     def test_a_one_column_table_reads_back(self, json_path):
         table = _table(("x",), ((1,), (2,)))
@@ -432,9 +453,16 @@ class TestColumnRenderers:
         assert render_json(floats).endswith(
             '"rows":[{"p":0.0},{"p":-0.0},{"p":0.5},{"p":-0.0}]}\n')
 
+    def test_a_fraction_among_other_values_is_its_double(self):
+        table = _table(("p",), ((Fraction(1, 2),), (None,), (0.25,)))
+        assert render_json(table) == reference_render_json(table)
+        assert render_json(table).endswith(
+            '"rows":[{"p":0.5},{"p":null},{"p":0.25}]}\n')
+        assert render_csv(table) == "p\n0.5\n\n0.25\n"
+
     def test_oracle_table_matches_the_reference(self):
-        table = table_from_exact(q2_oracle_distribution(WalkKind.LINE, 9),
-                                 math.pi / 4)
+        table = table_from_distribution(
+            q2_oracle_distribution(WalkKind.LINE, 9), "oracle", math.pi / 4)
         assert render_json(table) == reference_render_json(table)
         assert render_csv(table) == reference_render_csv(table)
 
@@ -447,7 +475,7 @@ class TestColumnRenderers:
 class TestFigureData:
     def test_fig4_routes_agree(self):
         tables = figure_data("fig4")
-        assert [t.route for t in tables] == ["evolve", "exact"]
+        assert [t.meta["route"] for t in tables] == ["evolve", "exact"]
         ev, ex = tables
         sim = {r[0]: r for r in ev.rows}
         for x, p0, p1, p in ex.rows:
@@ -457,7 +485,7 @@ class TestFigureData:
 
     def test_fig1_peak_location(self):
         (table,) = figure_data("fig1")
-        assert table.t == 500
+        assert table.meta["t"] == 500
         xs = [r[0] for r in table.rows]
         ps = [r[3] for r in table.rows]
         peak = xs[int(np.argmax(ps))]
@@ -466,7 +494,7 @@ class TestFigureData:
 
     def test_fig8_approx_support(self):
         ev, ap = figure_data("fig8")
-        assert ap.route == "approx"
+        assert ap.meta["route"] == "approx"
         cutoff = abs(math.cos(math.pi / 4)) * 500
         for x, p0, p1, p in ap.rows:
             if x >= cutoff:
@@ -485,8 +513,8 @@ class TestFigureData:
     def test_fig3_theta_sweep(self):
         tables = figure_data("fig3")
         assert len(tables) == 4
-        assert all(t.t == 150 for t in tables)
-        thetas = [t.theta for t in tables]
+        assert all(t.meta["t"] == 150 for t in tables)
+        thetas = [t.meta["theta"] for t in tables]
         assert thetas == sorted(thetas)
 
     def test_unknown_figure(self):
