@@ -15,6 +15,14 @@ global phase, which leaves the distribution unchanged. Probabilities are
 line. They are rational by construction, so no sqrt2 coefficient is left to
 check for parity. Equal probabilities within one snapshot share one
 `Fraction`, built once per distinct numerator.
+
+Each shared `Fraction` is reduced with a shift, not a gcd: over a power of
+two, lowest terms only strip the numerator's trailing zero bits. It is then
+built from its two slots, `_numerator` and `_denominator`, as CPython's own
+`Fraction._from_coprime_ints` does. That is safe: `Fraction` keeps no other
+state, and the pair is coprime with a positive denominator, which is just
+what `Fraction(k, 2**p)` would store, so `==`, `hash` and `str` cannot tell
+the two apart.
 """
 from __future__ import annotations
 
@@ -34,6 +42,18 @@ class OracleLimitError(ValueError):
 # |amplitude|^2 = |z|^2 / 2**(t + _DEN_POWER[kind]), from the scales
 # (sqrt2/2)**(t + 1) on the half line and (sqrt2/2)**t / 2 on the line
 _DEN_POWER = {WalkKind.HALF_LINE: 1, WalkKind.LINE: 2}
+
+
+def _dyadic(k: int, p: int) -> Fraction:
+    """k / 2**p in lowest terms, without a gcd."""
+    # trailing zero bits of k, at most p; all of p when k == 0
+    s = (k & -k).bit_length() - 1
+    if s < 0 or s > p:
+        s = p
+    f = object.__new__(Fraction)
+    f._numerator = k >> s
+    f._denominator = 1 << (p - s)
+    return f
 
 
 def _check_t(t: int) -> int:
@@ -78,13 +98,13 @@ def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
 
 
 def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
-    den = 1 << (t + _DEN_POWER[kind])
+    power = t + _DEN_POWER[kind]
     re0, im0, re1, im1 = state
     n0 = [a * a + b * b for a, b in zip(re0, im0)]
     n1 = [a * a + b * b for a, b in zip(re1, im1)]
     n = list(map(add, n0, n1))
     # the mirror identities repeat many numerators: build each Fraction once
-    frac = {k: Fraction(k, den) for k in {*n0, *n1, *n}}.__getitem__
+    frac = {k: _dyadic(k, power) for k in {*n0, *n1, *n}}.__getitem__
     return Distribution(
         kind=kind, t=t, offset=offset,
         p0=tuple(map(frac, n0)), p1=tuple(map(frac, n1)),

@@ -41,3 +41,22 @@ def test_to_fraction_is_the_exact_sum(a, b):
     got = dd.to_fraction((a, b))
     assert type(got) is Fraction
     assert got == Fraction(a) + Fraction(b)
+
+
+# equal halves of equal exponent carry into the sum's low zero bits, which
+# the result must strip; zero and negative sums too
+@given(finite_floats, finite_floats)
+@example(0.0, -0.0)
+@example(-0.0, -0.0)
+@example(0.75, 0.75)
+@example(-0.375, -0.125)
+@example(2.0**-1074, 2.0**-1074)
+@example(3.0, -1.0)
+@example(1.7976931348623157e308, 1.7976931348623157e308)
+def test_to_fraction_is_in_lowest_terms(a, b):
+    got, want = dd.to_fraction((a, b)), Fraction(a) + Fraction(b)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)

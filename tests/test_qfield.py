@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from pytest import approx
 
 from qwalk import (
@@ -16,6 +16,7 @@ from qwalk import (
 )
 from qwalk.core import Distribution
 from qwalk.evolution import probability_arrays
+from qwalk.qfield import _DEN_POWER, _dyadic, _states
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,54 @@ def test_distribution_is_the_series_element(kind):
     series = list(q2_oracle_series(kind, 200))
     for t in (0, 1, 57, 200):
         assert q2_oracle_distribution(kind, t) == series[t]
+
+
+def _assert_same_fraction(got, want):
+    assert type(got) is Fraction
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+
+
+@given(st.integers(min_value=-2**700, max_value=2**700)
+       | st.builds(lambda k, s: k << s, st.integers(-2**64, 2**64),
+                   st.integers(0, 700)),
+       st.integers(min_value=0, max_value=600))
+@example(0, 0)
+@example(0, 600)
+@example(-1, 0)
+@example(-3, 5)
+@example(7, 600)
+@example(2**600, 600)
+@example(-(2**601), 600)
+@example(3 << 700, 600)
+def test_dyadic_is_the_reduced_fraction(k, p):
+    _assert_same_fraction(_dyadic(k, p), Fraction(k, 2**p))
+
+
+@pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+def test_series_values_are_the_reduced_probabilities(kind):
+    """Every value to t = 200 is Fraction(|z|^2, 2**(t + power)), hash and
+    str included."""
+    pairs = zip(q2_oracle_series(kind, 200), _states(kind, 200), strict=True)
+    for dist, (t, offset, (re0, im0, re1, im1)) in pairs:
+        assert (dist.t, dist.offset) == (t, offset)
+        den = 2**(t + _DEN_POWER[kind])
+        n0 = [a * a + b * b for a, b in zip(re0, im0)]
+        n1 = [a * a + b * b for a, b in zip(re1, im1)]
+        want = {}
+        for got, k in zip(dist.p0 + dist.p1 + dist.p,
+                          n0 + n1 + [a + b for a, b in zip(n0, n1)],
+                          strict=True):
+            if k not in want:
+                want[k] = Fraction(k, den)
+                _assert_same_fraction(got, want[k])
+            else:
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (
+                    want[k].numerator, want[k].denominator)
 
 
 class TestOracle:
