@@ -36,6 +36,17 @@ def from_fraction(q: Fraction) -> tuple[float, float]:
     return quick_two_sum(hi, lo)
 
 
+def assert_same_fraction(got, want: Fraction) -> None:
+    """got is a Fraction in the same lowest terms as want: equal, with the
+    same hash, str, numerator and denominator."""
+    assert type(got) is Fraction
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert (got.numerator, got.denominator) == (want.numerator,
+                                                want.denominator)
+
+
 ROUTE_THETAS = (
     math.pi / 6,
     math.pi / 4,

@@ -18,6 +18,8 @@ from qwalk.core import Distribution
 from qwalk.evolution import probability_arrays
 from qwalk.qfield import _DEN_POWER, _dyadic, _states
 
+from conftest import assert_same_fraction
+
 
 @dataclass(frozen=True)
 class QFieldComplex:
@@ -181,15 +183,6 @@ def test_distribution_is_the_series_element(kind):
         assert q2_oracle_distribution(kind, t) == series[t]
 
 
-def _assert_same_fraction(got, want):
-    assert type(got) is Fraction
-    assert got == want
-    assert hash(got) == hash(want)
-    assert str(got) == str(want)
-    assert (got.numerator, got.denominator) == (want.numerator,
-                                                want.denominator)
-
-
 @given(st.integers(min_value=-2**700, max_value=2**700)
        | st.builds(lambda k, s: k << s, st.integers(-2**64, 2**64),
                    st.integers(0, 700)),
@@ -203,7 +196,7 @@ def _assert_same_fraction(got, want):
 @example(-(2**601), 600)
 @example(3 << 700, 600)
 def test_dyadic_is_the_reduced_fraction(k, p):
-    _assert_same_fraction(_dyadic(k, p), Fraction(k, 2**p))
+    assert_same_fraction(_dyadic(k, p), Fraction(k, 2**p))
 
 
 @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
@@ -216,17 +209,14 @@ def test_series_values_are_the_reduced_probabilities(kind):
         den = 2**(t + _DEN_POWER[kind])
         n0 = [a * a + b * b for a, b in zip(re0, im0)]
         n1 = [a * a + b * b for a, b in zip(re1, im1)]
-        want = {}
+        first = {}
         for got, k in zip(dist.p0 + dist.p1 + dist.p,
                           n0 + n1 + [a + b for a, b in zip(n0, n1)],
                           strict=True):
-            if k not in want:
-                want[k] = Fraction(k, den)
-                _assert_same_fraction(got, want[k])
-            else:
-                assert type(got) is Fraction
-                assert (got.numerator, got.denominator) == (
-                    want[k].numerator, want[k].denominator)
+            if k not in first:
+                first[k] = got
+                assert_same_fraction(got, Fraction(k, den))
+            assert got is first[k]
 
 
 class TestOracle:
