@@ -75,6 +75,11 @@ class LimitDensity:
     coin: Coin
     kind: DensityKind
 
+    def __post_init__(self) -> None:
+        if self.coin.is_degenerate():
+            raise ValueError(
+                "limit densities need theta away from multiples of pi/2")
+
     @property
     def support(self) -> tuple[float, float]:
         c = _cs(self.coin)[0]
@@ -187,6 +192,9 @@ def approx_columns(coin: Coin, t: int, xs) -> np.ndarray:
     one row per `ApproxKind`, in its order; zero outside 0 <= x < |c| t."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    if coin.is_degenerate():
+        raise ValueError("the large-t approximation needs theta away from "
+                         "multiples of pi/2")
     c, s, c2, _ = _cs(coin)
     x = np.asarray(xs, dtype=float)
     out = np.zeros((len(ApproxKind), x.size))

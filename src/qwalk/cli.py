@@ -151,11 +151,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_limit(args) -> int:
     coin = parse_theta(args.theta)
-    if coin.is_degenerate():
-        raise UsageError("limit densities need theta away from multiples of pi/2")
+    d = LimitDensity(coin=coin, kind=DensityKind(args.kind))
     if args.points < 2:
         raise UsageError("--points must be >= 2")
-    d = LimitDensity(coin=coin, kind=DensityKind(args.kind))
     lo, hi = d.support
     span = hi - lo
     lo -= 0.05 * span
@@ -220,14 +218,14 @@ def _cmd_sweep(args) -> int:
         for t in ts:
             name = f"{args.route}_{args.walk}_theta-{tag}_t-{t}.{args.format}"
             jobs.setdefault(name, (coin, t))
-    # a refused job fails the sweep before anything is written
-    for coin, t in jobs.values():
-        harness.check_route(args.route, walk, coin, t)
+    # every table is built before anything is written, so a refused job
+    # fails the sweep with no output
+    tables = {name: harness.route_table(args.route, walk, coin, t)
+              for name, (coin, t) in jobs.items()}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, (coin, t) in jobs.items():
-        emit(harness.route_table(args.route, walk, coin, t), args.format,
-             outdir / name)
+    for name, table in tables.items():
+        emit(table, args.format, outdir / name)
     manifest = "\n".join(sorted(
         jobs, key=lambda name: (jobs[name][0].theta, jobs[name][1]))) + "\n"
     (outdir / "manifest.txt").write_text(manifest, encoding="utf-8")

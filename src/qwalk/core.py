@@ -181,6 +181,3 @@ class Distribution:
     def inner_dict(self, inner: int) -> dict[int, float]:
         column = self.p0 if inner == 0 else self.p1
         return {x: v for x, v in zip(self.positions(), column) if v is not None}
-
-    def argmax(self) -> int:
-        return self.offset + max(range(len(self.p)), key=self.p.__getitem__)

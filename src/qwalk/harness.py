@@ -514,35 +514,22 @@ _PI4 = Fraction(1, 4)
 _PI3 = Fraction(1, 3)
 
 
-def check_route(route: str, walk: WalkKind, coin: Coin, t: int) -> None:
-    """Raise ValueError, with the route's own message, for a job it refuses."""
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if route == "approx" and walk is not WalkKind.HALF_LINE:
-        raise ValueError("the large-t approximation is defined on the half "
-                         "line only")
-    if route == "evolve":
-        if t < 0:
-            raise ValueError(f"steps must be >= 0, got {t}")
-    elif t < 1:
-        raise ValueError(f"closed form needs t >= 1, got {t}"
-                         if route == "exact" else f"t must be >= 1, got {t}")
-    elif coin.is_degenerate():
-        raise ValueError("closed forms require theta not a multiple of pi/2"
-                         if route == "exact" else
-                         "the large-t approximation needs theta away from "
-                         "multiples of pi/2")
-
-
 def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
                 label: str = "") -> OutputTable:
-    """The table of one route: evolve, exact or approx (half line only)."""
-    check_route(route, walk, coin, t)
+    """The table of one route: evolve, exact or approx (half line only).
+
+    Each route refuses its own jobs with ``ValueError`` and its own message.
+    """
     if route == "evolve":
         dist = distribution(evolve(walk, coin, t))
     elif route == "exact":
         dist = (line_exact if walk is WalkKind.LINE else half_line_exact)(
             coin, t)
+    elif route != "approx":
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    elif walk is not WalkKind.HALF_LINE:
+        raise ValueError("the large-t approximation is defined on the half "
+                         "line only")
     else:
         p0, p1, p = (tuple(column.tolist()) for column in
                      asymptotics.approx_columns(coin, t, np.arange(t + 1.0)))

@@ -23,7 +23,7 @@ from qwalk import (
     make_coin,
     total_mass,
 )
-from qwalk.asymptotics import _cs, _integral, cdf_grid
+from qwalk.asymptotics import _cs, _integral, approx_columns, cdf_grid
 
 from conftest import THETA_GRID_20
 
@@ -82,6 +82,13 @@ def test_coin_constants_are_the_roots_of_the_squares(pi3_coin):
 
 
 class TestDensity:
+    @pytest.mark.parametrize("theta", [math.pi / 2, 0.0])
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_degenerate_coin_rejected(self, theta, kind):
+        with pytest.raises(ValueError, match="limit densities need theta "
+                           "away from multiples of pi/2"):
+            LimitDensity(make_coin(theta), kind)
+
     def test_half_total_at_zero_pi4(self, pi4_coin):
         d = LimitDensity(pi4_coin, DensityKind.HALF_TOTAL)
         assert density_at(d, 0.0) == approx(2.0 / math.pi, abs=1e-12)
@@ -354,6 +361,15 @@ class TestApprox:
     def test_bad_t_rejected(self, pi4_coin):
         with pytest.raises(ValueError):
             approx_prob(pi4_coin, 0, 0, ApproxKind.TOTAL)
+
+    def test_degenerate_coin_rejected(self):
+        coin = make_coin(math.pi / 2)
+        message = ("the large-t approximation needs theta away from "
+                   "multiples of pi/2")
+        with pytest.raises(ValueError, match=message):
+            approx_columns(coin, 10, [0.0])
+        with pytest.raises(ValueError, match=message):
+            approx_prob(coin, 10, 0, ApproxKind.TOTAL)
 
 
 class TestKS:

@@ -43,6 +43,22 @@ class TestParseTheta:
             parse_theta("--pi/4")
 
 
+def _main_in_capped_child(args: list[str]) -> subprocess.CompletedProcess:
+    """``main(args)`` in a child process with 8 GiB of address space.
+
+    10^11 steps need terabytes, which numpy and the closed forms' bit cap
+    refuse at once; the address-space limit makes sure the child never
+    allocates lazily, and one BLAS thread keeps numpy's own reservations
+    under it.
+    """
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)); "
+            "from qwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestExitCodes:
     def test_simulate_ok(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -177,17 +193,8 @@ class TestExitCodes:
     ], ids=["simulate", "sweep", "approx", "sweep-approx", "limit", "exact",
             "sweep-exact"])
     def test_oversized_steps_is_exit_2(self, tmp_path, command):
-        # 10^11 steps need terabytes, which numpy and the closed forms' bit
-        # cap refuse at once; the address-space limit makes sure the child
-        # never allocates lazily, and one BLAS thread keeps numpy's own
-        # reservations under it
-        code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)); "
-                "from qwalk.cli import main; sys.exit(main(sys.argv[1:]))")
         args = [a.replace("{tmp}", str(tmp_path)) for a in command]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _main_in_capped_child(args)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: out of memory: ")
         assert len(proc.stderr.splitlines()) == 1
@@ -371,6 +378,29 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_oversized_exact_job_after_a_valid_one_writes_nothing(
+            self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--route", "exact", "--thetas", "1.0",
+                   "--ts", "3,99999999999", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["evolve", "approx"])
+    def test_oversized_job_after_a_valid_one_writes_nothing(self, tmp_path,
+                                                            route):
+        out = tmp_path / "sweep"
+        proc = _main_in_capped_child(
+            ["sweep", "--route", route, "--thetas", "1.0",
+             "--ts", "3,99999999999", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
 
     def test_approx_on_the_line_writes_nothing(self, tmp_path, capsys):

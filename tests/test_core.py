@@ -164,13 +164,6 @@ class TestDistribution:
         assert [d.prob(x) for x in range(-4, 3)] == [0.0, 0.0, 0.25, 0.5,
                                                      0.25, 0.0, 0.0]
 
-    def test_argmax_takes_the_first_maximum(self):
-        d = self.dist()
-        assert d.argmax() == -1
-        flat = Distribution(kind=WalkKind.HALF_LINE, t=1, offset=0,
-                            p0=(None, None), p1=(None, None), p=(0.5, 0.5))
-        assert flat.argmax() == 0
-
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             Distribution(kind=WalkKind.LINE, t=1, offset=-2, p0=(None,),
