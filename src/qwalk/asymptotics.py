@@ -60,11 +60,8 @@ def _cs(coin: Coin) -> tuple[float, float, float, float]:
     and never re-square a rounded root: |c| and |s| are the roots of the
     squares.
     """
-    cos2 = coin.cos2_exact()
-    if cos2 is not None:
-        c2, s2 = float(cos2), float(1 - cos2)
-    else:
-        c2, s2 = coin.c * coin.c, coin.s * coin.s
+    # float(Fraction(c) ** 2) is c * c: both are the exact square rounded once
+    c2, s2 = map(float, coin.squares())
     return math.sqrt(c2), math.sqrt(s2), c2, s2
 
 
@@ -79,6 +76,8 @@ class LimitDensity:
         if self.coin.is_degenerate():
             raise ValueError(
                 "limit densities need theta away from multiples of pi/2")
+        # a kind given by its value would miss every `is` test below
+        object.__setattr__(self, "kind", DensityKind(self.kind))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -240,7 +239,7 @@ def ks_distance(coin: Coin, t: int,
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     d = LimitDensity(coin=coin, kind=kind)
-    walk = WalkKind.LINE if kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
+    walk = WalkKind.LINE if d.kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
     if state is None:
         state = evolve(walk, coin, t)
     elif getattr(state, "kind", None) is not walk or state.t != t:
@@ -249,9 +248,9 @@ def ks_distance(coin: Coin, t: int,
             f"{getattr(state, 'kind', type(state).__name__)} at t = "
             f"{getattr(state, 't', None)}")
     p0, p1 = probability_arrays(state)
-    if kind is DensityKind.HALF_INNER0:
+    if d.kind is DensityKind.HALF_INNER0:
         weights = p0
-    elif kind is DensityKind.HALF_INNER1:
+    elif d.kind is DensityKind.HALF_INNER1:
         weights = p1
     else:
         weights = p0 + p1

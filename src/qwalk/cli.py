@@ -19,10 +19,8 @@ import numpy as np
 from . import harness
 from .asymptotics import DensityKind, LimitDensity, cdf_grid, density_at
 from .closed_form import PrecisionError
-from .core import Coin, WalkKind, make_coin, make_coin_pi
-from .harness import (OutputTable, emit, figure_data, run_checks,
-                      table_from_distribution, table_meta)
-from .qfield import q2_oracle_distribution
+from .core import Coin, make_coin, make_coin_pi
+from .harness import OutputTable, emit, figure_data, run_checks, table_meta
 
 _PI_FORM = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
@@ -73,24 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # simulate, exact and approx each run one harness route
-    p = sub.add_parser("simulate", help="evolve the walk and emit probabilities")
-    p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
-    _add_common(p)
-    p.set_defaults(route="evolve")
-
-    p = sub.add_parser("exact", help="closed-form probabilities")
-    p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
-    _add_common(p)
-    p.set_defaults(route="exact")
-
-    p = sub.add_parser("oracle", help="exact rational walk at theta = pi/4")
-    p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
-    p.add_argument("--theta", default="pi/4",
-                   help="must be pi/4 (the oracle's fixed angle)")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-")
+    # simulate, exact, oracle and approx each run one harness route
+    for command, route, text in (
+            ("simulate", "evolve", "evolve the walk and emit probabilities"),
+            ("exact", "exact", "closed-form probabilities"),
+            ("oracle", "oracle", "exact rational walk at theta = pi/4")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--walk", choices=("halfline", "line"),
+                       default="halfline")
+        _add_common(p)
+        p.set_defaults(route=route)
 
     p = sub.add_parser("limit", help="limit density or CDF samples")
     p.add_argument("--kind", choices=tuple(k.value for k in DensityKind),
@@ -126,26 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _walk_kind(name: str) -> WalkKind:
-    return WalkKind.HALF_LINE if name == "halfline" else WalkKind.LINE
-
-
 def _cmd_route(args) -> int:
-    table = harness.route_table(args.route, _walk_kind(args.walk),
-                                parse_theta(args.theta), args.steps)
+    table = harness.route_table(args.route, args.walk, parse_theta(args.theta),
+                                args.steps)
     emit(table, args.format, args.out)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    coin = parse_theta(args.theta)
-    if coin.pi_fraction is None or (coin.pi_fraction % 2) != Fraction(1, 4):
-        raise UsageError("the exact oracle is defined at theta = pi/4 only")
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
-    dist = q2_oracle_distribution(_walk_kind(args.walk), args.steps)
-    emit(table_from_distribution(dist, "oracle", coin.theta), args.format,
-         args.out)
     return 0
 
 
@@ -211,7 +185,6 @@ def _cmd_sweep(args) -> int:
     ts = _parse_int_list(args.ts)
     if not coins or not ts:
         raise UsageError("sweep needs at least one angle and one time")
-    walk = _walk_kind(args.walk)
     jobs = {}  # file name -> (coin, t); a repeated job is written once
     for text, coin in coins:
         tag = re.sub(r"[^0-9a-zA-Z._-]", "_", text)
@@ -220,7 +193,7 @@ def _cmd_sweep(args) -> int:
             jobs.setdefault(name, (coin, t))
     # every table is built before anything is written, so a refused job
     # fails the sweep with no output
-    tables = {name: harness.route_table(args.route, walk, coin, t)
+    tables = {name: harness.route_table(args.route, args.walk, coin, t)
               for name, (coin, t) in jobs.items()}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +208,7 @@ def _cmd_sweep(args) -> int:
 _COMMANDS = {
     "simulate": _cmd_route,
     "exact": _cmd_route,
-    "oracle": _cmd_oracle,
+    "oracle": _cmd_route,
     "limit": _cmd_limit,
     "approx": _cmd_route,
     "verify": _cmd_verify,

@@ -184,12 +184,7 @@ def _resolve(coin: Coin, t: int, params: Optional[ExactParams]
         raise ValueError(
             "exact rational evaluation is supported only at theta = pi/4"
         )
-    cos2 = coin.cos2_exact()
-    if cos2 is not None:
-        return _RationalConsts(cos2, 1 - cos2, t, precision)
-    # the model the doubles give: c^2 and s^2 exactly, as dyadic rationals
-    return _RationalConsts(Fraction(coin.c) ** 2, Fraction(coin.s) ** 2, t,
-                           precision)
+    return _RationalConsts(*coin.squares(), t, precision)
 
 
 class _RationalConsts:

@@ -60,6 +60,14 @@ class Coin:
             return None
         return _RATIONAL_COS2.get((self.pi_fraction % 2).denominator)
 
+    def squares(self) -> tuple[Fraction, Fraction]:
+        """(cos^2, sin^2) as exact rationals: `cos2_exact` and its complement
+        when that is set, else the exact squares of the doubles c and s."""
+        cos2 = self.cos2_exact()
+        if cos2 is not None:
+            return cos2, 1 - cos2
+        return Fraction(self.c) ** 2, Fraction(self.s) ** 2
+
     def is_degenerate(self) -> bool:
         """True for angles where the coin is diagonal/antidiagonal (multiples of pi/2)."""
         if self.pi_fraction is not None:

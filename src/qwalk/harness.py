@@ -27,6 +27,7 @@ from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
 from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, make_coin,
                    make_coin_pi)
 from .evolution import distribution, evolve, iter_states, probability_arrays
+from .qfield import q2_oracle_distribution
 
 TOLERANCES = {
     "lemma1": 1e-12,
@@ -280,12 +281,12 @@ def _ks_residual(coin: Coin, half_state) -> float:
 def _mass_off(coin: Coin, tol: float) -> Optional[str]:
     # the laws on the double c, s have mass ~ 1 + e/(2 s^2), e = c^2 + s^2 - 1
     # taken exactly, which no integration undoes; exact cos^2 makes e = 0
-    c, s = Fraction(coin.c), Fraction(coin.s)
-    e = 0 if coin.cos2_exact() is not None else abs(c * c + s * s - 1)
-    if e <= 2 * Fraction(tol) * s * s:
+    c2, s2 = coin.squares()
+    e = abs(c2 + s2 - 1)
+    if e <= 2 * Fraction(tol) * s2:
         return None
     return ("theta excluded (double cos, sin: limit mass off by "
-            f"{float(e / (2 * s * s)):.1e})")
+            f"{float(e / (2 * s2)):.1e})")
 
 
 def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
@@ -508,7 +509,7 @@ def read_table_json(path) -> OutputTable:
 # route tables and figure data
 
 FIGURES = tuple(f"fig{i}" for i in range(1, 10))
-ROUTES = ("evolve", "exact", "approx")
+ROUTES = ("evolve", "exact", "approx", "oracle")
 
 _PI4 = Fraction(1, 4)
 _PI3 = Fraction(1, 3)
@@ -516,15 +517,21 @@ _PI3 = Fraction(1, 3)
 
 def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
                 label: str = "") -> OutputTable:
-    """The table of one route: evolve, exact or approx (half line only).
+    """The table of one route: evolve, exact, approx (half line only) or
+    oracle (theta = pi/4 only). ``walk`` is a `WalkKind` or its value.
 
     Each route refuses its own jobs with ``ValueError`` and its own message.
     """
+    walk = WalkKind(walk)
     if route == "evolve":
         dist = distribution(evolve(walk, coin, t))
     elif route == "exact":
         dist = (line_exact if walk is WalkKind.LINE else half_line_exact)(
             coin, t)
+    elif route == "oracle":
+        if coin.pi_fraction is None or coin.pi_fraction % 2 != _PI4:
+            raise ValueError("the exact oracle is defined at theta = pi/4 only")
+        dist = q2_oracle_distribution(walk, t)
     elif route != "approx":
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     elif walk is not WalkKind.HALF_LINE:

@@ -81,6 +81,32 @@ def test_coin_constants_are_the_roots_of_the_squares(pi3_coin):
     assert _cs(coin) == (math.sqrt(c2), math.sqrt(s2), c2, s2)
 
 
+class TestKindByValue:
+    """A kind given by its string value is the same law as the enum."""
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_kind_is_stored_as_the_enum(self, pi4_coin, kind):
+        d = LimitDensity(pi4_coin, kind.value)
+        assert d.kind is kind
+        assert d == LimitDensity(pi4_coin, kind)
+
+    def test_line_total_by_value(self, pi4_coin):
+        by_value = LimitDensity(pi4_coin, "lineTotal")
+        by_enum = LimitDensity(pi4_coin, DensityKind.LINE_TOTAL)
+        assert cdf_at(by_value, 0.5) == cdf_at(by_enum, 0.5) == \
+            approx(0.8918, abs=1e-4)
+        assert density_at(by_value, -0.3) == density_at(by_enum, -0.3) > 0.5
+        assert ks_distance(pi4_coin, 100, "lineTotal") == \
+            ks_distance(pi4_coin, 100, DensityKind.LINE_TOTAL)
+
+    def test_total_mass_cached_by_value_first(self, pi4_coin):
+        total_mass.cache_clear()
+        assert total_mass(LimitDensity(pi4_coin, "halfTotal")) == \
+            approx(1.0, abs=1e-12)
+        assert total_mass(LimitDensity(pi4_coin, DensityKind.HALF_TOTAL)) == \
+            approx(1.0, abs=1e-12)
+
+
 class TestDensity:
     @pytest.mark.parametrize("theta", [math.pi / 2, 0.0])
     @pytest.mark.parametrize("kind", list(DensityKind))

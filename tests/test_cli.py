@@ -110,11 +110,6 @@ class TestExitCodes:
                    "--steps", "5"])
         assert rc == 2
 
-    def test_oracle_negative_steps_names_the_flag(self, capsys):
-        rc = main(["oracle", "--walk", "line", "--steps", "-1"])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: --steps must be >= 0\n"
-
     def test_verify_failure_is_exit_1(self, capsys):
         rc = main(["verify", "--suite", "exactVsSim", "--thetas", "pi/2",
                    "--ts", "10"])
@@ -168,7 +163,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, route, steps", [
         ("simulate", "evolve", "-1"), ("exact", "exact", "0"),
-        ("approx", "approx", "0")])
+        ("approx", "approx", "0"), ("oracle", "oracle", "-1")])
     def test_refused_steps_message_is_the_sweep_message(
             self, tmp_path, capsys, command, route, steps):
         assert main([command, "--steps", steps]) == 2
@@ -369,6 +364,7 @@ class TestSweep:
         ("exact", "pi/4,pi/2", "5"),
         ("exact", "pi/4", "5,0"),
         ("evolve", "pi/4", "5,-1"),
+        ("oracle", "pi/4,pi/3", "5"),
     ])
     def test_refused_job_writes_nothing(self, tmp_path, capsys, route, thetas,
                                         ts):

@@ -52,6 +52,18 @@ class TestMakeCoin:
         assert make_coin_pi(Fraction(2, 5)).cos2_exact() is None
         assert make_coin(1.0).cos2_exact() is None
 
+    def test_squares(self):
+        assert make_coin_pi(Fraction(1, 3)).squares() == (Fraction(1, 4),
+                                                          Fraction(3, 4))
+        assert make_coin_pi(Fraction(-3, 4)).squares() == (Fraction(1, 2),
+                                                           Fraction(1, 2))
+        for coin in (make_coin(1.0), make_coin_pi(Fraction(2, 5)),
+                     make_coin(-2.5), make_coin(1e-200)):
+            c2, s2 = coin.squares()
+            assert (c2, s2) == (Fraction(coin.c) ** 2, Fraction(coin.s) ** 2)
+            # the doubles' squares, rounded once, are what c * c gives
+            assert (float(c2), float(s2)) == (coin.c * coin.c, coin.s * coin.s)
+
     def test_degenerate_detection(self):
         assert make_coin_pi(Fraction(1, 2)).is_degenerate()
         assert make_coin_pi(0).is_degenerate()

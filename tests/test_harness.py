@@ -26,6 +26,7 @@ from qwalk import (
 from qwalk.closed_form import half_line_exact
 from qwalk.harness import (
     EXACT_VS_SIM_MAX_T,
+    ROUTES,
     SUITES,
     CheckResult,
     canonical_coins,
@@ -542,21 +543,48 @@ class TestComposedTables:
          lambda coin, t: distribution(evolve(WalkKind.HALF_LINE, coin, t))),
         ("exact", WalkKind.LINE, line_exact),
         ("exact", WalkKind.HALF_LINE, half_line_exact),
-    ], ids=["evolve-line", "evolve-halfline", "exact-line", "exact-halfline"])
+        ("oracle", WalkKind.LINE,
+         lambda coin, t: q2_oracle_distribution(WalkKind.LINE, t)),
+        ("oracle", WalkKind.HALF_LINE,
+         lambda coin, t: q2_oracle_distribution(WalkKind.HALF_LINE, t)),
+    ], ids=["evolve-line", "evolve-halfline", "exact-line", "exact-halfline",
+            "oracle-line", "oracle-halfline"])
     def test_route_table_is_the_route_distribution(self, route, walk, build):
-        for coin in (make_coin_pi(Fraction(1, 3)), make_coin(1.0)):
+        coins = ((make_coin_pi(Fraction(1, 4)), make_coin_pi(Fraction(9, 4)))
+                 if route == "oracle"
+                 else (make_coin_pi(Fraction(1, 3)), make_coin(1.0)))
+        for coin in coins:
             for t in (1, 2, 15):
                 assert route_table(route, walk, coin, t, "x") == \
                     table_from_distribution(build(coin, t), route, coin.theta,
                                             "x")
 
     @pytest.mark.parametrize("route, walk", [
-        ("oracle", WalkKind.HALF_LINE), ("limit", WalkKind.LINE),
+        ("fourier", WalkKind.HALF_LINE), ("limit", WalkKind.LINE),
         ("approx", WalkKind.LINE)])
     def test_route_table_refuses_unknown_route_and_line_approx(
             self, pi4_coin, route, walk):
         with pytest.raises(ValueError):
             route_table(route, walk, pi4_coin, 5)
+
+    @pytest.mark.parametrize("coin", [
+        make_coin_pi(Fraction(1, 3)), make_coin_pi(Fraction(-1, 4)),
+        make_coin_pi(Fraction(3, 4)), make_coin(math.pi / 4)],
+        ids=["pi/3", "-pi/4", "3pi/4", "float pi/4"])
+    def test_oracle_table_refuses_every_angle_but_pi4(self, coin):
+        for walk in WalkKind:
+            with pytest.raises(ValueError, match="theta = pi/4 only"):
+                route_table("oracle", walk, coin, 5)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_table_takes_the_walk_by_value(self, pi4_coin, route):
+        walks = ((WalkKind.HALF_LINE,) if route == "approx"
+                 else tuple(WalkKind))
+        for walk in walks:
+            assert route_table(route, walk.value, pi4_coin, 3) == \
+                route_table(route, walk, pi4_coin, 3)
+        with pytest.raises(ValueError):
+            route_table(route, "ring", pi4_coin, 3)
 
     def test_approx_table_columns(self, pi4_coin):
         table = route_table("approx", WalkKind.HALF_LINE, pi4_coin, 50, "x")
