@@ -41,10 +41,10 @@ Each table value is then one exact rational, whose denominator collects
 the prefactor's 2 q^(t-1), the 1/s^2 = q/b and the m^2 p^(2m) of the two
 sums, and it is rounded once to the requested precision: a correctly
 rounded double, a double-double pair whose low part is the correctly
-rounded remainder, or the exact Fraction (theta = pi/4 only). The
-``*_values`` functions take the precision; the Distribution functions hold
-correctly rounded doubles, which is what every precision gives once
-rounded to a double.
+rounded remainder, or the exact Fraction where the two ``Coin.squares()``
+sum to exactly 1 (a rational cos^2). The ``*_values`` functions take the
+precision; the Distribution functions hold correctly rounded doubles,
+which is what every precision gives once rounded to a double.
 
 At the angles with rational cos^2 (pi/6, pi/4, pi/3, ...) p/q and b/q are
 exact and b = q - p. At any other angle the model is the one the doubles
@@ -178,13 +178,11 @@ def _resolve(coin: Coin, t: int, params: Optional[ExactParams]
             "closed forms require theta not a multiple of pi/2"
         )
     precision = Precision(params.precision)
-    if precision is Precision.EXACT_Q2 and (
-            coin.pi_fraction is None
-            or (coin.pi_fraction % 2) != Fraction(1, 4)):
-        raise ValueError(
-            "exact rational evaluation is supported only at theta = pi/4"
-        )
-    return _RationalConsts(*coin.squares(), t, precision)
+    cos2, sin2 = coin.squares()
+    if precision is Precision.EXACT_Q2 and cos2 + sin2 != 1:
+        raise ValueError("exact rational evaluation needs rational cos^2: "
+                         "theta a pi fraction with denominator 3, 4 or 6")
+    return _RationalConsts(cos2, sin2, t, precision)
 
 
 class _RationalConsts:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwalk import cli, make_coin_pi
+from qwalk import cli
 from qwalk.closed_form import (
     ExactParams,
     Precision,
@@ -14,8 +14,7 @@ from qwalk.closed_form import (
     line_exact_values,
 )
 from qwalk.cli import main, parse_theta
-
-PI4 = make_coin_pi(Fraction(1, 4))
+from qwalk.core import _PROB_FLOOR
 
 
 class TestParseTheta:
@@ -247,26 +246,33 @@ class TestOutputs:
 
     def test_float_precisions_print_the_exact_values_rounded(self, tmp_path,
                                                              capsys):
-        # the tables print the exact rationals rounded once, past t = 300
+        # the tables print the exact rationals rounded once, past t = 300,
+        # and those below the floor as 0. At pi/3 and t = 1300, 2 q^(t-1)
+        # has 2,600 bits, so the values are rounded from the cut factors
         def cell(v):
-            return "0" if v == 0 else repr(float(v))
+            v = float(v)
+            return repr(v) if v >= _PROB_FLOOR else "0"
 
-        t = 301
-        for walk, values in (("line", line_exact_values),
-                             ("halfline", half_line_exact_values)):
-            vals = values(PI4, t, ExactParams.for_coin(PI4, t,
-                                                       Precision.EXACT_Q2))
-            if walk == "line":
-                rows = [f"{x},,,{cell(vals[x])}" for x in range(-t - 1, t - 1)]
-            else:
-                rows = [f"{x},{cell(v0 or 0)},{cell(v1)},{cell(vt)}"
-                        for x, (v0, v1, vt) in sorted(vals.items())]
-            out = tmp_path / f"{walk}.csv"
-            rc = main(["exact", "--walk", walk, "--theta", "pi/4",
-                       "--steps", str(t), "--out", str(out)])
-            assert rc == 0, walk
-            assert capsys.readouterr().err == ""
-            assert out.read_text() == "\n".join(["x,p0,p1,p", *rows]) + "\n"
+        for theta, t in (("pi/4", 301), ("pi/3", 301), ("pi/3", 1300),
+                         ("2pi/3", 301)):
+            coin = parse_theta(theta)
+            params = ExactParams.for_coin(coin, t, Precision.EXACT_Q2)
+            for walk, values in (("line", line_exact_values),
+                                 ("halfline", half_line_exact_values)):
+                vals = values(coin, t, params)
+                if walk == "line":
+                    rows = [f"{x},,,{cell(vals[x])}"
+                            for x in range(-t - 1, t - 1)]
+                else:
+                    rows = [f"{x},{cell(v0 or 0)},{cell(v1)},{cell(vt)}"
+                            for x, (v0, v1, vt) in sorted(vals.items())]
+                out = tmp_path / f"{walk}.csv"
+                rc = main(["exact", "--walk", walk, "--theta", theta,
+                           "--steps", str(t), "--out", str(out)])
+                assert rc == 0, (theta, t, walk)
+                assert capsys.readouterr().err == ""
+                assert out.read_text() == "\n".join(
+                    ["x,p0,p1,p", *rows]) + "\n", (theta, t, walk)
 
     def test_exact_beyond_threshold_ok_with_exact_precision(self, tmp_path,
                                                             capsys):

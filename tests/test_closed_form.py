@@ -401,18 +401,113 @@ def test_branch_recurrences_match_direct_sums(coin):
         assert list(_sums(consts, t)) == want, t
 
 
+def _sqrt_parts(square: Fraction, sign: float) -> tuple[Fraction, int]:
+    """sqrt(square) with the sign of ``sign``, as (r, k) for r sqrt(k) with
+    k a squarefree int."""
+    n = square.numerator * square.denominator
+    f = max(f for f in range(1, math.isqrt(n) + 1) if n % (f * f) == 0)
+    return Fraction(f if sign > 0 else -f, square.denominator), n // (f * f)
+
+
+def _exact_walk(kind: WalkKind, coin: Coin, t_max: int):
+    """Yield (t, {x: (p0, p1)}) for t = 1..t_max, evolved step by step.
+
+    With c^2 = p/q and s^2 = b/q from ``coin.squares()``, sqrt(2) q^t times
+    an amplitude is its real and imaginary part (the real part alone on the
+    line), each an element v0 + v1 c + v2 s + v3 cs held as four ints. A
+    probability is evaluated with c, s and cs written as rational multiples
+    of square roots of squarefree ints, and every irrational part must
+    cancel.
+    """
+    c2, s2 = coin.squares()
+    q = math.lcm(c2.denominator, s2.denominator)
+    p, b = int(c2 * q), int(s2 * q)
+    roots = ((Fraction(1), 1), _sqrt_parts(c2, coin.c),
+             _sqrt_parts(s2, coin.s), _sqrt_parts(c2 * s2, coin.c * coin.s))
+
+    # q c and q s times each part of an amplitude
+    def times_c(z):
+        return tuple((v1 * p, v0 * q, v3 * p, v2 * q) for v0, v1, v2, v3 in z)
+
+    def times_s(z):
+        return tuple((v2 * b, v3 * b, v0 * q, v1 * q) for v0, v1, v2, v3 in z)
+
+    def add(y, z, sign=1):
+        return tuple(tuple(u + sign * v for u, v in zip(*uv))
+                     for uv in zip(y, z))
+
+    def prob(z, t):
+        # the square of each part times q^2, reduced with c^2 and s^2
+        parts = dict.fromkeys((k for _, k in roots), Fraction(0))
+        for v0, v1, v2, v3 in z:
+            coefs = ((v0 * v0 * q + v1 * v1 * p + v2 * v2 * b) * q
+                     + v3 * v3 * p * b,
+                     2 * (v0 * v1 * q + v2 * v3 * b) * q,
+                     2 * (v0 * v2 * q + v1 * v3 * p) * q,
+                     2 * (v0 * v3 + v1 * v2) * q * q)
+            for coef, (r, k) in zip(coefs, roots):
+                parts[k] += coef * r
+        assert not any(v for k, v in parts.items() if k != 1), parts
+        return parts[1] / (2 * q ** (2 * t + 2))
+
+    zero, c, s, minus_s = (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0)
+    if kind is WalkKind.HALF_LINE:
+        # e^{-i theta} (1, i): inner 0 is c - i s, inner 1 is s + i c
+        amps = {0: ((c, minus_s), (s, c))}
+    else:  # the line stays real
+        amps = {x: ((c,), (s,)) for x in (-1, 0)}
+    empty = tuple((zero,) * len(a) for a in amps[0])
+    for t in range(1, t_max + 1):
+        new: dict = {}
+        for x, (a0, a1) in amps.items():
+            # the coin [[c, s], [s, -c]], then inner 0 left and inner 1
+            # right; on the half line inner 0 leaving 0 is inner 1 there
+            b0 = add(times_c(a0), times_s(a1))
+            b1 = add(times_s(a0), times_c(a1), -1)
+            to0 = (0, 1) if kind is WalkKind.HALF_LINE and x == 0 else (x - 1, 0)
+            for (y, inner), z in ((to0, b0), ((x + 1, 1), b1)):
+                site = list(new.get(y, empty))
+                site[inner] = add(site[inner], z)
+                new[y] = tuple(site)
+        amps = new
+        yield t, {x: (prob(a0, t), prob(a1, t)) for x, (a0, a1) in amps.items()}
+
+
 class TestExactRationalPath:
-    def test_requires_pi4(self, pi3_coin, pi4_coin):
-        with pytest.raises(ValueError):
-            line_exact_values(
-                pi3_coin, 4,
-                ExactParams.for_coin(pi3_coin, 4, Precision.EXACT_Q2))
-        coin = make_coin(math.pi / 4)  # float angle, no exact fraction
-        with pytest.raises(ValueError):
+    def test_requires_rational_cos2(self, pi3_coin, pi4_coin):
+        # float pi/4 has no exact fraction, and cos^2(2pi/5) is irrational
+        for coin in (make_coin(math.pi / 4), make_coin(1.0),
+                     make_coin_pi(Fraction(2, 5))):
+            with pytest.raises(ValueError, match="needs rational cos"):
+                line_exact_values(
+                    coin, 4, ExactParams.for_coin(coin, 4, Precision.EXACT_Q2))
+        coin = make_coin_pi(Fraction(1, 2))
+        with pytest.raises(FormulaDomainError):
             line_exact_values(
                 coin, 4, ExactParams.for_coin(coin, 4, Precision.EXACT_Q2))
-        line_exact_values(
-            pi4_coin, 4, ExactParams.for_coin(pi4_coin, 4, Precision.EXACT_Q2))
+        for coin in (pi4_coin, pi3_coin):
+            line_exact_values(
+                coin, 4, ExactParams.for_coin(coin, 4, Precision.EXACT_Q2))
+
+    @pytest.mark.parametrize("walk", list(WalkKind))
+    @pytest.mark.parametrize("frac", [
+        Fraction(1, 3), Fraction(1, 6), Fraction(2, 3), Fraction(3, 4),
+        Fraction(-1, 3)], ids=["pi/3", "pi/6", "2pi/3", "3pi/4", "-pi/3"])
+    def test_equals_an_independent_exact_walk(self, frac, walk):
+        coin = make_coin_pi(frac)
+        for t, probs in _exact_walk(walk, coin, 24):
+            params = ExactParams.for_coin(coin, t, Precision.EXACT_Q2)
+            if walk is WalkKind.LINE:
+                got = {x: v for x, v in
+                       line_exact_values(coin, t, params).items() if v}
+                want = {x: p0 + p1 for x, (p0, p1) in probs.items()
+                        if p0 + p1}
+            else:
+                got = {x: (v0 or 0, v1, vt) for x, (v0, v1, vt) in
+                       half_line_exact_values(coin, t, params).items()}
+                want = {x: (p0, p1, p0 + p1)
+                        for x, (p0, p1) in probs.items()}
+            assert got == want, t
 
     def test_line_matches_oracle_exactly(self, pi4_coin):
         # the series starts at t = 0, which has no closed form

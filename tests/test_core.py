@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -7,16 +9,26 @@ from hypothesis import given, strategies as st
 from pytest import approx
 
 from qwalk import (
+    ApproxKind,
+    DensityKind,
     Distribution,
+    LimitDensity,
     State,
     WalkKind,
+    approx_prob,
+    cdf_at,
     distribution,
     evolve,
     initial,
+    iter_states,
+    ks_distance,
     make_coin,
     make_coin_pi,
+    q2_oracle_distribution,
+    q2_oracle_series,
     step,
 )
+from qwalk.harness import route_table, table_from_distribution
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -207,3 +219,67 @@ def test_evolve_accepts_kind_strings(pi4_coin):
     assert state.kind is WalkKind.HALF_LINE
     state = evolve("line", pi4_coin, 3)
     assert state.kind is WalkKind.LINE
+
+
+_PI4 = make_coin_pi(Fraction(1, 4))
+# keyed by value, so a kind given either way finds its entry
+_WINDOWS = {"halfline": (1, 2), "line": (2, 2)}
+_DISTS = {k.value: distribution(evolve(k, _PI4, 2)) for k in WalkKind}
+
+
+def _state_and_step(kind):
+    state = State(kind, 0, np.zeros(_WINDOWS[kind], complex))
+    return state, step(state, _PI4)
+
+
+def _distribution_table(kind):
+    dist = dataclasses.replace(_DISTS[kind], kind=kind)
+    return dist, table_from_distribution(dist, "evolve", _PI4.theta)
+
+
+def _density(kind):
+    d = LimitDensity(_PI4, kind)
+    return d, [cdf_at(d, y) for y in (-0.5, 0.1, 0.5)]
+
+
+# every public entry point that takes a kind: its kind enum and one call
+_KIND_ENTRY_POINTS = {
+    "initial": (WalkKind, lambda k: initial(k, _PI4)),
+    "evolve": (WalkKind, lambda k: evolve(k, _PI4, 5)),
+    "iter_states": (WalkKind, lambda k: list(iter_states(k, _PI4, 3))),
+    "State": (WalkKind, _state_and_step),
+    "Distribution": (WalkKind, _distribution_table),
+    "route_table": (WalkKind, lambda k: [
+        route_table(route, k, _PI4, 3) for route in ("evolve", "exact",
+                                                      "oracle")]),
+    "q2_oracle_distribution": (WalkKind,
+                               lambda k: q2_oracle_distribution(k, 4)),
+    "q2_oracle_series": (WalkKind, lambda k: list(q2_oracle_series(k, 4))),
+    "LimitDensity": (DensityKind, _density),
+    "ks_distance": (DensityKind, lambda k: ks_distance(_PI4, 20, k)),
+    "approx_prob": (ApproxKind, lambda k: [approx_prob(_PI4, 50, x, k)
+                                           for x in (0, 10, 30)]),
+}
+
+
+def _key(value):
+    """A comparable form of a result, each string tagged with its type, so
+    that a kind kept as its plain value differs from the member."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_key, value))
+    if isinstance(value, str):
+        return type(value), str(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_key(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    return value
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, (kinds, _) in _KIND_ENTRY_POINTS.items()
+    for kind in kinds])
+def test_kind_as_value_or_member(name, kind: Enum):
+    call = _KIND_ENTRY_POINTS[name][1]
+    assert _key(call(kind.value)) == _key(call(kind))
