@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Coin, State, WalkKind
+from .core import Coin, State, WalkKind, _index
 from .evolution import evolve, probability_arrays
 
 
@@ -236,6 +236,7 @@ def ks_distance(coin: Coin, t: int,
     evolved here. A state of the other walk or of another time raises
     ``ValueError``; the coin is not checked.
     """
+    t = _index("t", t)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     d = LimitDensity(coin=coin, kind=kind)

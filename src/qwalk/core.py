@@ -8,6 +8,7 @@ implicitly zero. States are immutable value objects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,6 +29,15 @@ _RATIONAL_COS2 = {
 
 # a float angle's cos or sin below this counts as zero
 _TRIG_ZERO = 1e-12
+
+
+def _index(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``; a float or any other
+    non-integer raises a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class WalkKind(str, Enum):
@@ -120,7 +130,7 @@ class State:
                 f"support window must cover {lo}..t: expected {shape}, "
                 f"got {self.amps.shape}"
             )
-        self.amps.flags.writeable = False
+        self.amps.setflags(write=False)
 
     @property
     def offset(self) -> int:

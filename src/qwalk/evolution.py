@@ -1,18 +1,41 @@
 """Unitary time evolution for both walks and probability extraction.
 
 One step applies the coin at every site and then the shift. On the line the
-shift is homogeneous (inner 0 moves left, inner 1 moves right) and the window
-is re-based one position further left; on the half line the window stays at
-x = 0 and a left-mover at the boundary is turned into a right-mover in place.
+shift is homogeneous (inner 0 moves left, inner 1 moves right); on the half
+line a left-mover at the boundary x = 0 is turned into a right-mover in
+place.
 
-Both walks run through one coin-and-shift kernel. The window is held as two
-float64 rows, inner 0 and inner 1, in one of two buffers allocated once per
-walk; each step writes the other buffer, and the buffers swap roles, so no
-step allocates. The shift is where the kernel writes, not a separate copy.
-Because the coin is real it acts on real and imaginary parts independently:
-the half line runs on the float64 view of complex rows, and the line, whose
-start is real, runs on real rows and skips an imaginary half that stays
-zero. Every amplitude is the same product and sum the complex step computes.
+The paper's initial states make every window carry each value twice, so
+the kernel steps one site of each twin pair. The twins are exact in floats,
+not only in exact arithmetic: the coin is real, so it commutes with a real
+scale and with multiplication by -i, which swaps the real and imaginary
+parts and negates one, and float rounding is symmetric under sign.
+
+- The line starts from the same real vector (c, s)/sqrt(2) at x = -1 and
+  x = 0. Its window is the walk phi from x = 0 alone plus phi moved one
+  site left, and phi lives on the sites x = t (mod 2), so the two never
+  overlap: psi_t(x) is phi_t(x) for x = t (mod 2) and phi_t(x + 1)
+  otherwise. The window is phi's t + 1 sites, each repeated.
+- The half line starts from e^{-i theta}(1, i)/sqrt(2) = (-i w, w). At odd
+  t its window is the pairs (z(2j), z(2j + 1) = -i z(2j)). At even t it is
+  the pairs (z(2j - 1), z(2j) = -i z(2j - 1)), the first of them at a
+  virtual site below the boundary, z(-1) = i z(0). Each step sends pairs to
+  pairs, as the coin commutes with -i and the shift moves both sites of a
+  pair alike. The boundary keeps z(0) of the form (-i w, w) at even t: it
+  is (post0(z(1)), post0(z(0))) with z(1) = -i z(0).
+
+The kernel steps the first site of each pair on the line's shift, so inner
+0 keeps its index and inner 1 moves one site on: real rows of phi on the
+line, complex rows on the half line. The virtual site makes the half line's
+boundary all but free. From even t, the coin sends z(-1) = (w, i w) to
+post1 = s w - i c w, which is post0(z(0)), the value the boundary turns
+into inner 1 at x = 0, and the pairs start one site up. From odd t, the
+coin writes post0(z(0)) = w as inner 0 of the new virtual site, whose
+inner 1, i w, is set by hand. The window is held as two float64 rows, inner
+0 and inner 1, in one of two buffers allocated once per walk; each step
+writes the other buffer, and the buffers swap roles, so no step allocates.
+The shift is where the kernel writes, not a separate copy. A state expands
+the pairs to its full window.
 
 Outside the light cone |x| < |c| t the amplitudes decay into subnormal
 floats, and from t of about 1000 on they stop decaying at a floor of them
@@ -21,8 +44,9 @@ handles slowly. So the kernel steps only a live range of sites and holds
 exact zeros outside it. The range grows with the shift each step, and every
 64 steps it shrinks to the sites from the first to the last with a
 component of at least the smallest normal float; all it drops is
-subnormal. While the outermost sites are normal, as in short walks, the
-scan is skipped.
+subnormal. Twins have equal magnitudes, so a trim never splits a pair.
+While the outermost sites are normal, as in short walks, the scan is
+skipped.
 
 Against the complex step this keeps the probabilities, the norm and every
 amplitude component of size 2^-537 or more bit-identical (a zero may differ
@@ -43,12 +67,16 @@ from .core import (
     Distribution,
     State,
     WalkKind,
+    _index,
     initial,
 )
 
 # steps between scans that drop the subnormal edges of the live sites
 _TRIM_EVERY = 64
 _TINY = np.finfo(np.float64).tiny
+# a half-line site times this is its twin: an exact swap of the real and
+# imaginary parts, one of them negated (a zero may change sign)
+_MINUS_I = np.array(-1j)
 
 
 def _normal(src: np.ndarray, site: int, w: int) -> bool:
@@ -61,8 +89,8 @@ def _live(src: np.ndarray, lo: int, hi: int, w: int,
           half: bool) -> tuple[int, int]:
     """The sites of [lo, hi) from the first to the last with a normal component.
 
-    The half line keeps site 0, its boundary. While the outermost sites are
-    normal nothing can be dropped, and the window is not scanned.
+    The half line keeps site lo, its first pair. While the outermost sites
+    are normal nothing can be dropped, and the window is not scanned.
     """
     if _normal(src, hi - 1, w) and (half or _normal(src, lo, w)):
         return lo, hi
@@ -72,109 +100,136 @@ def _live(src: np.ndarray, lo: int, hi: int, w: int,
     return first, lo + int(floats[-1]) // w + 1
 
 
-def _windows(kind: WalkKind, amps: np.ndarray, coin: Coin,
-             steps: int) -> Iterator[np.ndarray]:
-    """Yield the window as (inner 0, inner 1) rows after each step from ``amps``.
+def _windows(state: State, coin: Coin, steps: int) -> Iterator[np.ndarray]:
+    """Yield the rows (inner 0, inner 1) of the first site of each pair
+    after each step from the initial ``state``.
 
     A yielded view is valid until the generator resumes. Each buffer row
-    spans ``cap`` sites, the last window, from ``base`` sites in; the coin's
-    output rows go to buffer sites 0 and cap + 2, which is the shift. On the
-    line (base 0) inner 0 keeps its index and inner 1 moves two on, as the
-    window starts one position further left. On the half line (base 1)
-    inner 0 moves one down and inner 1 one up, and the left-mover leaving
-    x = 0 lands in spare site 0, to be handed to inner 1 at x = 0.
+    spans ``cap`` sites, and after step t the pairs are at buffer sites
+    [edge, t + 2): ``edge`` is 1 on the line, and on the half line it moves
+    up one site with each step from even t. The coin's output rows go to
+    buffer sites 0 and cap + 1, which is the shift: inner 0 keeps its index
+    and inner 1 moves one on.
 
-    The coin runs on the live sites [lo, hi) only, and every other site of
-    both buffers holds zero. A step moves ``hi`` on by the shift. Every
-    ``_TRIM_EVERY`` steps the live sites shrink to those from the first to
-    the last with a normal component; the sites dropped are zeroed in both
-    buffers. On the line ``lo`` then stays two sites below the first, so
-    inner 1 at sites lo and lo + 1, which no step writes, stays zero.
+    The coin runs on a live range of sites only: from ``lo`` to ``hi``,
+    which grows by one site a step. Each block of ``_TRIM_EVERY`` steps
+    runs it on the live sites of its last step, so it takes its views once;
+    the sites past a step's live ones hold zero. Before a block the live
+    sites shrink to those from the first to the last with a normal
+    component, and the sites dropped are zeroed in both buffers. On the
+    line ``lo`` stays one site below the first, so inner 1 at site lo,
+    which no step writes, stays zero. Below the half line's edge the
+    buffers hold stale values; the coin carries them up only to inner 1 at
+    the edge, which the same step overwrites or leaves below the new edge.
     """
-    half = kind is WalkKind.HALF_LINE
-    # a complex line window (only `step` can pass one) keeps its
-    # imaginary part; the line's own start is real
-    dtype = np.complex128 if half or amps.imag.any() else np.float64
+    half = state.kind is WalkKind.HALF_LINE
+    dtype = np.complex128 if half else np.float64
     w = np.dtype(dtype).itemsize // 8  # floats per site
-    base, grow = (1, 1) if half else (0, 2)
-    n = amps.shape[0]
-    cap = n + grow * steps
-    bufs = [np.zeros(2 * cap + 4, dtype) for _ in range(2)]
-    rows = [b[base:base + 2 * cap].reshape(2, cap) for b in bufs]
+    cap = steps + 2
+    bufs = [np.zeros(2 * cap + 2, dtype) for _ in range(2)]
+    rows = [b[:2 * cap].reshape(2, cap) for b in bufs]
     flat = [r.view(np.float64) for r in rows]
-    outs = [b.view(np.float64)[:2 * (cap + 2) * w].reshape(2, (cap + 2) * w)
-            for b in bufs]
-    src = np.ascontiguousarray(amps.T if w == 2 else amps.real.T,
-                               dtype).view(np.float64)
+    outs = [b.view(np.float64).reshape(2, (cap + 1) * w) for b in bufs]
+    # the half line's boundary fix, on floats as memoryviews, whose items
+    # cost less to get and set than an array's
+    row0, row1 = map(memoryview, flat[1])
+    # step i reads buffer 1 - i % 2; the half line starts at z(-1) = i z(0)
+    rows[1][:, 1] = state.amps[0] * 1j if half else state.amps[0].real
     coef = coin.matrix()[:, :, None]
     tmp = np.empty((2, 2, cap * w))
-    lo, hi = 0, n
+    lo, hi, edge = 0, 2, 1
     for start in range(0, steps, _TRIM_EVERY):
+        stop = min(start + _TRIM_EVERY, steps)
+        if half:
+            lo = edge
         if start:
-            first, last = _live(src, lo, hi, w, half)
+            # start is even, so its step reads buffer 1 and writes buffer 0
+            first, last = _live(flat[1], lo, hi, w, half)
             if (first, last) != (lo, hi):
-                src[:, lo * w:first * w] = 0
-                src[:, last * w:hi * w] = 0
-                # the buffer the next step writes holds the window before
-                k = start & 1
-                rows[k][:, lo:hi] = 0
-                bufs[k][:base] = 0
-                lo, hi = max(first - 2, lo), last
-        # the live sites as float offsets into a row
-        a, b = lo * w, hi * w
-        for i in range(start, min(start + _TRIM_EVERY, steps)):
+                flat[1][:, lo * w:first * w] = 0
+                flat[1][:, last * w:hi * w] = 0
+                rows[0][:, lo:hi] = 0
+                lo, hi = max(first - 1, lo), last
+        # the live sites of the block's last step, as float offsets
+        a, b = lo * w, (hi + stop - start - 1) * w
+        prod = tmp[:, :, :b - a]
+        p0, p1 = prod[:, 0], prod[:, 1]
+        srcs = [f[:, a:b] for f in flat]
+        dsts = [o[:, a:b] for o in outs]
+        for i in range(start, stop):
             k = i & 1
-            m = b - a
             # out[r] = coef[r, 0] * inner0 + coef[r, 1] * inner1, the coin
-            np.multiply(coef, src[:, a:b], out=tmp[:, :, :m])
-            np.add(tmp[:, 0, :m], tmp[:, 1, :m], out=outs[k][:, a:b])
-            if half:
-                rows[k][1, 0] = bufs[k][0]
-            n += grow
-            b += grow * w
-            src = flat[k]
-            yield rows[k][:, :n]
-        hi = b // w
+            np.multiply(coef, srcs[1 - k], prod)
+            np.add(p0, p1, dsts[k])
+            if half and k:
+                # the new virtual site is (w, i w); i (re, im) = (-im, re)
+                f = 2 * edge
+                row1[f], row1[f + 1] = -row0[f + 1], row0[f]
+            elif half:
+                edge += 1
+            yield rows[k][:, edge:i + 3]
+        hi += stop - start
 
 
 def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
-    """A state owning a complex copy of the (inner 0, inner 1) rows."""
-    return State(kind, t, window.T.astype(np.complex128, order="C"))
+    """A state owning a complex copy of the full window: each representative
+    followed by its twin."""
+    if kind is WalkKind.LINE:
+        return State(kind, t, window.T.astype(np.complex128).repeat(2, axis=0))
+    amps = np.empty((2 * window.shape[1], 2), np.complex128)
+    pairs = amps.T
+    np.copyto(pairs[:, 0::2], window)
+    np.multiply(window, _MINUS_I, pairs[:, 1::2])
+    # at even t the first pair starts at the virtual site x = -1
+    return State(kind, t, amps if t & 1 else amps[1:])
 
 
 def step(state: State, coin: Coin) -> State:
-    """Advance one step: coin everywhere, then the shift of the state's walk.
+    """Advance any state one step: coin everywhere, then the shift.
 
     On the line the shift is homogeneous. On the half line post-coin inner 0
     at x >= 1 moves to x-1; at x = 0 it becomes inner 1 in place; inner 1
     moves from x to x+1.
     """
-    window = next(_windows(state.kind, state.amps, coin, 1))
-    return _state(state.kind, state.t + 1, window)
+    amps = state.amps
+    post0 = coin.c * amps[:, 0] + coin.s * amps[:, 1]
+    post1 = coin.s * amps[:, 0] - coin.c * amps[:, 1]
+    n = len(amps)
+    if state.kind is WalkKind.HALF_LINE:
+        out = np.zeros((n + 1, 2), np.complex128)
+        out[:n - 1, 0] = post0[1:]
+        out[0, 1] = post0[0]
+        out[1:, 1] = post1
+    else:
+        out = np.zeros((n + 2, 2), np.complex128)
+        out[:n, 0] = post0
+        out[2:, 1] = post1
+    return State(state.kind, state.t + 1, out)
 
 
-def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[WalkKind, State]:
-    """The walk kind and its initial state, once ``steps`` is checked."""
+def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[State, int]:
+    """The initial state and the step count, once ``steps`` is checked."""
+    steps = _index("steps", steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    state = initial(kind, coin)
-    return state.kind, state
+    return initial(kind, coin), steps
 
 
 def evolve(kind: WalkKind, coin: Coin, steps: int) -> State:
     """Evolve the appropriate initial state for the given number of steps."""
-    kind, state = _start(kind, coin, steps)
+    state, steps = _start(kind, coin, steps)
     window = None
-    for window in _windows(kind, state.amps, coin, steps):
+    for window in _windows(state, coin, steps):
         pass
-    return state if window is None else _state(kind, steps, window)
+    return state if window is None else _state(state.kind, steps, window)
 
 
 def iter_states(kind: WalkKind, coin: Coin, steps: int):
     """Yield (t, state) for t = 0..steps without re-evolving from scratch."""
-    kind, state = _start(kind, coin, steps)
+    state, steps = _start(kind, coin, steps)
     yield 0, state
-    for t, window in enumerate(_windows(kind, state.amps, coin, steps), 1):
+    kind = state.kind
+    for t, window in enumerate(_windows(state, coin, steps), 1):
         yield t, _state(kind, t, window)
 
 

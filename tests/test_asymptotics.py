@@ -422,6 +422,11 @@ class TestKS:
         with pytest.raises(ValueError):
             ks_distance(pi4_coin, 0)
 
+    def test_t_must_be_an_integer(self, pi4_coin):
+        with pytest.raises(TypeError, match=r"^t must be an integer, got 2\.0$"):
+            ks_distance(pi4_coin, 2.0)
+        assert ks_distance(pi4_coin, np.int64(30)) == ks_distance(pi4_coin, 30)
+
     @pytest.mark.parametrize("kind", list(DensityKind))
     def test_supplied_state_gives_the_same_report(self, pi4_coin, kind):
         walk = (WalkKind.LINE if kind is DensityKind.LINE_TOTAL

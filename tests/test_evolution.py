@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from pytest import approx
 
 from qwalk import (
@@ -37,6 +38,13 @@ EXACTNESS_COINS = (
     make_coin(1.01),
     make_coin(-0.7),
     make_coin(2.5),
+)
+
+
+# the exactness coins and angles where c and s are both negative
+TWIN_COINS = EXACTNESS_COINS + (
+    make_coin(-2.2),
+    make_coin_pi(Fraction(-3, 4)),
 )
 
 
@@ -100,6 +108,27 @@ def trimmed_reference_states(kind, coin, steps):
             amps = np.zeros_like(state.amps)
             amps[first:normal[-1] + 1] = state.amps[first:normal[-1] + 1]
             state = State(kind, t, amps)
+
+
+def minus_i(amps):
+    """-i times each amplitude on floats: the real and imaginary parts
+    swapped and the new imaginary part negated."""
+    out = np.empty_like(amps)
+    out.real = amps.imag
+    out.imag = -amps.real
+    return out
+
+
+def assert_twins(state):
+    """Every value of the window comes twice: the line's sites 2j and
+    2j + 1 are equal, and the half line's z(x + 1) is -i z(x) for x = 2j at
+    odd t and x = 2j + 1 at even t."""
+    a = state.amps
+    if state.kind is WalkKind.LINE:
+        assert np.array_equal(a[0::2], a[1::2])
+    else:
+        first = 1 - state.t % 2
+        assert np.array_equal(a[first + 1::2], minus_i(a[first::2]))
 
 
 def assert_same_walk(state, ref):
@@ -242,6 +271,17 @@ class TestEvolve:
         with pytest.raises(ValueError):
             list(iter_states(WalkKind.LINE, pi4_coin, -2))
 
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_steps_must_be_an_integer(self, pi4_coin, kind):
+        message = r"^steps must be an integer, got 2\.0$"
+        with pytest.raises(TypeError, match=message):
+            evolve(kind, pi4_coin, 2.0)
+        with pytest.raises(TypeError, match=message):
+            list(iter_states(kind, pi4_coin, 2.0))
+        three = evolve(kind, pi4_coin, np.int64(3))
+        assert three.t == 3 and type(three.t) is int
+        assert three.amps.tobytes() == evolve(kind, pi4_coin, 3).amps.tobytes()
+
     def test_norm_after_500_steps_pi3(self, pi3_coin):
         state = evolve(WalkKind.HALF_LINE, pi3_coin, 500)
         assert abs(state.norm_sq() - 1.0) <= 1e-12
@@ -338,6 +378,44 @@ class TestExactness:
             assert not state.amps.flags.writeable
         for (_, a), (_, b) in zip(states, states[1:]):
             assert not np.shares_memory(a.amps, b.amps)
+
+
+class TestTwins:
+    """The paper's starts repeat every value, bit for bit, in the tests'
+    own complex reference: the premise of the kernel's pairs."""
+
+    @pytest.mark.parametrize("coin", TWIN_COINS,
+                             ids=lambda c: f"{c.theta:.4f}")
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_the_reference_repeats_every_value(self, kind, coin):
+        for ref in reference_states(kind, coin, 3000):
+            if ref.t <= 300 or ref.t == 3000:
+                assert_twins(ref)
+        assert ref.t == 3000
+
+    def test_the_check_fails_without_twins(self):
+        amps = np.array([[1.0, 0.5j], [0.25, 2.0]])
+        for kind, t in ((WalkKind.HALF_LINE, 1), (WalkKind.LINE, 0)):
+            with pytest.raises(AssertionError):
+                assert_twins(State(kind, t, amps))
+
+
+@seed(2016)
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True,
+                       exclude_max=True),
+       t=st.integers(0, 400),
+       kind=st.sampled_from(list(WalkKind)))
+def test_drawn_walks_equal_the_reference(theta, t, kind):
+    """evolve and the last state of iter_states equal the trimmed complex
+    reference at drawn angles and times."""
+    coin = make_coin(theta)
+    for ref in trimmed_reference_states(kind, coin, t):
+        pass
+    assert_same_walk(evolve(kind, coin, t), ref)
+    for _, state in iter_states(kind, coin, t):
+        pass
+    assert_same_walk(state, ref)
 
 
 class TestDistribution:

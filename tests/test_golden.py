@@ -9,8 +9,9 @@ closed form still ran separate branch loops for even and odd t, and the
 fig2 and fig3 digests before `figure_data` read its figures from one table,
 and the t = 5000 simulate digests while the renderers still formatted one
 cell at a time, and the two oracle CSV digests while the oracle table still
-held its exact values as a second column set; any change to them is a
-change of output bytes.
+held its exact values as a second column set, and the t = 5000 simulate
+digests at theta = 2.5, -0.7 and pi/4 while the step kernel still stepped
+every site of the window; any change to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -73,6 +74,28 @@ def test_long_walk_table_bytes_are_pinned(walk, fmt, digest, tmp_path):
     out = tmp_path / f"out.{fmt}"
     assert main(["simulate", "--walk", walk, "--theta", "1.0", "--steps",
                  "5000", "--format", fmt, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("walk, theta, digest", [
+    ("line", "2.5",
+     "20ac4fe652c838b644787e835d103d29a623db953da4ca02e54a7c4e06b740a3"),
+    ("line", "-0.7",
+     "99eca74c1dddeb728eb82db965ce2621a7653456fe03f1b8d80aa57bfefe5196"),
+    ("line", "pi/4",
+     "d4b1053ca39b3e2257852cd1094ce5239a178b6e153e4da00c234f681d0e2400"),
+    ("halfline", "2.5",
+     "847ac573f9134f844e6207d3e67baeeef9c27eafed341938384bf0aad955b149"),
+    ("halfline", "-0.7",
+     "afe3ac9252af1735bc6307b171771753d0ead855c1c66a681129a0068d424a57"),
+    ("halfline", "pi/4",
+     "7ba22ccc3591dc03d4f9129a7fff827065a376e641fc9917c315b66eba5b05ae"),
+])
+def test_long_walk_csv_bytes_are_pinned_at_more_angles(walk, theta, digest,
+                                                       tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--walk", walk, f"--theta={theta}", "--steps",
+                 "5000", "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == digest
 
 
