@@ -1,8 +1,8 @@
 """Coined quantum walk on the half line and its line-walk copy.
 
-Three independent routes to the same distributions: unitary evolution,
-combinatorial closed forms, and weak-limit densities, plus the verification
-suites that cross-check them.
+Four independent routes to the same distributions: unitary evolution,
+combinatorial closed forms, the exact rational oracle at theta = pi/4, and
+weak-limit densities, plus the verification suites that cross-check them.
 """
 from .asymptotics import (
     ApproxKind,

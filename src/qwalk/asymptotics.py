@@ -189,8 +189,7 @@ class ApproxKind(str, Enum):
 def approx_columns(coin: Coin, t: int, xs) -> np.ndarray:
     """Large-t approximation of the half-line probabilities at positions xs:
     one row per `ApproxKind`, in its order; zero outside 0 <= x < |c| t."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _index("t", t, 1)
     if coin.is_degenerate():
         raise ValueError("the large-t approximation needs theta away from "
                          "multiples of pi/2")
@@ -236,9 +235,7 @@ def ks_distance(coin: Coin, t: int,
     evolved here. A state of the other walk or of another time raises
     ``ValueError``; the coin is not checked.
     """
-    t = _index("t", t)
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _index("t", t, 1)
     d = LimitDensity(coin=coin, kind=kind)
     walk = WalkKind.LINE if d.kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
     if state is None:

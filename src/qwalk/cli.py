@@ -217,8 +217,21 @@ _COMMANDS = {
 }
 
 
+def _attach_angles(argv: list[str]) -> list[str]:
+    """``--theta -pi/4`` as ``--theta=-pi/4``: argparse takes a value that
+    starts with '-', unless it is a plain number, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--theta", "--thetas") and arg[:1] == "-":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_angles(argv))
     try:
         return _COMMANDS[args.command](args)
     # UsageError, FormulaDomainError and OracleLimitError are ValueErrors

@@ -68,7 +68,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .core import _PROB_FLOOR, Coin, Distribution, WalkKind
+from .core import _PROB_FLOOR, Coin, Distribution, WalkKind, _index
 
 __all__ = [
     "ExactParams",
@@ -384,8 +384,6 @@ def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
     and -x. The half line is the line relabelled (theorem1): its inner 0 at
     x is the line at x, and its inner 1 at x the line at -x - 1.
     """
-    if t < 1:
-        raise ValueError(f"closed form needs t >= 1, got {t}")
     consts = _resolve(coin, t, params)
     return consts, ((t - 2 * m, m, _Branch(consts, m, n0, n1, power))
                     for (m, n0, n1), power in zip(_sums(consts, t),
@@ -417,6 +415,7 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
     Values are floats, double-double pairs, or Fractions depending on the
     requested precision; ``line_exact`` wraps this into a Distribution.
     """
+    t = _index("t", t, 1)
     consts, branches = _branches(coin, t, params)
     out: dict[int, object] = {-t - 1: consts.pref, -t: consts.pref}
     for x, m, sums in branches:
@@ -432,6 +431,7 @@ def line_exact(coin: Coin, t: int) -> Distribution:
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
+    t = _index("t", t, 1)
     vals = line_exact_values(
         coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1))
@@ -453,6 +453,7 @@ def half_line_exact_values(coin: Coin, t: int,
     total column is evaluated through its own combined weight, not by adding
     the inner columns, so the split consistency stays a real check.
     """
+    t = _index("t", t, 1)
     consts, branches = _branches(coin, t, params)
     out: dict[int, tuple] = {}
     for x, m, sums in branches:
@@ -473,6 +474,7 @@ def half_line_exact(coin: Coin, t: int) -> Distribution:
 
     ``p0`` is 0.0 on the frontier pair, where only inner 1 is positive.
     """
+    t = _index("t", t, 1)
     vals = half_line_exact_values(
         coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     v0s, v1s, vts = zip(*(vals[x] for x in range(t + 1)))

@@ -31,13 +31,17 @@ _RATIONAL_COS2 = {
 _TRIG_ZERO = 1e-12
 
 
-def _index(name: str, value) -> int:
-    """``value`` as an int by ``operator.index``; a float or any other
-    non-integer raises a TypeError that names the argument."""
+def _index(name: str, value, least: int = 0) -> int:
+    """``value`` as an int by ``operator.index``, the one check of a time:
+    a float or any other non-integer raises a TypeError and an int below
+    ``least`` a ValueError, each naming the argument."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class WalkKind(str, Enum):
@@ -121,8 +125,7 @@ class State:
         # the enum call (0.7 us on a 2-vCPU host), as each step makes a State
         if type(self.kind) is not WalkKind:
             object.__setattr__(self, "kind", WalkKind(self.kind))
-        if self.t < 0:
-            raise ValueError("time must be >= 0")
+        object.__setattr__(self, "t", _index("t", self.t))
         shape = (self.t + 1 - self.offset, 2)
         if self.amps.shape != shape:
             lo = "0" if self.kind is WalkKind.HALF_LINE else "-t-1"
@@ -185,6 +188,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", WalkKind(self.kind))
+        object.__setattr__(self, "t", _index("t", self.t))
         if not len(self.p0) == len(self.p1) == len(self.p):
             raise ValueError("p0, p1 and p must have equal lengths")
 

@@ -210,8 +210,6 @@ def step(state: State, coin: Coin) -> State:
 def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[State, int]:
     """The initial state and the step count, once ``steps`` is checked."""
     steps = _index("steps", steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     return initial(kind, coin), steps
 
 

@@ -24,8 +24,8 @@ from . import asymptotics
 from .asymptotics import DensityKind, LimitDensity
 from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
                           line_exact)
-from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, make_coin,
-                   make_coin_pi)
+from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, _index,
+                   make_coin, make_coin_pi)
 from .evolution import distribution, evolve, iter_states, probability_arrays
 from .qfield import q2_oracle_distribution
 
@@ -53,8 +53,7 @@ _KS_DECAY = 0.45
 
 
 def ks_tolerance(t: int) -> float:
-    if t < 1:
-        raise ValueError(f"KS tolerance needs t >= 1, got {t}")
+    t = _index("t", t, 1)
     if t >= 1000:
         return KS_TOL_AT_1000
     return _KS_ANCHOR * (1000.0 / t) ** _KS_DECAY
@@ -141,10 +140,6 @@ def _degenerate(coin: Coin) -> Optional[str]:
     return "theta excluded (degenerate coin)" if coin.is_degenerate() else None
 
 
-def _never(coin: Coin) -> Optional[str]:
-    return None
-
-
 # a suite's checks for one coin: (coin, sorted times) -> checks
 _SuiteChecks = Callable[[Coin, Sequence[int]], list[CheckResult]]
 
@@ -154,20 +149,21 @@ _BOTH_WALKS = (WalkKind.LINE, WalkKind.HALF_LINE)
 def _walk_suite(name: str, residual: Callable[..., float],
                 walks: tuple[WalkKind, ...] = _BOTH_WALKS,
                 tolerance: Optional[Callable[[int], float]] = None,
-                excluded: Callable[[Coin], Optional[str]] = _sin_zero,
+                excluded: Optional[Callable[[Coin], Optional[str]]] = _sin_zero,
                 min_t: int = 0) -> _SuiteChecks:
     """Checks fed by one ``iter_states`` pass per walk and coin.
 
     ``residual(coin, *states)`` runs at every requested time >= min_t, with
     the states in the order of ``walks``; an angle for which ``excluded``
-    gives a reason gets an error entry at each of those times instead.
+    gives a reason gets an error entry at each of those times instead, and
+    ``excluded=None`` excludes none.
     ``tolerance(t)`` defaults to the suite's entry in TOLERANCES.
     """
     tol = tolerance or (lambda t: TOLERANCES[name])
 
     def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
         tols = {t: tol(t) for t in ts if t >= min_t}
-        reason = excluded(coin)
+        reason = excluded and excluded(coin)
         if reason:
             return [_error_check(name, coin, t, tols[t], reason) for t in tols]
         if not tols:
@@ -205,10 +201,10 @@ def _padded_line(state) -> tuple[np.ndarray, np.ndarray, int]:
     return gp, dp, pad - state.offset
 
 
-def _lemma1_residual(state, coin: Coin) -> float:
+def _lemma1_residual(coin: Coin, line_state) -> float:
     """Mirror identities of the line amplitudes at one time."""
-    t = state.t
-    gp, dp, shift = _padded_line(state)
+    t = line_state.t
+    gp, dp, shift = _padded_line(line_state)
     x = np.arange(0, t + 1)
     ia = x - 1 + shift
     ib = -x + shift
@@ -222,7 +218,7 @@ def _lemma1_residual(state, coin: Coin) -> float:
     return float(max(res1.max(), res2.max()))
 
 
-def _lemma2_residual(half_state, line_state) -> float:
+def _lemma2_residual(coin: Coin, line_state, half_state) -> float:
     """Amplitude copy identities between the two walks at one time."""
     t = half_state.t
     a = half_state.amps[:, 0]
@@ -243,7 +239,7 @@ def _lemma2_residual(half_state, line_state) -> float:
     return float(max(np.abs(a - exp_a).max(), np.abs(b - exp_b).max()))
 
 
-def _theorem1_residual(half_state, line_state) -> float:
+def _theorem1_residual(coin: Coin, line_state, half_state) -> float:
     """Probability copy: inner 0 matches x >= 0, inner 1 matches -x-1."""
     t = half_state.t
     p0, p1 = probability_arrays(half_state)
@@ -311,40 +307,27 @@ def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
     ]
 
 
-def _any_t(t: int) -> bool:
-    return True
-
-
-def _closed_form_range(t: int) -> bool:
-    return t <= EXACT_VS_SIM_MAX_T
-
-
-def _ks_range(t: int) -> bool:
-    # the KS diagnostic only means something once the law has started to
-    # settle; small times are skipped inside the combined run
-    return t >= 100
-
+_ANY_T = range(sys.maxsize)
+_CLOSED_FORM_T = range(EXACT_VS_SIM_MAX_T + 1)
 
 # suite -> (checks for one coin, the times it keeps inside 'all'); the
-# order is the report order of 'all'
-_REGISTRY: dict[str, tuple[_SuiteChecks, Callable[[int], bool]]] = {
-    "lemma1": (_walk_suite("lemma1",
-                           lambda coin, line: _lemma1_residual(line, coin),
-                           (WalkKind.LINE,)), _any_t),
-    "lemma2": (_walk_suite("lemma2", lambda coin, line, half:
-                           _lemma2_residual(half, line)), _any_t),
-    "theorem1": (_walk_suite("theorem1", lambda coin, line, half:
-                             _theorem1_residual(half, line)), _any_t),
+# order is the report order of 'all'. The KS diagnostic only means something
+# once the law has started to settle, so 'all' skips its small times
+_REGISTRY: dict[str, tuple[_SuiteChecks, range]] = {
+    "lemma1": (_walk_suite("lemma1", _lemma1_residual, (WalkKind.LINE,)),
+               _ANY_T),
+    "lemma2": (_walk_suite("lemma2", _lemma2_residual), _ANY_T),
+    "theorem1": (_walk_suite("theorem1", _theorem1_residual), _ANY_T),
     "exactVsSim": (_walk_suite("exactVsSim", _exact_vs_sim_residual,
-                               excluded=_never, min_t=1), _closed_form_range),
+                               excluded=None, min_t=1), _CLOSED_FORM_T),
     "innerSplit": (_grid_suite("innerSplit", _inner_split_residual),
-                   _closed_form_range),
-    "limitNorm": (_limit_norm_checks, _any_t),
+                   _CLOSED_FORM_T),
+    "limitNorm": (_limit_norm_checks, _ANY_T),
     "ksConvergence": (_walk_suite("ksConvergence[halfTotal]", _ks_residual,
                                   (WalkKind.HALF_LINE,),
                                   tolerance=ks_tolerance,
                                   excluded=_degenerate, min_t=1),
-                      _ks_range),
+                      range(100, sys.maxsize)),
 }
 
 SUITES = tuple(_REGISTRY)
@@ -356,13 +339,11 @@ def run_checks(suite: str, thetas: Sequence[Union[Coin, float]],
     coins = [_as_coin(th) for th in thetas]
     if not coins:
         raise ValueError("at least one angle is required")
-    ts = sorted(set(int(t) for t in ts))
+    ts = sorted({_index("times", t) for t in ts})
     if not ts:
         raise ValueError("at least one time is required")
-    if ts[0] < 0:
-        raise ValueError(f"times must be >= 0, got {ts[0]}")
     if suite == "all":
-        plan = [(checks, [t for t in ts if keep(t)])
+        plan = [(checks, [t for t in ts if t in keep])
                 for checks, keep in _REGISTRY.values()]
     elif suite in _REGISTRY:
         plan = [(_REGISTRY[suite][0], ts)]

@@ -27,10 +27,10 @@ the two apart.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, index, sub
+from operator import add, sub
 from typing import Iterator
 
-from .core import Distribution, WalkKind
+from .core import Distribution, WalkKind, _index
 
 ORACLE_MAX_T = 200
 
@@ -57,13 +57,11 @@ def _dyadic(k: int, p: int) -> Fraction:
 
 
 def _check_t(t: int) -> int:
-    t = index(t)
+    t = _index("t", t)
     if t > ORACLE_MAX_T:
         raise OracleLimitError(
             f"exact oracle supports t <= {ORACLE_MAX_T}, got {t}"
         )
-    if t < 0:
-        raise ValueError(f"exact oracle needs t >= 0, got {t}")
     return t
 
 

@@ -92,8 +92,9 @@ def test_criterion_3_amplitude_identities_to_t300():
         for (t, line_state), (_, half_state) in zip(line_iter, half_iter):
             if t == 0:
                 continue
-            worst1 = max(worst1, _lemma1_residual(line_state, coin))
-            worst2 = max(worst2, _lemma2_residual(half_state, line_state))
+            worst1 = max(worst1, _lemma1_residual(coin, line_state))
+            worst2 = max(worst2, _lemma2_residual(coin, line_state,
+                                                  half_state))
     assert worst1 <= 1e-12
     assert worst2 <= 1e-12
     _report(3, f"mirror residual <= {worst1:.2e}, copy residual <= "

@@ -89,6 +89,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, value", [
+        (["simulate", "--steps", "3", "--theta"], "-pi/4"),
+        (["simulate", "--steps", "3", "--theta"], "-1e-3"),
+        (["exact", "--steps", "3", "--theta"], "-2pi/3"),
+        (["verify", "--suite", "theorem1", "--ts", "1,2", "--thetas"],
+         "-0.3,0.5"),
+    ])
+    def test_negative_angle_as_its_own_word(self, capsys, argv, value):
+        """A negative angle after its option prints what it prints after
+        '='."""
+        assert main(argv + [value]) == 0
+        out = capsys.readouterr().out
+        assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == 0
+        assert capsys.readouterr().out == out != ""
+
     @pytest.mark.parametrize("theta", ["pi/2", "0", "pi", "3pi/2"])
     @pytest.mark.parametrize("route", ["approx", "sweep"])
     def test_approx_degenerate_theta_is_exit_2(self, tmp_path, capsys, theta,

@@ -19,16 +19,23 @@ from qwalk import (
     cdf_at,
     distribution,
     evolve,
+    half_line_exact,
+    half_line_exact_by_inner,
+    half_line_exact_total,
+    half_line_exact_values,
     initial,
     iter_states,
     ks_distance,
+    line_exact,
+    line_exact_values,
     make_coin,
     make_coin_pi,
     q2_oracle_distribution,
     q2_oracle_series,
+    run_checks,
     step,
 )
-from qwalk.harness import route_table, table_from_distribution
+from qwalk.harness import ks_tolerance, route_table, table_from_distribution
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -263,12 +270,17 @@ _KIND_ENTRY_POINTS = {
 
 
 def _key(value):
-    """A comparable form of a result, each string tagged with its type, so
-    that a kind kept as its plain value differs from the member."""
+    """A comparable form of a result, each string and int tagged with its
+    type, so that a kind kept as its plain value differs from the member
+    and a numpy integer kept as a time differs from the int."""
     if isinstance(value, (list, tuple)):
         return tuple(map(_key, value))
+    if isinstance(value, dict):
+        return tuple((_key(k), _key(v)) for k, v in value.items())
     if isinstance(value, str):
         return type(value), str(value)
+    if isinstance(value, (int, np.integer)):
+        return type(value), int(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     if dataclasses.is_dataclass(value):
@@ -283,3 +295,53 @@ def _key(value):
 def test_kind_as_value_or_member(name, kind: Enum):
     call = _KIND_ENTRY_POINTS[name][1]
     assert _key(call(kind.value)) == _key(call(kind))
+
+
+# every public entry point that takes a time: the argument's name, the
+# least time it takes, a time it takes and one call
+_TIME_ENTRY_POINTS = {
+    "evolve": ("steps", 0, 3, lambda t: evolve("line", _PI4, t)),
+    "iter_states": ("steps", 0, 3,
+                    lambda t: list(iter_states("halfline", _PI4, t))),
+    "State": ("t", 0, 2, lambda t: State("halfline", t, np.zeros((3, 2)))),
+    "Distribution": ("t", 0, 2, lambda t: Distribution(
+        "halfline", t, 0, (0.5, 0.5), (0.0, 0.0), (0.5, 0.5))),
+    "line_exact_values": ("t", 1, 4, lambda t: line_exact_values(_PI4, t)),
+    "half_line_exact_values": ("t", 1, 4,
+                               lambda t: half_line_exact_values(_PI4, t)),
+    "line_exact": ("t", 1, 4, lambda t: line_exact(_PI4, t)),
+    "half_line_exact": ("t", 1, 4, lambda t: half_line_exact(_PI4, t)),
+    "half_line_exact_by_inner": ("t", 1, 4, lambda t: [
+        half_line_exact_by_inner(_PI4, t, inner) for inner in (0, 1)]),
+    "half_line_exact_total": ("t", 1, 4,
+                              lambda t: half_line_exact_total(_PI4, t)),
+    "q2_oracle_distribution": ("t", 0, 4,
+                               lambda t: q2_oracle_distribution("line", t)),
+    "q2_oracle_series": ("t", 0, 4,
+                         lambda t: list(q2_oracle_series("halfline", t))),
+    "approx_prob": ("t", 1, 50, lambda t: [
+        approx_prob(_PI4, t, x, "total") for x in (0, 10, 30)]),
+    "ks_distance": ("t", 1, 20, lambda t: ks_distance(_PI4, t)),
+    "ks_tolerance": ("t", 1, 20, ks_tolerance),
+    "run_checks": ("times", 0, 2,
+                   lambda t: run_checks("lemma1", [_PI4], [t])),
+    **{f"route_table[{route}]": (name, least, 4, lambda t, route=route:
+                                 route_table(route, "halfline", _PI4, t))
+       for route, name, least in (("evolve", "steps", 0), ("exact", "t", 1),
+                                  ("approx", "t", 1), ("oracle", "t", 0))},
+}
+
+
+@pytest.mark.parametrize("name", _TIME_ENTRY_POINTS)
+def test_time_float_int64_and_bound(name):
+    """A float time raises the named TypeError, a numpy integer gives the
+    result of the int, and a time below the least raises the one
+    ValueError."""
+    arg, least, t, call = _TIME_ENTRY_POINTS[name]
+    with pytest.raises(TypeError,
+                       match=rf"^{arg} must be an integer, got {t}\.0$"):
+        call(float(t))
+    assert _key(call(np.int64(t))) == _key(call(t))
+    with pytest.raises(ValueError,
+                       match=rf"^{arg} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
