@@ -68,7 +68,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .core import _PROB_FLOOR, Coin, Distribution, WalkKind, _index
+from .core import _PROB_FLOOR, Coin, Distribution, WalkKind, _index, _inner
 
 __all__ = [
     "ExactParams",
@@ -426,18 +426,17 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
 
 
 def line_exact(coin: Coin, t: int) -> Distribution:
-    """Line-walk distribution over -t-1..t-2, the positions with positive
-    probability.
+    """Line-walk distribution over the window -t-1..t. The walk never
+    reaches t-1 and t, which hold exactly 0.0.
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
     t = _index("t", t, 1)
     vals = line_exact_values(
         coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
-    p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1))
+    p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1)) + (0.0, 0.0)
     none = (None,) * len(p)
-    return Distribution(kind=WalkKind.LINE, t=t, offset=-t - 1, p0=none,
-                        p1=none, p=p)
+    return Distribution(WalkKind.LINE, t, none, none, p)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +478,20 @@ def half_line_exact(coin: Coin, t: int) -> Distribution:
         coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
     v0s, v1s, vts = zip(*(vals[x] for x in range(t + 1)))
     return Distribution(
-        kind=WalkKind.HALF_LINE, t=t, offset=0,
+        WalkKind.HALF_LINE, t,
         p0=tuple(0.0 if v is None else _to_prob(v) for v in v0s),
         p1=tuple(map(_to_prob, v1s)), p=tuple(map(_to_prob, vts)))
 
 
 def half_line_exact_by_inner(coin: Coin, t: int, inner: int) -> Distribution:
-    """Positive probabilities of one inner component at time t.
+    """Probabilities of one inner component over the window 0..t; inner 0
+    is 0.0 on the frontier pair.
 
-    Inner 1 covers 0..t; inner 0 covers 0..t-2, as the frontier pair has
-    none. ``p`` repeats the inner column and the other inner is None.
+    ``p`` repeats the inner column and the other inner is None.
     """
-    if inner not in (0, 1):
-        raise ValueError(f"inner must be 0 or 1, got {inner}")
+    inner = _inner(inner)
     dist = half_line_exact(coin, t)
-    p = dist.p1 if inner == 1 else dist.p0[:t - 1]
+    p = dist.p1 if inner else dist.p0
     none = (None,) * len(p)
     return replace(dist, p0=none if inner else p, p1=p if inner else none,
                    p=p)

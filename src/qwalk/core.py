@@ -44,6 +44,15 @@ def _index(name: str, value, least: int = 0) -> int:
     return value
 
 
+def _inner(value) -> int:
+    """``value`` as an inner index, the one check of an inner: a non-integer
+    raises the TypeError of `_index`, any int but 0 or 1 a ValueError."""
+    inner = _index("inner", value, -math.inf)
+    if inner not in (0, 1):
+        raise ValueError(f"inner must be 0 or 1, got {inner}")
+    return inner
+
+
 class WalkKind(str, Enum):
     """Which lattice the walker moves on."""
 
@@ -110,6 +119,11 @@ def make_coin_pi(fraction: Union[Fraction, int, str]) -> Coin:
                 pi_fraction=frac)
 
 
+def _offset(kind: WalkKind, t: int) -> int:
+    """The first position of the window 0..t or -t-1..t of a walk at t."""
+    return 0 if kind is WalkKind.HALF_LINE else -t - 1
+
+
 @dataclass(frozen=True)
 class State:
     """Walk state at time t over the window offset..t: positions 0..t on the
@@ -128,18 +142,17 @@ class State:
         object.__setattr__(self, "t", _index("t", self.t))
         shape = (self.t + 1 - self.offset, 2)
         if self.amps.shape != shape:
-            lo = "0" if self.kind is WalkKind.HALF_LINE else "-t-1"
             raise ValueError(
-                f"support window must cover {lo}..t: expected {shape}, "
-                f"got {self.amps.shape}"
-            )
+                f"support window must cover {self.offset}..{self.t}: "
+                f"expected {shape}, got {self.amps.shape}")
         self.amps.setflags(write=False)
 
     @property
     def offset(self) -> int:
-        return 0 if self.kind is WalkKind.HALF_LINE else -self.t - 1
+        return _offset(self.kind, self.t)
 
     def amplitude(self, x: int, inner: int) -> complex:
+        inner = _inner(inner)
         i = x - self.offset
         if 0 <= i < self.amps.shape[0]:
             return complex(self.amps[i, inner])
@@ -172,7 +185,7 @@ _PROB_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-position probability table of a walk at one time.
+    """Probability table of a walk at one time over its window offset..t.
 
     Position ``offset + i`` has inner probabilities ``p0[i]``, ``p1[i]`` and
     total ``p[i]``: floats, or Fractions from the exact oracle. An inner
@@ -181,7 +194,6 @@ class Distribution:
 
     kind: WalkKind
     t: int
-    offset: int
     p0: tuple
     p1: tuple
     p: tuple
@@ -189,11 +201,16 @@ class Distribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", WalkKind(self.kind))
         object.__setattr__(self, "t", _index("t", self.t))
-        if not len(self.p0) == len(self.p1) == len(self.p):
-            raise ValueError("p0, p1 and p must have equal lengths")
+        n = self.t + 1 - self.offset
+        if not len(self.p0) == len(self.p1) == len(self.p) == n:
+            raise ValueError(f"p0, p1 and p must span {self.offset}..{self.t}")
+
+    @property
+    def offset(self) -> int:
+        return _offset(self.kind, self.t)
 
     def positions(self) -> range:
-        return range(self.offset, self.offset + len(self.p))
+        return range(self.offset, self.t + 1)
 
     def total(self) -> float:
         return sum(self.p)
@@ -206,5 +223,5 @@ class Distribution:
         return dict(zip(self.positions(), self.p))
 
     def inner_dict(self, inner: int) -> dict[int, float]:
-        column = self.p0 if inner == 0 else self.p1
+        column = self.p1 if _inner(inner) else self.p0
         return {x: v for x, v in zip(self.positions(), column) if v is not None}

@@ -57,6 +57,7 @@ stay shareable values.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -222,13 +223,16 @@ def evolve(kind: WalkKind, coin: Coin, steps: int) -> State:
     return state if window is None else _state(state.kind, steps, window)
 
 
-def iter_states(kind: WalkKind, coin: Coin, steps: int):
-    """Yield (t, state) for t = 0..steps without re-evolving from scratch."""
+def iter_states(kind: WalkKind, coin: Coin,
+                steps: int) -> Iterator[tuple[int, State]]:
+    """(t, state) for t = 0..steps without re-evolving from scratch.
+
+    The arguments are checked on the call, before anything is yielded.
+    """
     state, steps = _start(kind, coin, steps)
-    yield 0, state
     kind = state.kind
-    for t, window in enumerate(_windows(state, coin, steps), 1):
-        yield t, _state(kind, t, window)
+    return chain([(0, state)], ((t, _state(kind, t, window)) for t, window
+                                in enumerate(_windows(state, coin, steps), 1)))
 
 
 def probability_arrays(state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +246,5 @@ def distribution(state: State) -> Distribution:
     p0, p1 = probability_arrays(state)
     p0 = np.where(p0 < _PROB_FLOOR, 0.0, p0)
     p1 = np.where(p1 < _PROB_FLOOR, 0.0, p1)
-    return Distribution(kind=state.kind, t=state.t, offset=state.offset,
-                        p0=tuple(p0.tolist()), p1=tuple(p1.tolist()),
-                        p=tuple((p0 + p1).tolist()))
+    return Distribution(state.kind, state.t, tuple(p0.tolist()),
+                        tuple(p1.tolist()), tuple((p0 + p1).tolist()))

@@ -253,14 +253,10 @@ def _theorem1_residual(coin: Coin, line_state, half_state) -> float:
 def _exact_vs_sim_residual(coin: Coin, line_state, half_state) -> float:
     """Closed forms of both walks against the evolved states."""
     t = line_state.t
-    res = 0.0
-    for table, state in ((line_exact(coin, t), line_state),
-                         (half_line_exact(coin, t), half_state)):
-        cf = table.as_dict()
-        sim = distribution(state).as_dict()
-        for x in set(cf) | set(sim):
-            res = max(res, abs(cf.get(x, 0.0) - sim.get(x, 0.0)))
-    return res
+    return max(abs(cf - sim)
+               for table, state in ((line_exact(coin, t), line_state),
+                                    (half_line_exact(coin, t), half_state))
+               for cf, sim in zip(table.p, distribution(state).p))
 
 
 def _inner_split_residual(coin: Coin, t: int) -> float:
@@ -521,7 +517,7 @@ def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
     else:
         p0, p1, p = (tuple(column.tolist()) for column in
                      asymptotics.approx_columns(coin, t, np.arange(t + 1.0)))
-        dist = Distribution(walk, t, 0, p0, p1, p)
+        dist = Distribution(walk, t, p0, p1, p)
     return table_from_distribution(dist, route, coin.theta, label)
 
 

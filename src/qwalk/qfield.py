@@ -56,28 +56,28 @@ def _dyadic(k: int, p: int) -> Fraction:
     return f
 
 
-def _check_t(t: int) -> int:
-    t = _index("t", t)
+def _check_t(name: str, t: int) -> int:
+    t = _index(name, t)
     if t > ORACLE_MAX_T:
         raise OracleLimitError(
-            f"exact oracle supports t <= {ORACLE_MAX_T}, got {t}"
+            f"exact oracle supports {name} <= {ORACLE_MAX_T}, got {t}"
         )
     return t
 
 
-def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
-    """Yield (t, offset, [re0, im0, re1, im1]) for t = 0..t_max.
+def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, list]]:
+    """Yield (t, [re0, im0, re1, im1]) for t = 0..t_max.
 
     The four lists hold the Gaussian-integer numerators of inner 0 and
-    inner 1 over the window starting at x = offset. They are rebuilt, never
-    mutated, so a yielded state stays valid after the next step.
+    inner 1 over the walk's window at t. They are rebuilt, never mutated,
+    so a yielded state stays valid after the next step.
     """
     if kind is WalkKind.HALF_LINE:
         # (1/sqrt2, i/sqrt2): global phase dropped, distribution unaffected
-        state, offset = [[1], [0], [0], [1]], 0
+        state = [[1], [0], [0], [1]]
     else:
-        state, offset = [[1, 1], [0, 0], [1, 1], [0, 0]], -1
-    yield 0, offset, state
+        state = [[1, 1], [0, 0], [1, 1], [0, 0]]
+    yield 0, state
     for t in range(1, t_max + 1):
         # the coin's sqrt2/2 is in the scale; being real, the coin steps the
         # real and imaginary parts apart
@@ -91,11 +91,10 @@ def _states(kind: WalkKind, t_max: int) -> Iterator[tuple[int, int, list]]:
         else:
             state = [s_re + [0, 0], s_im + [0, 0],
                      [0, 0] + d_re, [0, 0] + d_im]
-            offset -= 1
-        yield t, offset, state
+        yield t, state
 
 
-def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
+def _snapshot(kind: WalkKind, t: int, state: list) -> Distribution:
     power = t + _DEN_POWER[kind]
     re0, im0, re1, im1 = state
     n0 = [a * a + b * b for a, b in zip(re0, im0)]
@@ -103,10 +102,8 @@ def _snapshot(kind: WalkKind, t: int, offset: int, state: list) -> Distribution:
     n = list(map(add, n0, n1))
     # the mirror identities repeat many numerators: build each Fraction once
     frac = {k: _dyadic(k, power) for k in {*n0, *n1, *n}}.__getitem__
-    return Distribution(
-        kind=kind, t=t, offset=offset,
-        p0=tuple(map(frac, n0)), p1=tuple(map(frac, n1)),
-        p=tuple(map(frac, n)))
+    return Distribution(kind, t, tuple(map(frac, n0)), tuple(map(frac, n1)),
+                        tuple(map(frac, n)))
 
 
 def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:
@@ -115,15 +112,14 @@ def q2_oracle_series(kind: WalkKind, t_max: int) -> Iterator[Distribution]:
     The arguments are checked on the call, before anything is yielded.
     """
     kind = WalkKind(kind)
-    t_max = _check_t(t_max)
-    return (_snapshot(kind, t, offset, state)
-            for t, offset, state in _states(kind, t_max))
+    t_max = _check_t("t_max", t_max)
+    return (_snapshot(kind, t, state) for t, state in _states(kind, t_max))
 
 
 def q2_oracle_distribution(kind: WalkKind, t: int) -> Distribution:
     """Exact rational distribution of the theta = pi/4 walk at time t."""
     kind = WalkKind(kind)
-    t = _check_t(t)
-    for _, offset, state in _states(kind, t):
+    t = _check_t("t", t)
+    for _, state in _states(kind, t):
         pass
-    return _snapshot(kind, t, offset, state)
+    return _snapshot(kind, t, state)

@@ -276,8 +276,10 @@ class TestOutputs:
                                  ("halfline", half_line_exact_values)):
                 vals = values(coin, t, params)
                 if walk == "line":
+                    # the walk never reaches t - 1 and t: exact zeros
                     rows = [f"{x},,,{cell(vals[x])}"
                             for x in range(-t - 1, t - 1)]
+                    rows += [f"{t - 1},,,0", f"{t},,,0"]
                 else:
                     rows = [f"{x},{cell(v0 or 0)},{cell(v1)},{cell(vt)}"
                             for x, (v0, v1, vt) in sorted(vals.items())]
@@ -309,7 +311,7 @@ class TestOutputs:
                    "--steps", "1100", "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
         rows = out.read_text().splitlines()[1:]
-        assert len(rows) == (2200 if walk == "line" else 1101)
+        assert len(rows) == (2202 if walk == "line" else 1101)
         total = sum(float(ln.split(",")[-1]) for ln in rows)
         assert abs(total - 1.0) < 1e-12
 

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 from pytest import approx
 
 from qwalk import (
@@ -25,6 +26,7 @@ from qwalk import (
     q2_oracle_series,
 )
 from qwalk import closed_form, dd
+from qwalk.harness import TOLERANCES
 from qwalk.closed_form import half_line_exact
 
 from conftest import ROUTE_THETAS, THETA_GRID_20, from_fraction
@@ -33,12 +35,12 @@ from conftest import ROUTE_THETAS, THETA_GRID_20, from_fraction
 class TestLineExact:
     def test_t1_edge_only(self, pi4_coin):
         dist = line_exact(pi4_coin, 1)
-        assert dist.as_dict() == approx({-2: 0.5, -1: 0.5})
-        assert dist.p0 == dist.p1 == (None, None)
+        assert dist.as_dict() == approx({-2: 0.5, -1: 0.5, 0: 0.0, 1: 0.0})
+        assert dist.p0 == dist.p1 == (None,) * 4
 
     def test_t2_pi4(self, pi4_coin):
         dist = line_exact(pi4_coin, 2)
-        expected = {-3: 0.25, -2: 0.25, -1: 0.25, 0: 0.25}
+        expected = {-3: 0.25, -2: 0.25, -1: 0.25, 0: 0.25, 1: 0.0, 2: 0.0}
         assert dist.as_dict() == approx(expected, abs=1e-15)
 
     def test_t2_general_theta(self):
@@ -91,7 +93,8 @@ class TestHalfLineExact:
         by1 = half_line_exact_by_inner(pi4_coin, 1, 1)
         assert by1.inner_dict(1) == approx({0: 0.5, 1: 0.5})
         by0 = half_line_exact_by_inner(pi4_coin, 1, 0)
-        assert by0.p == by0.p0 == by0.p1 == ()
+        assert by0.p == by0.p0 == (0.0, 0.0)
+        assert by0.p1 == (None, None)
 
     def test_time2_even_branch(self, pi4_coin):
         by1 = half_line_exact_by_inner(pi4_coin, 2, 1)
@@ -209,6 +212,29 @@ class TestRouteEquivalence:
                     for x in set(cf) | set(sim)
                 )
                 assert worst <= 1e-9, (theta, t)
+
+
+@seed(2016)
+@settings(max_examples=400, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+       .filter(lambda theta: not make_coin(theta).is_degenerate()),
+       t=st.integers(1, 120), kind=st.sampled_from(WalkKind))
+@example(theta=math.pi / 2 + 1e-5, t=60, kind=WalkKind.LINE)
+@example(theta=-2.8, t=120, kind=WalkKind.LINE)
+def test_routes_agree_over_one_window_at_drawn_angles(theta, t, kind):
+    """Evolution and the closed form list the same positions, the walk's
+    window, and agree there within exactVsSim's bound. A closed form that
+    refuses with PrecisionError is a refusal, not a failure."""
+    coin = make_coin(theta)
+    sim = distribution(evolve(kind, coin, t))
+    exact = line_exact if kind is WalkKind.LINE else half_line_exact
+    try:
+        cf = exact(coin, t)
+    except PrecisionError:
+        return
+    assert cf.positions() == sim.positions()
+    assert max(abs(a - b) for a, b in zip(cf.p, sim.p)) <= TOLERANCES[
+        "exactVsSim"]
 
 
 # The closed forms evaluated term by term: every binomial sum is summed over

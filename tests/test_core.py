@@ -178,16 +178,17 @@ class TestStates:
 
 class TestDistribution:
     def dist(self):
-        return Distribution(kind=WalkKind.LINE, t=1, offset=-2,
-                            p0=(0.25, None, 0.0), p1=(0.0, 0.5, 0.25),
-                            p=(0.25, 0.5, 0.25))
+        return Distribution(kind=WalkKind.LINE, t=1,
+                            p0=(0.25, None, 0.0, 0.0),
+                            p1=(0.0, 0.5, 0.25, 0.0),
+                            p=(0.25, 0.5, 0.25, 0.0))
 
     def test_columns_read_by_position(self):
         d = self.dist()
-        assert d.positions() == range(-2, 1)
-        assert d.as_dict() == {-2: 0.25, -1: 0.5, 0: 0.25}
-        assert d.inner_dict(0) == {-2: 0.25, 0: 0.0}
-        assert d.inner_dict(1) == {-2: 0.0, -1: 0.5, 0: 0.25}
+        assert d.positions() == range(-2, 2)
+        assert d.as_dict() == {-2: 0.25, -1: 0.5, 0: 0.25, 1: 0.0}
+        assert d.inner_dict(0) == {-2: 0.25, 0: 0.0, 1: 0.0}
+        assert d.inner_dict(1) == {-2: 0.0, -1: 0.5, 0: 0.25, 1: 0.0}
         assert d.total() == 1.0
 
     def test_prob_outside_the_columns_is_zero(self):
@@ -197,8 +198,24 @@ class TestDistribution:
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
-            Distribution(kind=WalkKind.LINE, t=1, offset=-2, p0=(None,),
-                         p1=(None, None), p=(0.5, 0.5))
+            Distribution(kind=WalkKind.LINE, t=1, p0=(None,),
+                         p1=(None, None, None, None), p=(0.5,) * 4)
+
+    @pytest.mark.parametrize("kind, t, n", [
+        ("line", 1, 1), ("line", 1, 3), ("line", 1, 5), ("line", 0, 1),
+        ("halfline", 2, 2), ("halfline", 2, 4), ("halfline", 0, 0)])
+    def test_columns_off_the_window_rejected(self, kind, t, n):
+        with pytest.raises(ValueError, match=r"^p0, p1 and p must span "):
+            Distribution(kind, t, (0.5,) * n, (0.5,) * n, (1.0,) * n)
+
+    @pytest.mark.parametrize("kind", list(WalkKind))
+    def test_offset_is_the_state_window(self, kind):
+        for t in (0, 1, 6):
+            n = t + 1 if kind is WalkKind.HALF_LINE else 2 * t + 2
+            state = State(kind, t, np.zeros((n, 2), dtype=complex))
+            dist = Distribution(kind, t, (0.0,) * n, (0.0,) * n, (0.0,) * n)
+            assert dist.offset == state.offset
+            assert dist.positions() == range(state.offset, t + 1)
 
 
 def test_global_phase_invariance_at_distribution_level(pi4_coin):
@@ -305,7 +322,7 @@ _TIME_ENTRY_POINTS = {
                     lambda t: list(iter_states("halfline", _PI4, t))),
     "State": ("t", 0, 2, lambda t: State("halfline", t, np.zeros((3, 2)))),
     "Distribution": ("t", 0, 2, lambda t: Distribution(
-        "halfline", t, 0, (0.5, 0.5), (0.0, 0.0), (0.5, 0.5))),
+        "halfline", t, (0.5, 0.5, 0.0), (0.0,) * 3, (0.5, 0.5, 0.0))),
     "line_exact_values": ("t", 1, 4, lambda t: line_exact_values(_PI4, t)),
     "half_line_exact_values": ("t", 1, 4,
                                lambda t: half_line_exact_values(_PI4, t)),
@@ -317,7 +334,7 @@ _TIME_ENTRY_POINTS = {
                               lambda t: half_line_exact_total(_PI4, t)),
     "q2_oracle_distribution": ("t", 0, 4,
                                lambda t: q2_oracle_distribution("line", t)),
-    "q2_oracle_series": ("t", 0, 4,
+    "q2_oracle_series": ("t_max", 0, 4,
                          lambda t: list(q2_oracle_series("halfline", t))),
     "approx_prob": ("t", 1, 50, lambda t: [
         approx_prob(_PI4, t, x, "total") for x in (0, 10, 30)]),
@@ -345,3 +362,30 @@ def test_time_float_int64_and_bound(name):
     with pytest.raises(ValueError,
                        match=rf"^{arg} must be >= {least}, got {least - 1}$"):
         call(least - 1)
+
+
+# every public entry point that takes an inner index, and one call
+_INNER_ENTRY_POINTS = {
+    "Distribution.inner_dict": lambda inner: _DISTS["line"].inner_dict(inner),
+    "State.amplitude": lambda inner: evolve("line", _PI4, 2).amplitude(
+        -1, inner),
+    "half_line_exact_by_inner": lambda inner: half_line_exact_by_inner(
+        _PI4, 3, inner),
+}
+
+
+@pytest.mark.parametrize("name", _INNER_ENTRY_POINTS)
+@pytest.mark.parametrize("bad, error, message", [
+    (1.0, TypeError, r"inner must be an integer, got 1\.0"),
+    ("1", TypeError, r"inner must be an integer, got '1'"),
+    (2, ValueError, r"inner must be 0 or 1, got 2"),
+    (-1, ValueError, r"inner must be 0 or 1, got -1"),
+])
+def test_inner_is_0_or_1_by_one_rule(name, bad, error, message):
+    """Each entry point takes 0 and 1, a numpy integer as the int, and
+    refuses anything else with the one message."""
+    call = _INNER_ENTRY_POINTS[name]
+    with pytest.raises(error, match=rf"^{message}$"):
+        call(bad)
+    assert _key(call(0)) != _key(call(1))
+    assert _key(call(np.int64(1))) == _key(call(1))

@@ -282,6 +282,17 @@ class TestEvolve:
         assert three.t == 3 and type(three.t) is int
         assert three.amps.tobytes() == evolve(kind, pi4_coin, 3).amps.tobytes()
 
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_iter_states_checks_arguments_on_the_call(self, pi4_coin, kind):
+        """The refusal comes from the call itself, before any next()."""
+        with pytest.raises(TypeError,
+                           match=r"^steps must be an integer, got 4\.0$"):
+            iter_states(kind, pi4_coin, 4.0)
+        with pytest.raises(ValueError, match=r"^steps must be >= 0, got -1$"):
+            iter_states(kind, pi4_coin, -1)
+        with pytest.raises(ValueError):
+            iter_states("ring", pi4_coin, 4)
+
     def test_norm_after_500_steps_pi3(self, pi3_coin):
         state = evolve(WalkKind.HALF_LINE, pi3_coin, 500)
         assert abs(state.norm_sq() - 1.0) <= 1e-12

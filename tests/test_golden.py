@@ -11,7 +11,9 @@ and the t = 5000 simulate digests while the renderers still formatted one
 cell at a time, and the two oracle CSV digests while the oracle table still
 held its exact values as a second column set, and the t = 5000 simulate
 digests at theta = 2.5, -0.7 and pi/4 while the step kernel still stepped
-every site of the window; any change to them is a change of output bytes.
+every site of the window. The two `exact --walk line` digests were retaken
+when the line closed form came to list the whole window, with the exact
+zeros at x = t - 1 and t. Any change to them is a change of output bytes.
 """
 import hashlib
 from fractions import Fraction
@@ -40,7 +42,7 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("argv, digest", [
     (["exact", "--walk", "line", "--theta", "pi/3", "--steps", "15",
       "--format", "json"],
-     "320995786a376c0d7ca4b79bfc02badab3f1840f6cd31b067285655a51694b4f"),
+     "57edf43a8efb32c16da86b69e4c02bca898aa385220be49b880539cf4918d551"),
     (["oracle", "--walk", "halfline", "--steps", "20", "--format", "json"],
      "1d8ebc7783f93389ab310fd0bef3b85b801d97ab971aa043b12139cec50ff620"),
     (["simulate", "--walk", "line", "--theta", "1.0", "--steps", "100"],
@@ -111,7 +113,8 @@ def test_fig4_csv_bytes_are_pinned(tmp_path):
 
 
 def _routes(t: int):
-    """(name, distribution, first position, last position) of every route."""
+    """(name, distribution, first position, last position) of every route:
+    the walk's window, 0..t on the half line and -t-1..t on the line."""
     pi4 = make_coin_pi(Fraction(1, 4))
     coin = make_coin(1.0)
     return [
@@ -119,10 +122,10 @@ def _routes(t: int):
          0, t),
         ("evolve-line", distribution(evolve(WalkKind.LINE, coin, t)),
          -t - 1, t),
-        ("line_exact", line_exact(coin, t), -t - 1, t - 2),
+        ("line_exact", line_exact(coin, t), -t - 1, t),
         ("half_line_exact", half_line_exact(coin, t), 0, t),
         ("half_line_exact_total", half_line_exact_total(coin, t), 0, t),
-        ("by_inner0", half_line_exact_by_inner(coin, t, 0), 0, t - 2),
+        ("by_inner0", half_line_exact_by_inner(coin, t, 0), 0, t),
         ("by_inner1", half_line_exact_by_inner(coin, t, 1), 0, t),
         ("oracle-half", q2_oracle_distribution(WalkKind.HALF_LINE, t), 0, t),
         ("oracle-line", q2_oracle_distribution(WalkKind.LINE, t), -t - 1, t),
@@ -140,7 +143,7 @@ def test_every_route_has_equal_columns_over_its_range(t):
 
 
 @pytest.mark.parametrize("walk, digest", [
-    ("line", "2768524fdb2bca8bc57619f1b450ad805b9969d03b24433410f562020eab839b"),
+    ("line", "b94f8fcf5048ba5b71c3816304e297db0eb274a85c11687cf465b0d433664fc0"),
     ("halfline",
      "a9543c5c2908bc61312b33a7a76723aab03ce360ea47d8b5086f93ac853a0f79"),
 ], ids=["line", "halfline"])

@@ -106,13 +106,13 @@ def reference_read_table_json(path) -> OutputTable:
 
 
 def hand_half_t1() -> Distribution:
-    return Distribution(kind=WalkKind.HALF_LINE, t=1, offset=0,
+    return Distribution(kind=WalkKind.HALF_LINE, t=1,
                         p0=(0.0, 0.0), p1=(0.5, 0.5), p=(0.5, 0.5))
 
 
 def hand_line_exact_t1() -> Distribution:
-    return Distribution(kind=WalkKind.LINE, t=1, offset=-2,
-                        p0=(None, None), p1=(None, None), p=(0.5, 0.5))
+    return Distribution(kind=WalkKind.LINE, t=1, p0=(None,) * 4,
+                        p1=(None,) * 4, p=(0.5, 0.5, 0.0, 0.0))
 
 
 class TestRunChecks:
@@ -275,7 +275,8 @@ class TestEmit:
                                         math.pi / 4)
         path = tmp_path / "t.csv"
         emit(table, "csv", path)
-        assert path.read_text() == "x,p0,p1,p\n-2,,,0.5\n-1,,,0.5\n"
+        assert path.read_text() == ("x,p0,p1,p\n-2,,,0.5\n-1,,,0.5\n"
+                                    "0,,,0\n1,,,0\n")
 
     def test_empty_table_is_header_only(self, tmp_path):
         table = OutputTable(meta=table_meta("halfline", 1.0, 0, "evolve"),

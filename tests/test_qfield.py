@@ -102,20 +102,15 @@ def test_abs2_matches_float(u):
 
 # The oracle as it stepped QFieldComplex values before the integer stepper:
 # the independent reference the integer oracle is pinned to.
-def _initial(kind: WalkKind) -> tuple[list, list, int]:
-    """Amplitude lists (inner 0, inner 1) and window offset at t = 0."""
+def _initial(kind: WalkKind) -> tuple[list, list]:
+    """Amplitude lists (inner 0, inner 1) at t = 0."""
     half = Fraction(1, 2)
     if kind is WalkKind.HALF_LINE:
         # (1/sqrt2, i/sqrt2): global phase dropped, distribution unaffected
-        return (
-            [QFieldComplex.of(re_b=half)],
-            [QFieldComplex.of(im_b=half)],
-            0,
-        )
+        return [QFieldComplex.of(re_b=half)], [QFieldComplex.of(im_b=half)]
     return (
         [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
         [QFieldComplex.of(re_a=half), QFieldComplex.of(re_a=half)],
-        -1,
     )
 
 
@@ -135,21 +130,19 @@ def _field_step(kind: WalkKind, a: list, b: list) -> tuple[list, list]:
     return an[:n], bn[:n]
 
 
-def _snapshot(kind: WalkKind, t: int, a: list, b: list, offset: int) -> Distribution:
+def _snapshot(kind: WalkKind, t: int, a: list, b: list) -> Distribution:
     p0 = tuple(z.abs2_rational() for z in a)
     p1 = tuple(z.abs2_rational() for z in b)
-    return Distribution(kind=kind, t=t, offset=offset, p0=p0, p1=p1,
+    return Distribution(kind=kind, t=t, p0=p0, p1=p1,
                         p=tuple(map(sum, zip(p0, p1))))
 
 
 def _reference_series(kind: WalkKind, t_max: int):
-    a, b, offset = _initial(kind)
-    yield _snapshot(kind, 0, a, b, offset)
+    a, b = _initial(kind)
+    yield _snapshot(kind, 0, a, b)
     for t in range(1, t_max + 1):
         a, b = _field_step(kind, a, b)
-        if kind is WalkKind.LINE:
-            offset -= 1
-        yield _snapshot(kind, t, a, b, offset)
+        yield _snapshot(kind, t, a, b)
 
 
 def _rows(dist):
@@ -204,8 +197,8 @@ def test_series_values_are_the_reduced_probabilities(kind):
     """Every value to t = 200 is Fraction(|z|^2, 2**(t + power)), hash and
     str included."""
     pairs = zip(q2_oracle_series(kind, 200), _states(kind, 200), strict=True)
-    for dist, (t, offset, (re0, im0, re1, im1)) in pairs:
-        assert (dist.t, dist.offset) == (t, offset)
+    for dist, (t, (re0, im0, re1, im1)) in pairs:
+        assert dist.t == t
         den = 2**(t + _DEN_POWER[kind])
         n0 = [a * a + b * b for a, b in zip(re0, im0)]
         n1 = [a * a + b * b for a, b in zip(re1, im1)]
@@ -265,6 +258,16 @@ class TestOracle:
             q2_oracle_series(WalkKind.LINE, -1)
         with pytest.raises(TypeError):
             q2_oracle_series(WalkKind.LINE, 2.5)
+
+    def test_series_refusals_name_t_max(self):
+        with pytest.raises(TypeError,
+                           match=r"^t_max must be an integer, got 4\.0$"):
+            q2_oracle_series("line", 4.0)
+        message = r"^exact oracle supports {} <= 200, got 201$"
+        with pytest.raises(OracleLimitError, match=message.format("t_max")):
+            q2_oracle_series("line", 201)
+        with pytest.raises(OracleLimitError, match=message.format("t")):
+            q2_oracle_distribution("line", 201)
 
     def test_fig4_time_rationals_match_evolution(self, pi4_coin):
         """t = 14 exact bars agree with the double-precision panels."""
