@@ -11,7 +11,8 @@ Measured, each as the median process time of --runs runs:
 - us per grid point of `cdf_grid` at theta = 1.0 on the grids `ks_distance`
   builds: half-line total at t = 200 (201 points) and line total at
   t = 5000 (10,002 points);
-- `run_checks("ksConvergence", canonical_coins(), 100..200)`;
+- `run_checks` at `canonical_coins()`: ksConvergence at t = 100..200,
+  lemma1, lemma2 and theorem1 at t = 1..200, and exactVsSim at t = 1..60;
 - `total_mass` of each of the four limit laws at theta = 5e-5, 1e-3 and 1.0,
   its cache cleared in every run;
 - us per site-step of a full `q2_oracle_series` pass to t = 200, both walks;
@@ -67,12 +68,14 @@ from qwalk.harness import (canonical_coins, read_table_json, render_csv,
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
 
-# (long walk t, short walk t, KS t, KS suite times, oracle t, closed-form ts,
-# long closed-form t at theta = 1.0 and at pi/3, rendered table t)
+# (long walk t, short walk t, KS t, KS suite times, walk suite times,
+# exactVsSim suite times, oracle t, closed-form ts, long closed-form t at
+# theta = 1.0 and at pi/3, rendered table t)
 SIZES = {
-    "full": (10_000, 200, 1000, range(100, 201), 200, (50, 100, 150, 200),
-             (1000, 3000), 5000),
-    "tiny": (200, 20, 50, range(10, 13), 20, (10, 20), (30, 40), 50),
+    "full": (10_000, 200, 1000, range(100, 201), range(1, 201), range(1, 61),
+             200, (50, 100, 150, 200), (1000, 3000), 5000),
+    "tiny": (200, 20, 50, range(10, 13), range(1, 13), range(1, 7), 20,
+             (10, 20), (30, 40), 50),
 }
 
 # a short walk takes about a millisecond, so each of its runs averages this
@@ -126,8 +129,8 @@ def _git(tree: Path) -> dict:
 
 
 def measure(size: str, runs: int) -> dict:
-    (t_long, t_short, t_ks, ks_ts, t_oracle, cf_ts, (t_cf_float, t_cf_pi3),
-     t_render) = SIZES[size]
+    (t_long, t_short, t_ks, ks_ts, walk_ts, cf_suite_ts, t_oracle, cf_ts,
+     (t_cf_float, t_cf_pi3), t_render) = SIZES[size]
     results: dict = {}
     raw: dict = {}
 
@@ -154,8 +157,13 @@ def measure(size: str, runs: int) -> dict:
     pi4 = _coins()["pi/4"]
     record(f"ks_distance_t{t_ks}.ms", "halfTotal@pi/4",
            lambda: ks_distance(pi4, t_ks), 1e3)
-    record(f"ks_suite_t{ks_ts.start}-{ks_ts.stop - 1}.s", "canonical_coins",
-           lambda: run_checks("ksConvergence", canonical_coins(), ks_ts), 1.0)
+    for name, suite, ts in (("ks", "ksConvergence", ks_ts),
+                            ("lemma1", "lemma1", walk_ts),
+                            ("lemma2", "lemma2", walk_ts),
+                            ("theorem1", "theorem1", walk_ts),
+                            ("exactVsSim", "exactVsSim", cf_suite_ts)):
+        record(f"{name}_suite_t{ts.start}-{ts.stop - 1}.s", "canonical_coins",
+               lambda: run_checks(suite, canonical_coins(), ts), 1.0)
     for text in ("5e-5", "1e-3", "1.0"):
         for kind in DensityKind:
             d = LimitDensity(make_coin(float(text)), kind)

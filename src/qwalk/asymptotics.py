@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Coin, State, WalkKind, _index
-from .evolution import evolve, probability_arrays
+from .core import Coin, State, WalkKind, _index, _offset
+from .evolution import evolve
 
 
 class DensityKind(str, Enum):
@@ -88,7 +88,10 @@ class LimitDensity:
 
 
 def density_at(d: LimitDensity, y: float) -> float:
-    """Density value at y; zero outside the (half-)open support."""
+    """Density value at y; zero outside the (half-)open support. NaN raises
+    ``ValueError``."""
+    if math.isnan(y):
+        raise ValueError("the limit laws take no NaN")
     c, s, c2, _ = _cs(d.coin)
     if d.kind is DensityKind.LINE_TOTAL:
         if not (-c < y < c):
@@ -146,13 +149,17 @@ def _half_angle_cdf(kind: DensityKind, c: float, s: float, y, root):
 
 
 def cdf_grid(d: LimitDensity, xs: np.ndarray) -> np.ndarray:
-    """Limit of P(X_t/t <= x [; inner]) at every point of a sorted grid.
+    """Limit of P(X_t/t <= x [; inner]) at every point of a grid sorted
+    ascending along its last axis, of any shape.
 
     Zero at or below the support, the saturation value at or above it. The
     two per-inner kinds describe joint (sub-probability) laws, so their CDFs
     saturate at the closed form's value at the upper edge rather than at 1.
+    An unsorted grid or a NaN raises ``ValueError``.
     """
     xs = np.asarray(xs, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("the limit laws take no NaN")
     if np.any(np.diff(xs) < 0):
         raise ValueError("grid must be sorted ascending")
     c, s, c2, _ = _cs(d.coin)
@@ -245,19 +252,39 @@ def ks_distance(coin: Coin, t: int,
             f"state must be the {walk.value} walk at t = {t}, got "
             f"{getattr(state, 'kind', type(state).__name__)} at t = "
             f"{getattr(state, 't', None)}")
-    p0, p1 = probability_arrays(state)
+    ks = _ks_rows(d, np.array([t]), state.amps[None])[0]
+    return KSReport(t=t, theta=coin.theta, ks=float(ks))
+
+
+def _ks_rows(d: LimitDensity, times: np.ndarray,
+             amps: np.ndarray) -> np.ndarray:
+    """KS distance of each row of a block of `evolution._blocks`: the walk
+    of ``d`` at ``times[i]`` in row i of ``amps``, position x at column
+    x - offset(times[-1]).
+
+    Past its window a row's cumulative sums stay constant, and its grid
+    points lie past the support, where the limit is constant too, so the
+    padded columns leave each sup as it is. Each norm sums the row's own
+    window alone: np.sum's pairwise blocking depends on the length.
+    """
+    walk = WalkKind.LINE if d.kind is DensityKind.LINE_TOTAL else WalkKind.HALF_LINE
+    first = _offset(walk, times[-1])
+    p = np.abs(amps) ** 2
+    p0, p1 = p[..., 0], p[..., 1]
+    total = p0 + p1
     if d.kind is DensityKind.HALF_INNER0:
         weights = p0
     elif d.kind is DensityKind.HALF_INNER1:
         weights = p1
     else:
-        weights = p0 + p1
+        weights = total
     # normalize by the full state norm so the per-inner kinds stay on the
     # joint (sub-probability) scale their limit laws use
-    norm = float((p0 + p1).sum())
-    xs = (np.arange(len(weights)) + state.offset) / t
-    cum = np.cumsum(weights) / norm
+    norms = [row[_offset(walk, t) - first:t + 1 - first].sum()
+             for row, t in zip(total, times.tolist())]
+    xs = (np.arange(amps.shape[1]) + first) / times[:, None]
+    cum = np.cumsum(weights, axis=-1) / np.array(norms)[:, None]
     limit = cdf_grid(d, xs)
-    below = np.concatenate(([0.0], cum[:-1]))
-    ks = float(np.max(np.maximum(np.abs(limit - cum), np.abs(limit - below))))
-    return KSReport(t=t, theta=coin.theta, ks=ks)
+    below = np.zeros_like(cum)
+    below[:, 1:] = cum[:, :-1]
+    return np.maximum(np.abs(limit - cum), np.abs(limit - below)).max(axis=-1)

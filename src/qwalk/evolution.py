@@ -34,8 +34,9 @@ coin writes post0(z(0)) = w as inner 0 of the new virtual site, whose
 inner 1, i w, is set by hand. The window is held as two float64 rows, inner
 0 and inner 1, in one of two buffers allocated once per walk; each step
 writes the other buffer, and the buffers swap roles, so no step allocates.
-The shift is where the kernel writes, not a separate copy. A state expands
-the pairs to its full window.
+The shift is where the kernel writes, not a separate copy. A state, and
+each row of a block of times, expands the pairs to its full window by the
+one rule of `_expand`.
 
 Outside the light cone |x| < |c| t the amplitudes decay into subnormal
 floats, and from t of about 1000 on they stop decaying at a floor of them
@@ -58,7 +59,7 @@ stay shareable values.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .core import (
     State,
     WalkKind,
     _index,
+    _offset,
     initial,
 )
 
@@ -78,6 +80,10 @@ _TINY = np.finfo(np.float64).tiny
 # a half-line site times this is its twin: an exact swap of the real and
 # imaginary parts, one of them negated (a zero may change sign)
 _MINUS_I = np.array(-1j)
+# the most positions of the line's window, summed over its times, in one
+# block of `_blocks`: 128 KiB of amplitudes. Blocks of 2^14 ran the verify
+# grid no faster and raised its peak RSS by about 2 MB
+_BLOCK_SITES = 1 << 12
 
 
 def _normal(src: np.ndarray, site: int, w: int) -> bool:
@@ -172,17 +178,64 @@ def _windows(state: State, coin: Coin, steps: int) -> Iterator[np.ndarray]:
         hi += stop - start
 
 
-def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
-    """A state owning a complex copy of the full window: each representative
-    followed by its twin."""
+def _expand(kind: WalkKind, t: int, window: np.ndarray,
+            out: np.ndarray) -> None:
+    """Write the full window of the pairs ``window`` at time t to ``out``, one
+    (inner 0, inner 1) row per position: each representative followed by
+    its twin."""
+    pairs = out.T
     if kind is WalkKind.LINE:
-        return State(kind, t, window.T.astype(np.complex128).repeat(2, axis=0))
-    amps = np.empty((2 * window.shape[1], 2), np.complex128)
-    pairs = amps.T
-    np.copyto(pairs[:, 0::2], window)
-    np.multiply(window, _MINUS_I, pairs[:, 1::2])
-    # at even t the first pair starts at the virtual site x = -1
-    return State(kind, t, amps if t & 1 else amps[1:])
+        pairs[:, 0::2] = window
+        pairs[:, 1::2] = window
+    elif t & 1:
+        pairs[:, 0::2] = window
+        np.multiply(window, _MINUS_I, pairs[:, 1::2])
+    else:
+        # the first pair starts at the virtual site x = -1
+        np.multiply(window, _MINUS_I, pairs[:, 0::2])
+        pairs[:, 1::2] = window[:, 1:]
+
+
+def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
+    """A state owning a complex copy of the full window."""
+    amps = np.empty((t + 1 - _offset(kind, t), 2), np.complex128)
+    _expand(kind, t, window, amps)
+    return State(kind, t, amps)
+
+
+def _blocks(kind: WalkKind, coin: Coin,
+            ts: Sequence[int]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(times, amps) for runs of the sorted, distinct times ``ts``, all from
+    one evolution to the last of them.
+
+    ``amps`` is a zero-padded (n, W, 2) complex array: row i is the full
+    window at ``times[i]``, position x at column x - offset(times[-1]). A
+    block spans at most ``_BLOCK_SITES`` positions of the line's window,
+    whichever walk it holds, so both walks split ``ts`` alike; a time whose
+    window alone is larger is a block of one.
+    """
+    state, steps = _start(kind, coin, ts[-1])
+    kind = state.kind
+    groups: list[list[int]] = []
+    for t in ts:
+        if groups and (len(groups[-1]) + 1) * (2 * t + 2) <= _BLOCK_SITES:
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    frames = enumerate(chain([None], _windows(state, coin, steps)))
+    for times in groups:
+        first = _offset(kind, times[-1])
+        amps = np.zeros((len(times), times[-1] + 1 - first, 2), np.complex128)
+        for row, t in zip(amps, times):
+            for now, window in frames:
+                if now == t:
+                    break
+            cols = row[_offset(kind, t) - first:t + 1 - first]
+            if t:
+                _expand(kind, t, window, cols)
+            else:
+                cols[...] = state.amps
+        yield times, amps
 
 
 def step(state: State, coin: Coin) -> State:
@@ -241,10 +294,15 @@ def probability_arrays(state: State) -> tuple[np.ndarray, np.ndarray]:
     return p[:, 0], p[:, 1]
 
 
+def _floored(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2, each value below ``_PROB_FLOOR`` set to exact zero."""
+    p = np.abs(amps) ** 2
+    return np.where(p < _PROB_FLOOR, 0.0, p)
+
+
 def distribution(state: State) -> Distribution:
     """Probability table over the state's support window."""
-    p0, p1 = probability_arrays(state)
-    p0 = np.where(p0 < _PROB_FLOOR, 0.0, p0)
-    p1 = np.where(p1 < _PROB_FLOOR, 0.0, p1)
+    p = _floored(state.amps)
+    p0, p1 = p[:, 0], p[:, 1]
     return Distribution(state.kind, state.t, tuple(p0.tolist()),
                         tuple(p1.tolist()), tuple((p0 + p1).tolist()))

@@ -6,6 +6,14 @@ two walks (lemma2), the probability copy (theorem1), closed form versus
 simulation (exactVsSim), the inner-state split of the half-line closed form
 (innerSplit), limit-density normalization (limitNorm), and the KS convergence
 diagnostic (ksConvergence).
+
+The five walk suites evolve each walk they read once per angle and call, to
+the last requested time, and take the times in blocks of `evolution._blocks`:
+at most ``_BLOCK_SITES`` (4,096) positions of the line's window each, a time
+whose window alone is larger a block of one, so memory grows with the
+largest window. Each identity is one array expression over a block, masked
+to each row's window; only the closed forms and the KS norms, whose pairwise
+sum depends on the length, run one time at a time.
 """
 from __future__ import annotations
 
@@ -26,7 +34,8 @@ from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
                           line_exact)
 from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, _index,
                    make_coin, make_coin_pi)
-from .evolution import distribution, evolve, iter_states, probability_arrays
+from .evolution import (_blocks, _floored, distribution, evolve, iter_states,
+                        probability_arrays)
 from .qfield import q2_oracle_distribution
 
 TOLERANCES = {
@@ -116,15 +125,21 @@ def _error_check(name: str, coin: Coin, t: int, tol: float, msg: str) -> CheckRe
     )
 
 
-def _check(name: str, coin: Coin, t: int, tol: float,
-           residual: Callable[..., float], *args) -> CheckResult:
-    """Check ``residual(*args)``; a closed form that refuses is an error entry."""
+def _attempt(residual: Callable[..., float], *args) -> Union[float, str]:
+    """``residual(*args)``, or the message of a closed form that refuses."""
     try:
-        res = residual(*args)
+        return residual(*args)
     except (FormulaDomainError, PrecisionError) as exc:
-        return _error_check(name, coin, t, tol, str(exc))
-    return CheckResult(name=name, theta=coin.theta, t=t, max_residual=res,
-                       tolerance=tol)
+        return str(exc)
+
+
+def _result(name: str, coin: Coin, t: int, tol: float,
+            residual: Union[float, str]) -> CheckResult:
+    """The check of one residual; a refusal's message is an error entry."""
+    if isinstance(residual, str):
+        return _error_check(name, coin, t, tol, residual)
+    return CheckResult(name=name, theta=coin.theta, t=t,
+                       max_residual=residual, tolerance=tol)
 
 
 def _sin_zero(coin: Coin) -> Optional[str]:
@@ -146,17 +161,18 @@ _SuiteChecks = Callable[[Coin, Sequence[int]], list[CheckResult]]
 _BOTH_WALKS = (WalkKind.LINE, WalkKind.HALF_LINE)
 
 
-def _walk_suite(name: str, residual: Callable[..., float],
+def _walk_suite(name: str, rows: Callable[..., list],
                 walks: tuple[WalkKind, ...] = _BOTH_WALKS,
                 tolerance: Optional[Callable[[int], float]] = None,
                 excluded: Optional[Callable[[Coin], Optional[str]]] = _sin_zero,
                 min_t: int = 0) -> _SuiteChecks:
-    """Checks fed by one ``iter_states`` pass per walk and coin.
+    """Checks fed by one evolution per walk and coin, in blocks of times.
 
-    ``residual(coin, *states)`` runs at every requested time >= min_t, with
-    the states in the order of ``walks``; an angle for which ``excluded``
-    gives a reason gets an error entry at each of those times instead, and
-    ``excluded=None`` excludes none.
+    ``rows(coin, times, *blocks)`` gives one residual per time of a block of
+    `evolution._blocks` (or a closed form's refusal), at every requested
+    time >= min_t, with the blocks in the order of ``walks``; an angle for
+    which ``excluded`` gives a reason gets an error entry at each of those
+    times instead, and ``excluded=None`` excludes none.
     ``tolerance(t)`` defaults to the suite's entry in TOLERANCES.
     """
     tol = tolerance or (lambda t: TOLERANCES[name])
@@ -168,11 +184,13 @@ def _walk_suite(name: str, residual: Callable[..., float],
             return [_error_check(name, coin, t, tols[t], reason) for t in tols]
         if not tols:
             return []
-        passes = zip(*((state for _, state in iter_states(kind, coin, max(tols)))
-                       for kind in walks))
-        return [_check(name, coin, states[0].t, tols[states[0].t], residual,
-                       coin, *states)
-                for states in passes if states[0].t in tols]
+        out = []
+        for blocks in zip(*(_blocks(kind, coin, list(tols)) for kind in walks)):
+            times = blocks[0][0]
+            residuals = rows(coin, np.array(times), *(amps for _, amps in blocks))
+            out += [_result(name, coin, t, tols[t], res)
+                    for t, res in zip(times, residuals)]
+        return out
 
     return checks
 
@@ -183,80 +201,98 @@ def _grid_suite(name: str, residual: Callable[[Coin, int], float],
     tol = TOLERANCES[name]
 
     def checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
-        return [_check(name, coin, t, tol, residual, coin, t)
+        return [_result(name, coin, t, tol, _attempt(residual, coin, t))
                 for t in ts if t >= min_t]
 
     return checks
 
 
-def _padded_line(state) -> tuple[np.ndarray, np.ndarray, int]:
-    """Line amplitudes padded with zeros; position p sits at index p + shift."""
-    g = state.amps[:, 0]
-    d = state.amps[:, 1]
-    pad = 3
-    gp = np.concatenate([np.zeros(pad, dtype=complex), g,
-                         np.zeros(pad, dtype=complex)])
-    dp = np.concatenate([np.zeros(pad, dtype=complex), d,
-                         np.zeros(pad, dtype=complex)])
-    return gp, dp, pad - state.offset
+# The block suites below read blocks of times: row i of each block is the
+# walk at times[i], position x at column x - offset(last), last = times[-1],
+# so x >= 0 sits at column x + last + 1 of the line's block and at column x
+# of the half line's. The identities run over x = 0..last and are masked to
+# x <= times[i] before the maximum of each row.
+
+
+def _row_max(times: np.ndarray, res1: np.ndarray,
+             res2: np.ndarray) -> list[float]:
+    """The largest of ``res1`` and ``res2`` over x = 0..times[i] in row i."""
+    inside = np.arange(times[-1] + 1) <= times[:, None]
+    return np.maximum(res1, res2).max(axis=1, where=inside,
+                                      initial=0.0).tolist()
+
+
+def _lemma1_rows(coin: Coin, times: np.ndarray, line: np.ndarray) -> list[float]:
+    """Mirror identities of the line amplitudes: d(x-1) = sgn d(-x) and
+    s g(x-1) - c d(x-1) = -sgn (s g(-x-2) - c d(-x-2)), sgn = (-1)^t."""
+    last = times[-1]
+    # positions -x-2, zero past the window's first position
+    mirror = np.zeros((len(times), last + 1, 2), complex)
+    mirror[:, :last] = line[:, :last][:, ::-1]
+    g_a, d_a = line[:, last:2 * last + 1, 0], line[:, last:2 * last + 1, 1]
+    d_b = line[:, last + 1:0:-1, 1]
+    g_c, d_c = mirror[..., 0], mirror[..., 1]
+    sgn = np.where(times % 2 == 0, 1.0, -1.0)[:, None]
+    c, s = coin.c, coin.s
+    res1 = np.abs(d_a - sgn * d_b)
+    lhs = s * g_a - c * d_a
+    rhs = s * g_c - c * d_c
+    return _row_max(times, res1, np.abs(lhs + sgn * rhs))
+
+
+def _lemma2_rows(coin: Coin, times: np.ndarray, line: np.ndarray,
+                 half: np.ndarray) -> list[float]:
+    """Amplitude copy identities between the two walks."""
+    last = times[-1]
+    g_x, d_x = line[:, last + 1:, 0], line[:, last + 1:, 1]
+    g_m, d_m = line[:, last::-1, 0], line[:, last::-1, 1]
+    even_pos = np.arange(last + 1) % 2 == 0
+    even_t = (times % 2 == 0)[:, None]
+    exp_a = np.where(even_pos == even_t, g_x - 1j * d_x, d_x + 1j * g_x)
+    exp_b = np.where(even_t,
+                     np.where(even_pos, d_m + 1j * g_m, -g_m + 1j * d_m),
+                     np.where(even_pos, g_m - 1j * d_m, -d_m - 1j * g_m))
+    return _row_max(times, np.abs(half[..., 0] - exp_a),
+                    np.abs(half[..., 1] - exp_b))
 
 
 def _lemma1_residual(coin: Coin, line_state) -> float:
-    """Mirror identities of the line amplitudes at one time."""
-    t = line_state.t
-    gp, dp, shift = _padded_line(line_state)
-    x = np.arange(0, t + 1)
-    ia = x - 1 + shift
-    ib = -x + shift
-    ic = -x - 2 + shift
-    sgn = 1.0 if t % 2 == 0 else -1.0
-    c, s = coin.c, coin.s
-    res1 = np.abs(dp[ia] - sgn * dp[ib])
-    lhs = s * gp[ia] - c * dp[ia]
-    rhs = s * gp[ic] - c * dp[ic]
-    res2 = np.abs(lhs + sgn * rhs)
-    return float(max(res1.max(), res2.max()))
+    """`_lemma1_rows` at one state."""
+    return _lemma1_rows(coin, np.array([line_state.t]), line_state.amps[None])[0]
 
 
 def _lemma2_residual(coin: Coin, line_state, half_state) -> float:
-    """Amplitude copy identities between the two walks at one time."""
-    t = half_state.t
-    a = half_state.amps[:, 0]
-    b = half_state.amps[:, 1]
-    gp, dp, shift = _padded_line(line_state)
-    x = np.arange(0, t + 1)
-    even_pos = x % 2 == 0
-    ix = x + shift
-    im = -x - 1 + shift
-    g_x, d_x = gp[ix], dp[ix]
-    g_m, d_m = gp[im], dp[im]
-    if t % 2 == 0:
-        exp_a = np.where(even_pos, g_x - 1j * d_x, d_x + 1j * g_x)
-        exp_b = np.where(even_pos, d_m + 1j * g_m, -g_m + 1j * d_m)
-    else:
-        exp_a = np.where(even_pos, d_x + 1j * g_x, g_x - 1j * d_x)
-        exp_b = np.where(even_pos, g_m - 1j * d_m, -d_m - 1j * g_m)
-    return float(max(np.abs(a - exp_a).max(), np.abs(b - exp_b).max()))
+    """`_lemma2_rows` at one pair of states."""
+    return _lemma2_rows(coin, np.array([half_state.t]), line_state.amps[None],
+                        half_state.amps[None])[0]
 
 
-def _theorem1_residual(coin: Coin, line_state, half_state) -> float:
+def _theorem1_rows(coin: Coin, times: np.ndarray, line: np.ndarray,
+                   half: np.ndarray) -> list[float]:
     """Probability copy: inner 0 matches x >= 0, inner 1 matches -x-1."""
-    t = half_state.t
-    p0, p1 = probability_arrays(half_state)
-    lp0, lp1 = probability_arrays(line_state)
-    pl = lp0 + lp1
-    right = pl[t + 1:]
-    left_rev = pl[t::-1]
-    return float(max(np.abs(p0 - right).max(), np.abs(p1 - left_rev).max()))
+    last = times[-1]
+    p = np.abs(half) ** 2
+    lp = np.abs(line) ** 2
+    pl = lp[..., 0] + lp[..., 1]
+    return _row_max(times, np.abs(p[..., 0] - pl[:, last + 1:]),
+                    np.abs(p[..., 1] - pl[:, last::-1]))
 
 
-def _exact_vs_sim_residual(coin: Coin, line_state, half_state) -> float:
-    """Closed forms of both walks against the evolved states."""
-    t = line_state.t
-    return max(abs(cf - sim)
-               for table, state in ((line_exact(coin, t), line_state),
-                                    (half_line_exact(coin, t), half_state))
-               for cf, sim in zip(table.p, distribution(state).p))
+def _exact_vs_sim_rows(coin: Coin, times: np.ndarray, line: np.ndarray,
+                       half: np.ndarray) -> list[Union[float, str]]:
+    """Closed forms of both walks against the floored probabilities of the
+    blocks, each time on its own window."""
+    last = times[-1]
+    sims = [p[..., 0] + p[..., 1] for p in (_floored(line), _floored(half))]
+
+    def residual(t: int, line_p: np.ndarray, half_p: np.ndarray) -> float:
+        return max(abs(cf - sim)
+                   for table, p in ((line_exact(coin, t), line_p),
+                                    (half_line_exact(coin, t), half_p))
+                   for cf, sim in zip(table.p, p.tolist()))
+
+    return [_attempt(residual, t, line_p[last - t:last + t + 2], half_p[:t + 1])
+            for t, line_p, half_p in zip(times.tolist(), *sims)]
 
 
 def _inner_split_residual(coin: Coin, t: int) -> float:
@@ -265,9 +301,9 @@ def _inner_split_residual(coin: Coin, t: int) -> float:
     return max(abs(p - p0 - p1) for p0, p1, p in zip(dist.p0, dist.p1, dist.p))
 
 
-def _ks_residual(coin: Coin, half_state) -> float:
-    return asymptotics.ks_distance(coin, half_state.t, DensityKind.HALF_TOTAL,
-                                   state=half_state).ks
+def _ks_rows(coin: Coin, times: np.ndarray, half: np.ndarray) -> list[float]:
+    return asymptotics._ks_rows(LimitDensity(coin, DensityKind.HALF_TOTAL),
+                                times, half).tolist()
 
 
 def _mass_off(coin: Coin, tol: float) -> Optional[str]:
@@ -310,16 +346,16 @@ _CLOSED_FORM_T = range(EXACT_VS_SIM_MAX_T + 1)
 # order is the report order of 'all'. The KS diagnostic only means something
 # once the law has started to settle, so 'all' skips its small times
 _REGISTRY: dict[str, tuple[_SuiteChecks, range]] = {
-    "lemma1": (_walk_suite("lemma1", _lemma1_residual, (WalkKind.LINE,)),
+    "lemma1": (_walk_suite("lemma1", _lemma1_rows, (WalkKind.LINE,)),
                _ANY_T),
-    "lemma2": (_walk_suite("lemma2", _lemma2_residual), _ANY_T),
-    "theorem1": (_walk_suite("theorem1", _theorem1_residual), _ANY_T),
-    "exactVsSim": (_walk_suite("exactVsSim", _exact_vs_sim_residual,
+    "lemma2": (_walk_suite("lemma2", _lemma2_rows), _ANY_T),
+    "theorem1": (_walk_suite("theorem1", _theorem1_rows), _ANY_T),
+    "exactVsSim": (_walk_suite("exactVsSim", _exact_vs_sim_rows,
                                excluded=None, min_t=1), _CLOSED_FORM_T),
     "innerSplit": (_grid_suite("innerSplit", _inner_split_residual),
                    _CLOSED_FORM_T),
     "limitNorm": (_limit_norm_checks, _ANY_T),
-    "ksConvergence": (_walk_suite("ksConvergence[halfTotal]", _ks_residual,
+    "ksConvergence": (_walk_suite("ksConvergence[halfTotal]", _ks_rows,
                                   (WalkKind.HALF_LINE,),
                                   tolerance=ks_tolerance,
                                   excluded=_degenerate, min_t=1),

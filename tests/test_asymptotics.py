@@ -243,6 +243,29 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf_grid(d, np.array([0.3, 0.1]))
 
+    @pytest.mark.parametrize("kind", [DensityKind.LINE_TOTAL,
+                                      DensityKind.HALF_TOTAL])
+    @pytest.mark.parametrize("call", [
+        lambda d: cdf_grid(d, [0.1, math.nan, 0.2]),
+        lambda d: cdf_grid(d, [math.nan]),
+        lambda d: cdf_grid(d, [[0.1, 0.2], [0.1, math.nan]]),
+        lambda d: cdf_at(d, math.nan),
+        lambda d: density_at(d, math.nan),
+    ], ids=["grid", "one-point-grid", "2-d-grid", "cdf_at", "density_at"])
+    def test_nan_is_refused(self, pi4_coin, kind, call):
+        with pytest.raises(ValueError, match="NaN"):
+            call(LimitDensity(pi4_coin, kind))
+
+    def test_two_dimensional_grid_is_each_row_alone(self, pi3_coin):
+        d = LimitDensity(pi3_coin, DensityKind.LINE_TOTAL)
+        xs = np.array([np.linspace(-1.0, 1.0, 9), np.linspace(-0.2, 0.9, 9)])
+        got = cdf_grid(d, xs)
+        assert got.shape == xs.shape
+        for row, want in zip(got, xs):
+            assert row.tolist() == cdf_grid(d, want).tolist()
+        with pytest.raises(ValueError, match="sorted"):
+            cdf_grid(d, xs[:, ::-1])
+
     def test_cdf_consistent_with_pointwise(self, pi3_coin):
         d = LimitDensity(pi3_coin, DensityKind.HALF_INNER1)
         xs = np.linspace(-0.1, 0.6, 53)

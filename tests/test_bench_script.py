@@ -26,7 +26,9 @@ def test_bench_script_tiny(tmp_path):
     results = doc["results"]
     assert set(results) == {
         "evolve_t200.ns_per_site_step", "evolve_t20.ms", "iter_states_t20.ms",
-        "ks_distance_t50.ms", "ks_suite_t10-12.s", "total_mass.ms",
+        "ks_distance_t50.ms", "ks_suite_t10-12.s", "lemma1_suite_t1-12.s",
+        "lemma2_suite_t1-12.s", "theorem1_suite_t1-12.s",
+        "exactVsSim_suite_t1-6.s", "total_mass.ms",
         "cdf_grid_t20.us_per_point", "cdf_grid_t50.us_per_point",
         "oracle_t20.us_per_site_step", "to_fraction_t20.us_per_call",
         "line_exact_values_t10.ms", "half_line_exact_values_t10.ms",
@@ -37,6 +39,10 @@ def test_bench_script_tiny(tmp_path):
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
         assert set(results[metric]) == walks
+    for suite in ("ks_suite_t10-12.s", "lemma1_suite_t1-12.s",
+                  "lemma2_suite_t1-12.s", "theorem1_suite_t1-12.s",
+                  "exactVsSim_suite_t1-6.s"):
+        assert set(results[suite]) == {"canonical_coins"}
     assert set(results["total_mass.ms"]) == {
         f"{k}@{theta}" for k in ("lineTotal", "halfInner0", "halfInner1",
                                  "halfTotal")

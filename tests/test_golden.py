@@ -13,10 +13,16 @@ held its exact values as a second column set, and the t = 5000 simulate
 digests at theta = 2.5, -0.7 and pi/4 while the step kernel still stepped
 every site of the window. The two `exact --walk line` digests were retaken
 when the line closed form came to list the whole window, with the exact
-zeros at x = t - 1 and t. Any change to them is a change of output bytes.
+zeros at x = t - 1 and t. The `verify --out` report and the
+`scripts/run_verification.py --t-max 200` stdout were pinned while every
+walk suite still built one state per walk and time. Any change to them is a
+change of output bytes.
 """
 import hashlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,9 @@ from qwalk import (
 )
 from qwalk.cli import main
 from qwalk.closed_form import half_line_exact
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _sha(data: bytes) -> str:
@@ -274,3 +283,26 @@ def test_sweep_files_are_pinned(route, digests, tmp_path):
                  "--ts", "3,30", "--out", str(tmp_path)]) == 0
     got = {p.name: _sha(p.read_bytes()) for p in tmp_path.iterdir()}
     assert got == digests
+
+
+def test_verify_report_bytes_are_pinned(tmp_path):
+    # exit 1: ksConvergence FAILs at 0.3 and 2.8 (known defect 1), and the
+    # angle 0 is excluded from every suite
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "all", "--thetas",
+                 "0,pi/6,pi/4,pi/3,1.0,0.3,2.8,-0.7,2pi/3", "--ts",
+                 "0,1,2,15,31,32,33,60,61,100,199,200",
+                 "--out", str(out)]) == 1
+    assert _sha(out.read_bytes()) == (
+        "76aedc1daae447c947fcbcfb34806184a0d94f01d1a3886acdfa6854f75a7f8a")
+
+
+def test_verification_script_stdout_is_pinned(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_verification", ROOT / "scripts" / "run_verification.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--t-max", "200"])
+    assert script.main() == 0
+    assert _sha(capsys.readouterr().out.encode()) == (
+        "af557f3c4d4ac94413523f3ba92991da4b7dea7e436b34aa6cbfb210e9c2b4e9")

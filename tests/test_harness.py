@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from pytest import approx
 
 from qwalk import (
     Coin,
+    DensityKind,
     Distribution,
+    LimitDensity,
     OutputTable,
     WalkKind,
     distribution,
@@ -23,8 +25,18 @@ from qwalk import (
     q2_oracle_distribution,
     run_checks,
 )
+from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import half_line_exact
+from qwalk.core import State, _offset
+from qwalk.evolution import _BLOCK_SITES, _blocks, iter_states
 from qwalk.harness import (
+    _attempt,
+    _degenerate,
+    _ks_rows,
+    _lemma1_rows,
+    _lemma2_rows,
+    _sin_zero,
+    _theorem1_rows,
     EXACT_VS_SIM_MAX_T,
     ROUTES,
     SUITES,
@@ -607,3 +619,177 @@ class TestComposedTables:
                             lambda self: calls.append(1) or check(self))
         route_table("approx", WalkKind.HALF_LINE, pi4_coin, 50, "x")
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the walk suites on blocks of times against the same checks on single states
+
+
+def _padded_line(state):
+    """Line amplitudes padded with zeros; position p sits at index p + shift."""
+    return (np.pad(state.amps[:, 0], 3), np.pad(state.amps[:, 1], 3),
+            3 - state.offset)
+
+
+def _lemma1_at(coin, line, half):
+    t = line.t
+    gp, dp, shift = _padded_line(line)
+    x = np.arange(0, t + 1)
+    ia, ib, ic = x - 1 + shift, -x + shift, -x - 2 + shift
+    sgn = 1.0 if t % 2 == 0 else -1.0
+    res1 = np.abs(dp[ia] - sgn * dp[ib])
+    lhs = coin.s * gp[ia] - coin.c * dp[ia]
+    rhs = coin.s * gp[ic] - coin.c * dp[ic]
+    return float(max(res1.max(), np.abs(lhs + sgn * rhs).max()))
+
+
+def _lemma2_at(coin, line, half):
+    t = half.t
+    gp, dp, shift = _padded_line(line)
+    x = np.arange(0, t + 1)
+    even = x % 2 == 0
+    g_x, d_x = gp[x + shift], dp[x + shift]
+    g_m, d_m = gp[-x - 1 + shift], dp[-x - 1 + shift]
+    if t % 2 == 0:
+        exp_a = np.where(even, g_x - 1j * d_x, d_x + 1j * g_x)
+        exp_b = np.where(even, d_m + 1j * g_m, -g_m + 1j * d_m)
+    else:
+        exp_a = np.where(even, d_x + 1j * g_x, g_x - 1j * d_x)
+        exp_b = np.where(even, g_m - 1j * d_m, -d_m - 1j * g_m)
+    return float(max(np.abs(half.amps[:, 0] - exp_a).max(),
+                     np.abs(half.amps[:, 1] - exp_b).max()))
+
+
+def _theorem1_at(coin, line, half):
+    t = half.t
+    p = np.abs(half.amps) ** 2
+    lp = np.abs(line.amps) ** 2
+    pl = lp[:, 0] + lp[:, 1]
+    return float(max(np.abs(p[:, 0] - pl[t + 1:]).max(),
+                     np.abs(p[:, 1] - pl[t::-1]).max()))
+
+
+def _exact_vs_sim_at(coin, line, half):
+    t = line.t
+    return max(abs(cf - sim)
+               for table, state in ((line_exact(coin, t), line),
+                                    (half_line_exact(coin, t), half))
+               for cf, sim in zip(table.p, distribution(state).p))
+
+
+def _ks_at(coin, line, half):
+    t = half.t
+    p = np.abs(half.amps) ** 2
+    weights = p[:, 0] + p[:, 1]
+    cum = np.cumsum(weights) / float(weights.sum())
+    limit = cdf_grid(LimitDensity(coin, DensityKind.HALF_TOTAL),
+                     np.arange(t + 1) / t)
+    below = np.concatenate(([0.0], cum[:-1]))
+    return float(np.max(np.maximum(np.abs(limit - cum),
+                                   np.abs(limit - below))))
+
+
+# suite -> (its residual at one pair of states, as each suite computed it
+# from single states, and the least time it checks)
+_AT_ONE_TIME = {
+    "lemma1": (_lemma1_at, 0),
+    "lemma2": (_lemma2_at, 0),
+    "theorem1": (_theorem1_at, 0),
+    "exactVsSim": (_exact_vs_sim_at, 1),
+    "ksConvergence": (_ks_at, 1),
+}
+
+
+def _states(kind, coin, ts):
+    return {t: state for t, state in iter_states(kind, coin, ts[-1])
+            if t in ts}
+
+
+def _assert_blocks_hold_the_states(kind, coin, ts):
+    states = _states(kind, coin, ts)
+    for times, amps in _blocks(kind, coin, ts):
+        assert amps.size // 2 <= max(_BLOCK_SITES, 2 * times[-1] + 2)
+        first = _offset(kind, times[-1])
+        for row, t in zip(amps, times):
+            a = states[t].offset - first
+            b = a + len(states[t].amps)
+            assert row[a:b].tolist() == states[t].amps.tolist()
+            assert not row[:a].any() and not row[b:].any()
+
+
+def _assert_suites_match_the_states(coin, ts, suites=tuple(_AT_ONE_TIME)):
+    line = _states(WalkKind.LINE, coin, ts)
+    half = _states(WalkKind.HALF_LINE, coin, ts)
+    for suite in suites:
+        at, min_t = _AT_ONE_TIME[suite]
+        suite_ts = [t for t in ts if t >= min_t and (
+            suite != "exactVsSim" or t <= EXACT_VS_SIM_MAX_T)]
+        if not suite_ts:
+            continue
+        checks = run_checks(suite, [coin], suite_ts).checks
+        assert [c.t for c in checks] == suite_ts
+        for check in checks:
+            if check.error in {_sin_zero(coin), _degenerate(coin)} - {None}:
+                continue
+            # a residual, or the message of a closed form that refuses
+            got = check.max_residual if check.error is None else check.error
+            assert got == _attempt(at, coin, line[check.t], half[check.t]), (
+                suite, check)
+
+
+class TestBlocks:
+    @seed(2016)
+    @settings(max_examples=80, deadline=None)
+    @given(theta=st.floats(-math.pi, math.pi, exclude_min=True,
+                           exclude_max=True),
+           ts=st.sets(st.integers(1, 400), max_size=8).map(
+               lambda ts: sorted(ts | {0})),
+           kind=st.sampled_from(list(WalkKind)))
+    def test_drawn_blocks_equal_the_states(self, theta, ts, kind):
+        """Each block row is its time's state, zero-padded, and each walk
+        suite's residuals equal its residuals on the single states."""
+        coin = make_coin(theta)
+        _assert_blocks_hold_the_states(kind, coin, ts)
+        _assert_suites_match_the_states(coin, ts)
+
+    def test_a_window_past_the_cap_is_a_block_of_one(self, pi3_coin):
+        big = _BLOCK_SITES // 2 + 3
+        ts = [0, 5, big]
+        for kind in WalkKind:
+            assert [times for times, _ in _blocks(kind, pi3_coin, ts)] == [
+                [0, 5], [big]]
+            _assert_blocks_hold_the_states(kind, pi3_coin, ts)
+        _assert_suites_match_the_states(
+            pi3_coin, ts, ("lemma1", "lemma2", "theorem1", "ksConvergence"))
+
+    @pytest.mark.parametrize("rows, at", [
+        (lambda coin, ts, line, half: _lemma1_rows(coin, ts, line), _lemma1_at),
+        (_lemma2_rows, _lemma2_at),
+        (_theorem1_rows, _theorem1_at),
+        (lambda coin, ts, line, half: _ks_rows(coin, ts, half), _ks_at),
+    ], ids=["lemma1", "lemma2", "theorem1", "ksConvergence"])
+    def test_each_row_reads_its_own_window_alone(self, rows, at):
+        """On random amplitudes, where no identity holds past a window, a
+        block row's residual is still that of its time's state."""
+        rng = np.random.default_rng(2016)
+        coin = make_coin(1.0)
+        ts = [1, 2, 5, 6, 9]
+        states = {}
+        for kind in WalkKind:
+            states[kind] = []
+            for t in ts:
+                n = t + 1 - _offset(kind, t)
+                amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+                # lemma1 reads position t only past x = t
+                amps[-1] *= 1e3
+                states[kind].append(State(kind, t, amps))
+        blocks = []
+        for kind in (WalkKind.LINE, WalkKind.HALF_LINE):
+            first = _offset(kind, ts[-1])
+            block = np.zeros((len(ts), ts[-1] + 1 - first, 2), complex)
+            for row, state in zip(block, states[kind]):
+                row[state.offset - first:state.t + 1 - first] = state.amps
+            blocks.append(block)
+        assert rows(coin, np.array(ts), *blocks) == [
+            at(coin, line, half) for line, half in
+            zip(states[WalkKind.LINE], states[WalkKind.HALF_LINE])]
