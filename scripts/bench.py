@@ -26,7 +26,9 @@ Measured, each as the median process time of --runs runs:
   pi/3's tables too are rounded from the top bits of their factors);
 - `render_csv` and `render_json` of the line walk's table at t = 5000,
   theta = 1.0 (the table is built once, outside the timing), and
-  `read_table_json` of that table's JSON file.
+  `read_table_json` of that table's JSON file;
+- `figure_data("fig2")`, the half-line series at theta = pi/4 every 10th
+  t to 500 (the same at every size).
 
 Each entry holds the median and the quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
@@ -62,8 +64,9 @@ from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
 from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
                                line_exact_values)
-from qwalk.harness import (canonical_coins, read_table_json, render_csv,
-                           render_json, run_checks, table_from_distribution)
+from qwalk.harness import (canonical_coins, figure_data, read_table_json,
+                           render_csv, render_json, run_checks,
+                           table_from_distribution)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
@@ -215,6 +218,7 @@ def measure(size: str, runs: int) -> dict:
         path.write_text(render_json(table), encoding="utf-8")
         record(f"read_table_json_t{t_render}.ms", "line@1.0",
                lambda: read_table_json(path), 1e3)
+    record("figure_fig2.ms", "halfline@pi/4", lambda: figure_data("fig2"), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {

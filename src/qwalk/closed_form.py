@@ -376,29 +376,6 @@ def _sums(consts: _RationalConsts, t: int):
         f_prev, f, g_prev, g = f, f_next, g, g_next
 
 
-def _branches(coin: Coin, t: int, params: Optional[ExactParams]):
-    """The constants of the table at time t, and its branches.
-
-    Branch m = 1..t//2 comes as (x, m, sums) with x = t - 2m. On the line
-    it gives the right value at x and x - 1 and the left value at -x - 1
-    and -x. The half line is the line relabelled (theorem1): its inner 0 at
-    x is the line at x, and its inner 1 at x the line at -x - 1.
-    """
-    consts = _resolve(coin, t, params)
-    return consts, ((t - 2 * m, m, _Branch(consts, m, n0, n1, power))
-                    for (m, n0, n1), power in zip(_sums(consts, t),
-                                                  _powers(consts.p, t)))
-
-
-def _powers(p: int, t: int):
-    """p^(t - 2m) for the branches m = 1..t//2, each from the one before by
-    an exact division."""
-    power, pp = p ** max(t - 2, 0), p * p
-    for _ in range(t // 2):
-        yield power
-        power //= pp
-
-
 def _to_prob(x: float) -> float:
     # every value is >= 0: pref * ((w A1 - A0)^2 + A0^2 (1/s^2 - 1)), s^2 <= 1
     return 0.0 if x < _PROB_FLOOR else x
@@ -414,15 +391,26 @@ def line_exact_values(coin: Coin, t: int, params: Optional[ExactParams] = None
 
     Values are floats, double-double pairs, or Fractions depending on the
     requested precision; ``line_exact`` wraps this into a Distribution.
+    They are the inner columns of ``half_line_exact_values`` relabelled
+    (theorem1): the line at x >= 0 is inner 0 at x, at -x - 1 inner 1 at x.
+    The half line's completeness check is the line's: inner 0 + inner 1 ==
+    total as Fractions, and the float totals, each correctly rounded, sum
+    within about 2t + 2 roundings of the inner columns' sum, far inside
+    ``_COMPLETENESS_GUARD``.
     """
-    t = _index("t", t, 1)
-    consts, branches = _branches(coin, t, params)
-    out: dict[int, object] = {-t - 1: consts.pref, -t: consts.pref}
-    for x, m, sums in branches:
-        out[x] = out[x - 1] = sums.weighted(m)
-        out[-x - 1] = out[-x] = sums.weighted(t - m)
-    consts.check_completeness(out.values())
+    half = half_line_exact_values(coin, t, params)
+    out = {-x - 1: v1 for x, (_, v1, _) in half.items()}
+    out.update((x, v0) for x, (v0, _, _) in half.items() if v0 is not None)
     return out
+
+
+def _line_of(half: Distribution) -> Distribution:
+    """The line's Distribution relabelled from the half line's at the same t,
+    as in `line_exact_values`: the line's -t-1..-1 are inner 1 at t..0, and
+    its 0..t are inner 0 at 0..t, 0.0 on the frontier pair."""
+    p = tuple(reversed(half.p1)) + half.p0
+    none = (None,) * len(p)
+    return Distribution(WalkKind.LINE, half.t, none, none, p)
 
 
 def line_exact(coin: Coin, t: int) -> Distribution:
@@ -431,12 +419,7 @@ def line_exact(coin: Coin, t: int) -> Distribution:
 
     Total-only: no per-inner split exists for this walk's closed form.
     """
-    t = _index("t", t, 1)
-    vals = line_exact_values(
-        coin, t, ExactParams.for_coin(coin, t, Precision.DOUBLE))
-    p = tuple(_to_prob(vals[x]) for x in range(-t - 1, t - 1)) + (0.0, 0.0)
-    none = (None,) * len(p)
-    return Distribution(WalkKind.LINE, t, none, none, p)
+    return _line_of(half_line_exact(coin, t))
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +434,21 @@ def half_line_exact_values(coin: Coin, t: int,
     inner0 is None where only inner 1 is positive (the frontier pair). The
     total column is evaluated through its own combined weight, not by adding
     the inner columns, so the split consistency stays a real check.
+
+    Branch m = 1..t//2 gives the values at x = t - 2m and x - 1, from its
+    `_sums` and p^(t-2m), carried down by exact division. This is the one
+    branch loop: the line's table is this one relabelled.
     """
     t = _index("t", t, 1)
-    consts, branches = _branches(coin, t, params)
+    consts = _resolve(coin, t, params)
+    power, pp = consts.p ** max(t - 2, 0), consts.p ** 2
     out: dict[int, tuple] = {}
-    for x, m, sums in branches:
+    for m, n0, n1 in _sums(consts, t):
+        sums = _Branch(consts, m, n0, n1, power)
+        power //= pp
         vals = (sums.weighted(m), sums.weighted(t - m),
                 sums.weighted(m, t - m))
+        x = t - 2 * m
         out[x] = vals
         if x > 0:
             out[x - 1] = vals

@@ -12,8 +12,9 @@ the last requested time, and take the times in blocks of `evolution._blocks`:
 at most ``_BLOCK_SITES`` (4,096) positions of the line's window each, a time
 whose window alone is larger a block of one, so memory grows with the
 largest window. Each identity is one array expression over a block, masked
-to each row's window; only the closed forms and the KS norms, whose pairwise
-sum depends on the length, run one time at a time.
+to each row's window; only the closed forms, one half-line table per time
+that the line's relabels, and the KS norms, whose pairwise sum depends on
+the length, run one time at a time. fig2 reads the half line's blocks too.
 """
 from __future__ import annotations
 
@@ -30,12 +31,11 @@ import numpy as np
 
 from . import asymptotics
 from .asymptotics import DensityKind, LimitDensity
-from .closed_form import (FormulaDomainError, PrecisionError, half_line_exact,
-                          line_exact)
+from .closed_form import (FormulaDomainError, PrecisionError, _line_of,
+                          half_line_exact, line_exact)
 from .core import (_TRIG_ZERO, Coin, Distribution, WalkKind, _index,
                    make_coin, make_coin_pi)
-from .evolution import (_blocks, _floored, distribution, evolve, iter_states,
-                        probability_arrays)
+from .evolution import _blocks, _floored, distribution, evolve
 from .qfield import q2_oracle_distribution
 
 TOLERANCES = {
@@ -48,8 +48,9 @@ TOLERANCES = {
 }
 
 # the closed-form suites run to t = 60 inside 'all'. Every closed-form value
-# is exact and rounded once at any t, so this bounds cost (about t^2 per
-# table at float angles, 0.1 s at t = 1000), not validity; larger requested
+# is exact and rounded once at any t, so this bounds cost, not validity:
+# each suite builds one table per (angle, t), about t^2 at float angles
+# (0.075 s at t = 1000, theta = 1.0, on a 2-vCPU host); larger requested
 # times are skipped
 EXACT_VS_SIM_MAX_T = 60
 
@@ -280,15 +281,17 @@ def _theorem1_rows(coin: Coin, times: np.ndarray, line: np.ndarray,
 
 def _exact_vs_sim_rows(coin: Coin, times: np.ndarray, line: np.ndarray,
                        half: np.ndarray) -> list[Union[float, str]]:
-    """Closed forms of both walks against the floored probabilities of the
-    blocks, each time on its own window."""
+    """Closed forms of both walks, the line's relabelled from the half
+    line's, against the floored probabilities of the blocks, each time on
+    its own window."""
     last = times[-1]
     sims = [p[..., 0] + p[..., 1] for p in (_floored(line), _floored(half))]
 
     def residual(t: int, line_p: np.ndarray, half_p: np.ndarray) -> float:
+        half_table = half_line_exact(coin, t)
         return max(abs(cf - sim)
-                   for table, p in ((line_exact(coin, t), line_p),
-                                    (half_line_exact(coin, t), half_p))
+                   for table, p in ((_line_of(half_table), line_p),
+                                    (half_table, half_p))
                    for cf, sim in zip(table.p, p.tolist()))
 
     return [_attempt(residual, t, line_p[last - t:last + t + 2], half_p[:t + 1])
@@ -560,9 +563,10 @@ def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
 def _series_tables(coin: Coin, t_max: int, step: int) -> list[OutputTable]:
     """Long-format (t, x, p) time series of the half-line walk, per column."""
     series: dict[str, list[tuple]] = {"inner0": [], "inner1": [], "total": []}
-    for t, state in iter_states(WalkKind.HALF_LINE, coin, t_max):
-        if t % step == 0:
-            p0, p1 = probability_arrays(state)
+    for times, amps in _blocks(WalkKind.HALF_LINE, coin,
+                               range(0, t_max + 1, step)):
+        for t, probs in zip(times, np.abs(amps) ** 2):
+            p0, p1 = probs[:t + 1, 0], probs[:t + 1, 1]
             for rows, column in zip(series.values(), (p0, p1, p0 + p1)):
                 rows.extend((t, x, p) for x, p in enumerate(column.tolist()))
     return [

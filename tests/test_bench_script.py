@@ -35,7 +35,8 @@ def test_bench_script_tiny(tmp_path):
         "line_exact_values_t20.ms", "half_line_exact_values_t20.ms",
         "line_exact_values_t30.ms", "half_line_exact_values_t30.ms",
         "line_exact_values_t40.ms", "half_line_exact_values_t40.ms",
-        "render_csv_t50.ms", "render_json_t50.ms", "read_table_json_t50.ms"}
+        "render_csv_t50.ms", "render_json_t50.ms", "read_table_json_t50.ms",
+        "figure_fig2.ms"}
     for metric in ("evolve_t200.ns_per_site_step", "evolve_t20.ms",
                    "iter_states_t20.ms"):
         assert set(results[metric]) == walks
@@ -60,6 +61,7 @@ def test_bench_script_tiny(tmp_path):
         assert set(results[f"{fn}_t40.ms"]) == {"double@pi/3", "dd@pi/3"}
     for fn in ("render_csv", "render_json", "read_table_json"):
         assert set(results[f"{fn}_t50.ms"]) == {"line@1.0"}
+    assert set(results["figure_fig2.ms"]) == {"halfline@pi/4"}
     for per_key in results.values():
         for entry in per_key.values():
             assert set(entry) == {"median", "q1", "q3", "kernel_ms"}

@@ -25,6 +25,7 @@ from qwalk import (
     q2_oracle_distribution,
     run_checks,
 )
+from qwalk import closed_form
 from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import half_line_exact
 from qwalk.core import State, _offset
@@ -151,6 +152,26 @@ class TestRunChecks:
         assert math.isnan(check.max_residual)
         assert not check.passed
         assert not report.all_passed
+
+    def test_one_branch_pass_per_angle_and_time(self, monkeypatch, pi4_coin):
+        """exactVsSim evaluates one closed-form table per (angle, t), and
+        the line's table is the half line's relabelled."""
+        passes = []
+        sums = closed_form._sums
+
+        def counted(consts, t):
+            passes.append(t)
+            return sums(consts, t)
+
+        monkeypatch.setattr(closed_form, "_sums", counted)
+        report = run_checks("exactVsSim", [pi4_coin], range(1, 11))
+        assert report.all_passed
+        assert passes == list(range(1, 11))
+        for line in (lambda: line_exact(pi4_coin, 7),
+                     lambda: closed_form.line_exact_values(pi4_coin, 7)):
+            passes.clear()
+            line()
+            assert passes == [7]
 
     def test_closed_form_precision_error_is_an_error_entry(self, pi4_coin):
         # near pi/2 the closed form refuses its table; the report survives
