@@ -34,9 +34,11 @@ coin writes post0(z(0)) = w as inner 0 of the new virtual site, whose
 inner 1, i w, is set by hand. The window is held as two float64 rows, inner
 0 and inner 1, in one of two buffers allocated once per walk; each step
 writes the other buffer, and the buffers swap roles, so no step allocates.
-The shift is where the kernel writes, not a separate copy. A state, and
-each row of a block of times, expands the pairs to its full window by the
-one rule of `_expand`.
+The shift is where the kernel writes, not a separate copy. The kernel
+yields the seeded window at t = 0 first, then one window a step. Each row
+of a block of times expands the pairs to its full window by the one rule of
+`_expand`, and every state is such a row: `evolve` is a block of one time
+and `iter_states` reads the blocks of every time.
 
 Outside the light cone |x| < |c| t the amplitudes decay into subnormal
 floats, and from t of about 1000 on they stop decaying at a floor of them
@@ -53,12 +55,11 @@ Against the complex step this keeps the probabilities, the norm and every
 amplitude component of size 2^-537 or more bit-identical (a zero may differ
 in sign); only amplitudes whose square underflows to zero change. Trims
 depend on t alone, so identical inputs give bit-identical outputs however
-far a walk runs, and states own frozen copies of their window, so they
-stay shareable values.
+far a walk runs, and a state is a read-only row of its block, which is
+never written once it is yielded, so states stay shareable values.
 """
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -108,8 +109,9 @@ def _live(src: np.ndarray, lo: int, hi: int, w: int,
 
 
 def _windows(state: State, coin: Coin, steps: int) -> Iterator[np.ndarray]:
-    """Yield the rows (inner 0, inner 1) of the first site of each pair
-    after each step from the initial ``state``.
+    """Yield the rows (inner 0, inner 1) of the first site of each pair at
+    t = 0..steps from the initial ``state``: the seeded window, then the
+    window after each step.
 
     A yielded view is valid until the generator resumes. Each buffer row
     spans ``cap`` sites, and after step t the pairs are at buffer sites
@@ -142,6 +144,7 @@ def _windows(state: State, coin: Coin, steps: int) -> Iterator[np.ndarray]:
     row0, row1 = map(memoryview, flat[1])
     # step i reads buffer 1 - i % 2; the half line starts at z(-1) = i z(0)
     rows[1][:, 1] = state.amps[0] * 1j if half else state.amps[0].real
+    yield rows[1][:, 1:2]
     coef = coin.matrix()[:, :, None]
     tmp = np.empty((2, 2, cap * w))
     lo, hi, edge = 0, 2, 1
@@ -196,13 +199,6 @@ def _expand(kind: WalkKind, t: int, window: np.ndarray,
         pairs[:, 1::2] = window[:, 1:]
 
 
-def _state(kind: WalkKind, t: int, window: np.ndarray) -> State:
-    """A state owning a complex copy of the full window."""
-    amps = np.empty((t + 1 - _offset(kind, t), 2), np.complex128)
-    _expand(kind, t, window, amps)
-    return State(kind, t, amps)
-
-
 def _blocks(kind: WalkKind, coin: Coin,
             ts: Sequence[int]) -> Iterator[tuple[list[int], np.ndarray]]:
     """(times, amps) for runs of the sorted, distinct times ``ts``, all from
@@ -212,9 +208,10 @@ def _blocks(kind: WalkKind, coin: Coin,
     window at ``times[i]``, position x at column x - offset(times[-1]). A
     block spans at most ``_BLOCK_SITES`` positions of the line's window,
     whichever walk it holds, so both walks split ``ts`` alike; a time whose
-    window alone is larger is a block of one.
+    window alone is larger is a block of one. Each block is a new array,
+    never written once it is yielded.
     """
-    state, steps = _start(kind, coin, ts[-1])
+    state = initial(kind, coin)
     kind = state.kind
     groups: list[list[int]] = []
     for t in ts:
@@ -222,19 +219,16 @@ def _blocks(kind: WalkKind, coin: Coin,
             groups[-1].append(t)
         else:
             groups.append([t])
-    frames = enumerate(chain([None], _windows(state, coin, steps)))
+    frames = enumerate(_windows(state, coin, ts[-1]))
     for times in groups:
         first = _offset(kind, times[-1])
         amps = np.zeros((len(times), times[-1] + 1 - first, 2), np.complex128)
-        for row, t in zip(amps, times):
+        for i, t in enumerate(times):
             for now, window in frames:
                 if now == t:
                     break
-            cols = row[_offset(kind, t) - first:t + 1 - first]
-            if t:
-                _expand(kind, t, window, cols)
-            else:
-                cols[...] = state.amps
+            _expand(kind, t, window,
+                    amps[i, _offset(kind, t) - first:t + 1 - first])
         yield times, amps
 
 
@@ -261,31 +255,31 @@ def step(state: State, coin: Coin) -> State:
     return State(state.kind, state.t + 1, out)
 
 
-def _start(kind: WalkKind, coin: Coin, steps: int) -> tuple[State, int]:
-    """The initial state and the step count, once ``steps`` is checked."""
-    steps = _index("steps", steps)
-    return initial(kind, coin), steps
-
-
 def evolve(kind: WalkKind, coin: Coin, steps: int) -> State:
     """Evolve the appropriate initial state for the given number of steps."""
-    state, steps = _start(kind, coin, steps)
-    window = None
-    for window in _windows(state, coin, steps):
-        pass
-    return state if window is None else _state(state.kind, steps, window)
+    steps = _index("steps", steps)
+    (_, amps), = _blocks(kind, coin, [steps])
+    return State(kind, steps, amps[0])
 
 
 def iter_states(kind: WalkKind, coin: Coin,
                 steps: int) -> Iterator[tuple[int, State]]:
     """(t, state) for t = 0..steps without re-evolving from scratch.
 
-    The arguments are checked on the call, before anything is yielded.
+    The arguments are checked on the call, before anything is yielded. Each
+    state is a read-only row of a block of `_blocks`, so a state that is
+    held stays a value and keeps at most its one block alive.
     """
-    state, steps = _start(kind, coin, steps)
-    kind = state.kind
-    return chain([(0, state)], ((t, _state(kind, t, window)) for t, window
-                                in enumerate(_windows(state, coin, steps), 1)))
+    steps, kind = _index("steps", steps), WalkKind(kind)
+
+    def states() -> Iterator[tuple[int, State]]:
+        for times, amps in _blocks(kind, coin, range(steps + 1)):
+            first = _offset(kind, times[-1])
+            for i, t in enumerate(times):
+                yield t, State(kind, t,
+                               amps[i, _offset(kind, t) - first:t + 1 - first])
+
+    return states()
 
 
 def probability_arrays(state: State) -> tuple[np.ndarray, np.ndarray]:

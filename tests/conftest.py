@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qwalk import make_coin, make_coin_pi
+from qwalk import State, WalkKind, initial, make_coin, make_coin_pi
 
 
 def _spread_grid(n: int) -> tuple[float, ...]:
@@ -20,6 +21,8 @@ def _spread_grid(n: int) -> tuple[float, ...]:
 
 
 THETA_GRID_20 = _spread_grid(20)
+
+TINY = np.finfo(np.float64).tiny
 
 
 def quick_two_sum(a: float, b: float) -> tuple[float, float]:
@@ -81,3 +84,65 @@ def pi3_coin():
     from fractions import Fraction
 
     return make_coin_pi(Fraction(1, 3))
+
+
+def reference_half_line_step(state, coin):
+    """Complex-arithmetic step, one fresh window per step."""
+    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
+    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
+    n = state.t + 2
+    amps = np.zeros((n, 2), dtype=np.complex128)
+    amps[: n - 2, 0] = a0[1:]
+    amps[0, 1] = a0[0]
+    amps[1:, 1] = a1
+    return State(WalkKind.HALF_LINE, state.t + 1, amps)
+
+
+def reference_line_step(state, coin):
+    """Complex-arithmetic step, one fresh window per step."""
+    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
+    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
+    old = state.amps.shape[0]
+    amps = np.zeros((old + 2, 2), dtype=np.complex128)
+    # new window starts one position further left: new_index = old_index for
+    # the left-movers, old_index + 2 for the right-movers
+    amps[:old, 0] = a0
+    amps[2 : old + 2, 1] = a1
+    return State(WalkKind.LINE, state.t + 1, amps)
+
+
+REFERENCE = {
+    WalkKind.HALF_LINE: reference_half_line_step,
+    WalkKind.LINE: reference_line_step,
+}
+
+
+def reference_states(kind, coin, steps):
+    step = REFERENCE[kind]
+    state = initial(kind, coin)
+    yield state
+    for _ in range(steps):
+        state = step(state, coin)
+        yield state
+
+
+def trimmed_reference_states(kind, coin, steps):
+    """The reference states with the kernel's trims applied.
+
+    After every 64th step, once that state is yielded, every site before
+    the first or after the last site with a normal component is set to
+    zero; the half line keeps its sites from the boundary on.
+    """
+    step = REFERENCE[kind]
+    state = initial(kind, coin)
+    yield state
+    for t in range(1, steps + 1):
+        state = step(state, coin)
+        yield state
+        if t % 64 == 0:
+            normal = np.flatnonzero(
+                (np.abs(state.amps.view(np.float64)) >= TINY).any(axis=1))
+            first = 0 if kind is WalkKind.HALF_LINE else normal[0]
+            amps = np.zeros_like(state.amps)
+            amps[first:normal[-1] + 1] = state.amps[first:normal[-1] + 1]
+            state = State(kind, t, amps)

@@ -18,14 +18,22 @@ from qwalk import (
     step,
 )
 from qwalk.cli import main
-from qwalk.evolution import probability_arrays
+from qwalk.core import _offset
+from qwalk.evolution import _blocks, probability_arrays
 from qwalk.harness import render_csv, table_from_distribution
+
+from conftest import (
+    TINY,
+    reference_half_line_step,
+    reference_line_step,
+    reference_states,
+    trimmed_reference_states,
+)
 
 SQRT1_2 = math.sqrt(0.5)
 
 # the smallest power of two whose square is a nonzero double
 SQUARE_UNDERFLOW = 2.0 ** -537
-TINY = np.finfo(np.float64).tiny
 
 EXACTNESS_COINS = (
     make_coin_pi(Fraction(1, 6)),
@@ -46,68 +54,6 @@ TWIN_COINS = EXACTNESS_COINS + (
     make_coin(-2.2),
     make_coin_pi(Fraction(-3, 4)),
 )
-
-
-def reference_half_line_step(state, coin):
-    """Complex-arithmetic step, one fresh window per step."""
-    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
-    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
-    n = state.t + 2
-    amps = np.zeros((n, 2), dtype=np.complex128)
-    amps[: n - 2, 0] = a0[1:]
-    amps[0, 1] = a0[0]
-    amps[1:, 1] = a1
-    return State(WalkKind.HALF_LINE, state.t + 1, amps)
-
-
-def reference_line_step(state, coin):
-    """Complex-arithmetic step, one fresh window per step."""
-    a0 = coin.c * state.amps[:, 0] + coin.s * state.amps[:, 1]
-    a1 = coin.s * state.amps[:, 0] - coin.c * state.amps[:, 1]
-    old = state.amps.shape[0]
-    amps = np.zeros((old + 2, 2), dtype=np.complex128)
-    # new window starts one position further left: new_index = old_index for
-    # the left-movers, old_index + 2 for the right-movers
-    amps[:old, 0] = a0
-    amps[2 : old + 2, 1] = a1
-    return State(WalkKind.LINE, state.t + 1, amps)
-
-
-REFERENCE = {
-    WalkKind.HALF_LINE: reference_half_line_step,
-    WalkKind.LINE: reference_line_step,
-}
-
-
-def reference_states(kind, coin, steps):
-    step = REFERENCE[kind]
-    state = initial(kind, coin)
-    yield state
-    for _ in range(steps):
-        state = step(state, coin)
-        yield state
-
-
-def trimmed_reference_states(kind, coin, steps):
-    """The reference states with the kernel's trims applied.
-
-    After every 64th step, once that state is yielded, every site before
-    the first or after the last site with a normal component is set to
-    zero; the half line keeps its sites from the boundary on.
-    """
-    step = REFERENCE[kind]
-    state = initial(kind, coin)
-    yield state
-    for t in range(1, steps + 1):
-        state = step(state, coin)
-        yield state
-        if t % 64 == 0:
-            normal = np.flatnonzero(
-                (np.abs(state.amps.view(np.float64)) >= TINY).any(axis=1))
-            first = 0 if kind is WalkKind.HALF_LINE else normal[0]
-            amps = np.zeros_like(state.amps)
-            amps[first:normal[-1] + 1] = state.amps[first:normal[-1] + 1]
-            state = State(kind, t, amps)
 
 
 def minus_i(amps):
@@ -265,6 +211,24 @@ class TestEvolve:
         ref = initial(WalkKind.HALF_LINE, pi4_coin)
         assert np.array_equal(state.amps, ref.amps)
 
+    @pytest.mark.parametrize("theta", [1.0, 2 * math.pi / 3, -math.pi / 3,
+                                       2.8])
+    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
+    def test_the_kernel_starts_at_the_initial_state(self, kind, theta):
+        """t = 0 is the kernel's own seeded window, expanded: evolve, the
+        first state of iter_states and the first row of a block are each
+        the initial state."""
+        coin = make_coin(theta)
+        want = initial(kind, coin).amps
+        (_, block), = _blocks(kind, coin, [0, 1, 5])
+        a = _offset(kind, 0) - _offset(kind, 5)
+        b = a + len(want)
+        for amps in (evolve(kind, coin, 0).amps,
+                     next(iter_states(kind, coin, 3))[1].amps,
+                     block[0, a:b]):
+            assert np.array_equal(amps, want)
+        assert not block[0, :a].any() and not block[0, b:].any()
+
     def test_negative_steps_rejected(self, pi4_coin):
         with pytest.raises(ValueError):
             evolve(WalkKind.HALF_LINE, pi4_coin, -1)
@@ -380,12 +344,15 @@ class TestExactness:
 
     @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
     def test_collected_states_stay_valid(self, kind):
+        """States held to the end of a pass still equal the trimmed
+        reference and cannot be written: no block is written once it is
+        yielded."""
         coin = make_coin(1.0)
-        states = list(iter_states(kind, coin, 40))
-        assert [t for t, _ in states] == list(range(41))
-        for t, state in states:
-            ref = evolve(kind, coin, t)
-            assert state.amps.tobytes() == ref.amps.tobytes()
+        states = list(iter_states(kind, coin, 300))
+        assert [t for t, _ in states] == list(range(301))
+        refs = trimmed_reference_states(kind, coin, 300)
+        for (t, state), ref in zip(states, refs):
+            assert_same_walk(state, ref)
             assert not state.amps.flags.writeable
         for (_, a), (_, b) in zip(states, states[1:]):
             assert not np.shares_memory(a.amps, b.amps)
