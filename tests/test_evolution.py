@@ -206,28 +206,22 @@ class TestStepLine:
 
 
 class TestEvolve:
-    def test_zero_steps_returns_initial(self, pi4_coin):
-        state = evolve(WalkKind.HALF_LINE, pi4_coin, 0)
-        ref = initial(WalkKind.HALF_LINE, pi4_coin)
-        assert np.array_equal(state.amps, ref.amps)
-
-    @pytest.mark.parametrize("theta", [1.0, 2 * math.pi / 3, -math.pi / 3,
-                                       2.8])
-    @pytest.mark.parametrize("kind", [WalkKind.HALF_LINE, WalkKind.LINE])
-    def test_the_kernel_starts_at_the_initial_state(self, kind, theta):
+    def test_zero_steps_returns_initial(self):
         """t = 0 is the kernel's own seeded window, expanded: evolve, the
         first state of iter_states and the first row of a block are each
         the initial state."""
-        coin = make_coin(theta)
-        want = initial(kind, coin).amps
-        (_, block), = _blocks(kind, coin, [0, 1, 5])
-        a = _offset(kind, 0) - _offset(kind, 5)
-        b = a + len(want)
-        for amps in (evolve(kind, coin, 0).amps,
-                     next(iter_states(kind, coin, 3))[1].amps,
-                     block[0, a:b]):
-            assert np.array_equal(amps, want)
-        assert not block[0, :a].any() and not block[0, b:].any()
+        for theta in (math.pi / 4, 1.0, 2 * math.pi / 3, -math.pi / 3, 2.8):
+            coin = make_coin(theta)
+            for kind in WalkKind:
+                want = initial(kind, coin).amps
+                (_, block), = _blocks(kind, coin, [0, 1, 5])
+                a = _offset(kind, 0) - _offset(kind, 5)
+                b = a + len(want)
+                for amps in (evolve(kind, coin, 0).amps,
+                             next(iter_states(kind, coin, 3))[1].amps,
+                             block[0, a:b]):
+                    assert np.array_equal(amps, want), (kind, theta)
+                assert not block[0, :a].any() and not block[0, b:].any()
 
     def test_negative_steps_rejected(self, pi4_coin):
         with pytest.raises(ValueError):
