@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the evolution, oracle, closed-form and render layers as one JSON record.
+"""Time the evolution, oracle, closed-form, render and emit layers as one record.
 
-Measured, each as the median process time of --runs runs:
+Measured, each as the median process time of --runs runs (wall time where
+said):
 
 - ns per site-step of `evolve` at t = 10^4, both walks, theta = pi/4 and 1.0
   (a site-step is one site of the support window advanced by one step);
@@ -27,10 +28,16 @@ Measured, each as the median process time of --runs runs:
 - `render_csv` and `render_json` of the line walk's table at t = 5000,
   theta = 1.0 (the table is built once, outside the timing), and
   `read_table_json` of that table's JSON file;
+- `emit` of that table as CSV over the file that already holds it, by
+  wall clock: the time a write waits on the file system is not process
+  time;
 - `figure_data("fig2")`, the half-line series at theta = pi/4 every 10th
   t to 500 (the same at every size).
 
-Each entry holds the median and the quartiles q1, q3 of the runs, and
+OpenBLAS, OpenMP and MKL are held to one thread before numpy is imported,
+as perfbench/run.py does, so no idle pool's spinning workers are charged to
+the process time of the code measured. Each entry holds the median and the
+quartiles q1, q3 of the runs, and
 `kernel_ms`: the median process time of perfbench's `interpreter_kernel`
 (imported from perfbench/workloads.py), timed just before that metric, so a
 reader can tell a code change from a slower host. The record also names the
@@ -54,19 +61,23 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+# before anything imports numpy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import qwalk
-from qwalk import dd
-from qwalk import (DensityKind, LimitDensity, WalkKind, distribution, evolve,
-                   iter_states, ks_distance, make_coin, make_coin_pi,
-                   q2_oracle_series, total_mass)
-from qwalk.asymptotics import cdf_grid
-from qwalk.closed_form import (ExactParams, Precision, half_line_exact_values,
-                               line_exact_values)
-from qwalk.harness import (canonical_coins, figure_data, read_table_json,
-                           render_csv, render_json, run_checks,
-                           table_from_distribution)
+import numpy as np  # noqa: E402
+
+import qwalk  # noqa: E402
+from qwalk import dd  # noqa: E402
+from qwalk import (DensityKind, LimitDensity, WalkKind,  # noqa: E402
+                   distribution, emit, evolve, iter_states, ks_distance,
+                   make_coin, make_coin_pi, q2_oracle_series, total_mass)
+from qwalk.asymptotics import cdf_grid  # noqa: E402
+from qwalk.closed_form import (ExactParams, Precision,  # noqa: E402
+                               half_line_exact_values, line_exact_values)
+from qwalk.harness import (canonical_coins, figure_data,  # noqa: E402
+                           read_table_json, render_csv, render_json,
+                           run_checks, table_from_distribution)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import interpreter_kernel  # noqa: E402
@@ -96,14 +107,15 @@ def _site_steps(kind: WalkKind, t: int) -> int:
                for s in range(t))
 
 
-def _run_s(fn, runs: int, calls: int) -> list[float]:
+def _run_s(fn, runs: int, calls: int,
+           clock=time.process_time) -> list[float]:
     """Time per call of each run; a run makes ``calls`` calls."""
     times = []
     for _ in range(runs):
-        start = time.process_time()
+        start = clock()
         for _ in range(calls):
             fn()
-        times.append((time.process_time() - start) / calls)
+        times.append((clock() - start) / calls)
     return times
 
 
@@ -137,9 +149,10 @@ def measure(size: str, runs: int) -> dict:
     results: dict = {}
     raw: dict = {}
 
-    def record(metric: str, key: str, fn, scale: float, calls: int = 1) -> None:
+    def record(metric: str, key: str, fn, scale: float, calls: int = 1,
+               clock=time.process_time) -> None:
         kernel_s = statistics.median(_run_s(interpreter_kernel, runs, 1))
-        times = _run_s(fn, runs, calls)
+        times = _run_s(fn, runs, calls, clock)
         q1, median, q3 = _quartiles(times)
         results.setdefault(metric, {})[key] = {
             "median": median * scale, "q1": q1 * scale, "q3": q3 * scale,
@@ -218,13 +231,18 @@ def measure(size: str, runs: int) -> dict:
         path.write_text(render_json(table), encoding="utf-8")
         record(f"read_table_json_t{t_render}.ms", "line@1.0",
                lambda: read_table_json(path), 1e3)
+        path = Path(tmp) / "table.csv"
+        emit(table, "csv", path)
+        record(f"emit_overwrite_t{t_render}.ms", "line@1.0",
+               lambda: emit(table, "csv", path), 1e3, clock=time.perf_counter)
     record("figure_fig2.ms", "halfline@pi/4", lambda: figure_data("fig2"), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]
     return {
-        "about": "evolution, oracle, closed-form, render and read timings; "
-                 "medians and quartiles of process time, each with the "
-                 "interpreter kernel's median time taken just before it",
+        "about": "evolution, oracle, closed-form, render, emit and read "
+                 "timings; medians and quartiles of process time (of wall "
+                 "time for emit_overwrite), each with the interpreter "
+                 "kernel's median time taken just before it",
         "git": _git(tree),
         "machine": {"platform": platform.platform(),
                     "processor": platform.processor() or platform.machine(),

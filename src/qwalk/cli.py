@@ -166,8 +166,7 @@ def _cmd_verify(args) -> int:
             }
             for c in report.checks
         ]
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
-                                  encoding="utf-8")
+        harness._overwrite(args.out, json.dumps(doc, indent=2) + "\n")
     return 0 if report.all_passed else 1
 
 
@@ -201,7 +200,7 @@ def _cmd_sweep(args) -> int:
         emit(table, args.format, outdir / name)
     manifest = "\n".join(sorted(
         jobs, key=lambda name: (jobs[name][0].theta, jobs[name][1]))) + "\n"
-    (outdir / "manifest.txt").write_text(manifest, encoding="utf-8")
+    harness._overwrite(outdir / "manifest.txt", manifest)
     return 0
 
 

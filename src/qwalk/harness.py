@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -487,7 +489,8 @@ def render_json(table: OutputTable) -> str:
 
 
 def emit(table: OutputTable, format: str, destination) -> None:
-    """Write one table as CSV or JSON; '-' writes to stdout."""
+    """Write one table as CSV or JSON over ``destination`` in place (see
+    `_overwrite`); '-' writes to stdout."""
     if format == "csv":
         text = render_csv(table)
     elif format == "json":
@@ -497,7 +500,37 @@ def emit(table: OutputTable, format: str, destination) -> None:
     if destination == "-":
         sys.stdout.write(text)
         return
-    Path(destination).write_text(text, encoding="utf-8", newline="\n")
+    _overwrite(destination, text)
+
+
+def _overwrite(destination, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file ``destination``, in place.
+
+    The file is opened without O_TRUNC, which on ext4 blocks for tens of ms
+    when the file holds data, and a regular file is cut to the new length
+    after the write. It keeps its inode and mode, a symlink is followed,
+    and its bytes are those of a fresh write; a device or FIFO such as
+    /dev/null is written, never truncated. The text is encoded before the
+    file is opened, so text that cannot be encoded leaves the file as it
+    was, and a write that raises empties a regular file rather than leave
+    new bytes before the old file's tail.
+    """
+    data = memoryview(text.encode("utf-8"))
+    size = len(data)
+    fd = os.open(os.fspath(destination), os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _getter(keys: Sequence[str]) -> Callable[[dict], tuple]:

@@ -164,6 +164,33 @@ class TestExitCodes:
                    "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--steps", "2"],
+        ["verify", "--suite", "lemma1", "--thetas", "pi/4", "--ts", "1"],
+    ])
+    def test_a_directory_as_out_is_exit_3(self, command, tmp_path, capsys):
+        rc = main([*command, "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 21] Is a directory: '{tmp_path}' "
+            f"({tmp_path})\n")
+
+    def test_simulate_to_dev_null_is_exit_0(self, capsys):
+        rc = main(["simulate", "--steps", "300", "--out", "/dev/null"])
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_verify_report_over_a_longer_one_is_a_fresh_write(self, tmp_path,
+                                                              capsys):
+        path, fresh = tmp_path / "report.json", tmp_path / "fresh.json"
+        short = ["verify", "--suite", "lemma1", "--thetas", "pi/4",
+                 "--ts", "1"]
+        assert main([*short[:-1], "1,2,3,4,5", "--out", str(path)]) == 0
+        assert main([*short, "--out", str(path)]) == 0
+        assert main([*short, "--out", str(fresh)]) == 0
+        assert path.read_bytes() == fresh.read_bytes()
+        assert len(json.loads(path.read_text())) == 1
+
     def test_bad_subcommand_is_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qwalk", "frobnicate"],
@@ -370,6 +397,23 @@ class TestSweep:
         assert manifest[2] == "evolve_halfline_theta-pi_3_t-2.csv"
         for name in manifest:
             assert (tmp_path / name).exists()
+
+    def test_a_smaller_sweep_over_a_larger_one_rewrites_its_files(self,
+                                                                  tmp_path):
+        def sweep(out, thetas, ts):
+            assert main(["sweep", "--route", "evolve", "--thetas", thetas,
+                         "--ts", ts, "--out", str(out)]) == 0
+
+        # the manifest shrinks from four names to two, and each table is
+        # written over its own bytes
+        sweep(tmp_path / "over", "pi/4,1.0", "30,300")
+        sweep(tmp_path / "over", "pi/4", "30,300")
+        sweep(tmp_path / "fresh", "pi/4", "30,300")
+        fresh = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        for name in fresh:
+            assert ((tmp_path / "over" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+        assert len(fresh) == 3
 
     @pytest.mark.parametrize("thetas,ts", [(",", "5"), ("pi/4", ","),
                                            ("", "")])

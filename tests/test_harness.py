@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from qwalk import (
     q2_oracle_distribution,
     run_checks,
 )
-from qwalk import closed_form
+from qwalk import closed_form, harness
 from qwalk.asymptotics import cdf_grid
 from qwalk.closed_form import half_line_exact
 from qwalk.core import State, _offset
@@ -390,6 +393,93 @@ class TestEmit:
         table = table_from_distribution(hand_half_t1(), "evolve", 1.0)
         with pytest.raises(OSError):
             emit(table, "csv", tmp_path / "missing_dir" / "t.csv")
+
+    @staticmethod
+    def _long_and_short() -> tuple[OutputTable, OutputTable]:
+        coin = make_coin(1.0)
+        return tuple(table_from_distribution(
+            distribution(evolve(WalkKind.LINE, coin, t)), "evolve", coin.theta)
+            for t in (40, 3))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_table_over_a_longer_file_is_a_fresh_write(self, fmt,
+                                                             tmp_path):
+        long, short = self._long_and_short()
+        path, fresh = tmp_path / f"t.{fmt}", tmp_path / f"fresh.{fmt}"
+        emit(long, fmt, path)
+        emit(short, fmt, path)
+        emit(short, fmt, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_size < 1000 < len(
+            (render_csv if fmt == "csv" else render_json)(long))
+        emit(long, fmt, path)
+        emit(long, fmt, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_the_file_keeps_its_inode_and_mode(self, tmp_path):
+        long, short = self._long_and_short()
+        path = tmp_path / "t.csv"
+        emit(long, "csv", path)
+        path.chmod(0o640)
+        before = path.stat()
+        emit(short, "csv", path)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert path.read_text() == render_csv(short)
+
+    def test_a_symlink_is_followed_and_stays_a_link(self, tmp_path):
+        long, short = self._long_and_short()
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        emit(long, "json", target)
+        link.symlink_to(target)
+        emit(short, "json", link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == render_json(short)
+
+    def test_dev_null_is_written_and_not_truncated(self, monkeypatch):
+        long, _ = self._long_and_short()
+        cuts = []
+        monkeypatch.setattr(harness.os, "ftruncate",
+                            lambda fd, size: cuts.append(size))
+        emit(long, "csv", "/dev/null")
+        emit(long, "json", os.devnull)
+        assert cuts == []
+
+    def test_text_that_cannot_be_encoded_leaves_the_file(self, tmp_path):
+        long, _ = self._long_and_short()
+        path = tmp_path / "t.csv"
+        emit(long, "csv", path)
+        old = path.read_bytes()
+        # a lone surrogate has no UTF-8 form (JSON writes it as an escape)
+        bad = OutputTable(meta=long.meta, columns=("x\ud800",), rows=((1,),))
+        with pytest.raises(UnicodeEncodeError):
+            emit(bad, "csv", path)
+        assert path.read_bytes() == old
+        with pytest.raises(UnicodeEncodeError):
+            emit(bad, "csv", tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+
+    def test_a_write_that_raises_empties_the_file(self, monkeypatch,
+                                                  tmp_path):
+        long, short = self._long_and_short()
+        path = tmp_path / "t.csv"
+        emit(long, "csv", path)
+        write = os.write
+        calls = []
+
+        def failing_write(fd, data):
+            # the first call lands a few bytes, the second finds the disk full
+            calls.append(len(data))
+            if len(calls) == 1:
+                return write(fd, data[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(harness.os, "write", failing_write)
+        with pytest.raises(OSError) as info:
+            emit(short, "csv", path)
+        assert info.value.errno == errno.ENOSPC and len(calls) == 2
+        assert path.read_bytes() == b""
 
 
 # equal values that print differently (0.0 and -0.0, 1 and 1.0), the
