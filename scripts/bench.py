@@ -31,6 +31,10 @@ said):
 - `emit` of that table as CSV over the file that already holds it, by
   wall clock: the time a write waits on the file system is not process
   time;
+- that table's round trip without the walk: `table_from_distribution` of
+  the t = 5000 line distribution, `render_csv`, `render_json` and
+  `read_table_json` of a file written before the timing starts, in one
+  call, so the garbage collector sees the objects of all four at once;
 - `figure_data("fig2")`, the half-line series at theta = pi/4 every 10th
   t to 500 (the same at every size).
 
@@ -220,9 +224,8 @@ def measure(size: str, runs: int) -> dict:
                 for fn in (line_exact_values, half_line_exact_values):
                     record(f"{fn.__name__}_t{t}.ms", f"{prec.value}@{name}",
                            lambda: fn(coin, t, params), 1e3)
-    table = table_from_distribution(
-        distribution(evolve(WalkKind.LINE, one, t_render)),
-        "evolve", 1.0)
+    dist = distribution(evolve(WalkKind.LINE, one, t_render))
+    table = table_from_distribution(dist, "evolve", 1.0)
     for fn in (render_csv, render_json):
         record(f"{fn.__name__}_t{t_render}.ms", "line@1.0",
                lambda: fn(table), 1e3)
@@ -235,6 +238,17 @@ def measure(size: str, runs: int) -> dict:
         emit(table, "csv", path)
         record(f"emit_overwrite_t{t_render}.ms", "line@1.0",
                lambda: emit(table, "csv", path), 1e3, clock=time.perf_counter)
+        path = Path(tmp) / "round_trip.json"
+        path.write_text(render_json(table), encoding="utf-8")
+
+        def round_trip():
+            built = table_from_distribution(dist, "evolve", 1.0)
+            render_csv(built)
+            render_json(built)
+            read_table_json(path)
+
+        record(f"table_round_trip_t{t_render}.ms", "line@1.0", round_trip,
+               1e3)
     record("figure_fig2.ms", "halfline@pi/4", lambda: figure_data("fig2"), 1e3)
 
     tree = Path(qwalk.__file__).resolve().parents[2]

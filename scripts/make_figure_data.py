@@ -26,7 +26,7 @@ def main() -> int:
         for table in figure_data(fig):
             path = outdir / f"{table.label}.{args.format}"
             emit(table, args.format, path)
-            print(f"wrote {path} ({len(table.rows)} rows)")
+            print(f"wrote {path} ({len(table.values[0])} rows)")
     return 0
 
 

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--walk", choices=("halfline", "line"),
                        default="halfline")
         _add_common(p)
-        p.set_defaults(route=route)
+        p.set_defaults(run=_cmd_route, route=route)
 
     p = sub.add_parser("limit", help="limit density or CDF samples")
     p.add_argument("--kind", choices=tuple(k.value for k in DensityKind),
@@ -88,10 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("density", "cdf"), default="density")
     p.add_argument("--points", type=int, default=512)
     _add_common(p, steps=False)
+    p.set_defaults(run=_cmd_limit)
 
     p = sub.add_parser("approx", help="large-t approximation of the half-line walk")
     _add_common(p)
-    p.set_defaults(route="approx", walk="halfline")
+    p.set_defaults(run=_cmd_route, route="approx", walk="halfline")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=harness.SUITES + ("all",), default="all")
@@ -100,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", default="1,2,14,15,30,60",
                    help="comma-separated times")
     p.add_argument("--out", default="", help="optional JSON report path")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("figure", help="emit the numeric content of one figure")
     p.add_argument("--id", choices=harness.FIGURES, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_figure)
 
     p = sub.add_parser("sweep", help="run many configurations, one file each")
     p.add_argument("--walk", choices=("halfline", "line"), default="halfline")
@@ -113,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_sweep)
     return ap
 
 
@@ -135,13 +139,13 @@ def _cmd_limit(args) -> int:
     n = args.points
     xs = (lo + (hi - lo) * np.arange(n) / (n - 1)).tolist()
     if args.quantity == "density":
-        rows = [(y, density_at(d, y)) for y in xs]
+        ys = [density_at(d, y) for y in xs]
         columns = ("y", "density")
     else:
-        rows = list(zip(xs, cdf_grid(d, xs).tolist()))
+        ys = cdf_grid(d, xs).tolist()
         columns = ("x", "cdf")
     table = OutputTable(meta=table_meta(args.kind, coin.theta, None, "limit"),
-                        columns=columns, rows=tuple(rows))
+                        columns=columns, values=(tuple(xs), tuple(ys)))
     emit(table, args.format, args.out)
     return 0
 
@@ -204,18 +208,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_route,
-    "exact": _cmd_route,
-    "oracle": _cmd_route,
-    "limit": _cmd_limit,
-    "approx": _cmd_route,
-    "verify": _cmd_verify,
-    "figure": _cmd_figure,
-    "sweep": _cmd_sweep,
-}
-
-
 def _attach_angles(argv: list[str]) -> list[str]:
     """``--theta -pi/4`` as ``--theta=-pi/4``: argparse takes a value that
     starts with '-', unless it is a plain number, for an option."""
@@ -232,7 +224,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_angles(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     # UsageError, FormulaDomainError and OracleLimitError are ValueErrors
     except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

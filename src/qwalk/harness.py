@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -121,13 +121,6 @@ def _as_coin(theta: Union[Coin, float]) -> Coin:
     return theta if isinstance(theta, Coin) else make_coin(float(theta))
 
 
-def _error_check(name: str, coin: Coin, t: int, tol: float, msg: str) -> CheckResult:
-    return CheckResult(
-        name=name, theta=coin.theta, t=t, max_residual=math.nan,
-        tolerance=tol, error=msg,
-    )
-
-
 def _attempt(residual: Callable[..., float], *args) -> Union[float, str]:
     """``residual(*args)``, or the message of a closed form that refuses."""
     try:
@@ -140,7 +133,9 @@ def _result(name: str, coin: Coin, t: int, tol: float,
             residual: Union[float, str]) -> CheckResult:
     """The check of one residual; a refusal's message is an error entry."""
     if isinstance(residual, str):
-        return _error_check(name, coin, t, tol, residual)
+        return CheckResult(name=name, theta=coin.theta, t=t,
+                           max_residual=math.nan, tolerance=tol,
+                           error=residual)
     return CheckResult(name=name, theta=coin.theta, t=t,
                        max_residual=residual, tolerance=tol)
 
@@ -184,7 +179,7 @@ def _walk_suite(name: str, rows: Callable[..., list],
         tols = {t: tol(t) for t in ts if t >= min_t}
         reason = excluded and excluded(coin)
         if reason:
-            return [_error_check(name, coin, t, tols[t], reason) for t in tols]
+            return [_result(name, coin, t, tols[t], reason) for t in tols]
         if not tols:
             return []
         out = []
@@ -327,14 +322,13 @@ def _limit_norm_checks(coin: Coin, ts: Sequence[int]) -> list[CheckResult]:
     tol = TOLERANCES["limitNorm"]
     reason = _degenerate(coin) or _mass_off(coin, tol)
     if reason:
-        return [_error_check("limitNorm", coin, 0, tol, reason)]
+        return [_result("limitNorm", coin, 0, tol, reason)]
 
     def mass(kind: DensityKind) -> float:
         return asymptotics.total_mass(LimitDensity(coin, kind))
 
     return [
-        CheckResult(name=name, theta=coin.theta, t=0,
-                    max_residual=abs(m - 1.0), tolerance=tol)
+        _result(name, coin, 0, tol, abs(m - 1.0))
         for name, m in (
             ("limitNorm[lineTotal]", mass(DensityKind.LINE_TOTAL)),
             ("limitNorm[halfTotal]", mass(DensityKind.HALF_TOTAL)),
@@ -404,20 +398,26 @@ def table_meta(kind: str, theta: float, t: Optional[int], route: str) -> dict:
 
 @dataclass(frozen=True)
 class OutputTable:
-    """Rows plus the metadata needed to reproduce them."""
+    """Columns plus the metadata needed to reproduce them: ``values[i]``
+    holds the cells of the column named ``columns[i]``."""
 
     meta: dict
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    values: tuple[tuple, ...]
     label: str = ""
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self.values))
 
 
 def table_from_distribution(dist: Distribution, route: str, theta: float,
                             label: str = "") -> OutputTable:
-    rows = tuple(zip(dist.positions(), dist.p0, dist.p1, dist.p))
     return OutputTable(
         meta=table_meta(dist.kind.value, theta, dist.t, route),
-        columns=("x", "p0", "p1", "p"), rows=rows, label=label,
+        columns=("x", "p0", "p1", "p"),
+        values=(tuple(dist.positions()), dist.p0, dist.p1, dist.p),
+        label=label,
     )
 
 
@@ -457,24 +457,18 @@ def _cells(column: Sequence, fmt: Callable[[object], str]) -> list[str]:
     return [memo[v] if v != 0.0 else fmt(v) for v in column]
 
 
-def _columns(rows: Sequence[tuple], width: int) -> list[tuple]:
-    """The columns of ``rows``; ``width`` empty ones when there is no row."""
-    return list(zip(*rows)) or [()] * width
-
-
 def render_csv(table: OutputTable) -> str:
-    cells = [_cells(column, _fmt)
-             for column in _columns(table.rows, len(table.columns))]
+    cells = [_cells(column, _fmt) for column in table.values]
     return "\n".join([",".join(table.columns),
                       *map(",".join, zip(*cells))]) + "\n"
 
 
 def render_json(table: OutputTable) -> str:
     keys = table.columns
-    columns = _columns(table.rows, len(keys))
+    columns = list(table.values)
     # a column of Fractions also gives its exact texts, after the row's other
     # keys, as "<name>_exact"
-    for name, column in zip(table.columns, list(columns)):
+    for name, column in zip(table.columns, table.values):
         if all(type(v) is Fraction for v in column):
             keys += (name + "_exact",)
             columns.append(list(map(str, column)))
@@ -533,25 +527,20 @@ def _overwrite(destination, text: str) -> None:
         os.close(fd)
 
 
-def _getter(keys: Sequence[str]) -> Callable[[dict], tuple]:
-    # itemgetter of one key gives the bare value, and of none is an error
-    if len(keys) > 1:
-        return operator.itemgetter(*keys)
-    return lambda obj: tuple(obj[k] for k in keys)
-
-
 def read_table_json(path) -> OutputTable:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     columns = tuple(doc["columns"])
     objs = doc["rows"]
     # a column with "<name>_exact" texts reads back as Fractions
     extra = set(objs[0]).difference(columns) if objs else ()
-    keys = [c + "_exact" if c + "_exact" in extra else c for c in columns]
-    rows = tuple(map(_getter(keys), objs))
-    if extra:
-        rows = tuple(zip(*(map(Fraction, column) if key in extra else column
-                           for key, column in zip(keys, zip(*rows)))))
-    return OutputTable(meta=doc["meta"], columns=columns, rows=rows)
+
+    def column(name: str) -> tuple:
+        if name + "_exact" in extra:
+            return tuple(map(Fraction, map(itemgetter(name + "_exact"), objs)))
+        return tuple(map(itemgetter(name), objs))
+
+    return OutputTable(meta=doc["meta"], columns=columns,
+                       values=tuple(map(column, columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,21 +584,24 @@ def route_table(route: str, walk: WalkKind, coin: Coin, t: int,
 
 def _series_tables(coin: Coin, t_max: int, step: int) -> list[OutputTable]:
     """Long-format (t, x, p) time series of the half-line walk, per column."""
-    series: dict[str, list[tuple]] = {"inner0": [], "inner1": [], "total": []}
+    series = {name: ([], [], []) for name in ("inner0", "inner1", "total")}
     for times, amps in _blocks(WalkKind.HALF_LINE, coin,
                                range(0, t_max + 1, step)):
         for t, probs in zip(times, np.abs(amps) ** 2):
             p0, p1 = probs[:t + 1, 0], probs[:t + 1, 1]
-            for rows, column in zip(series.values(), (p0, p1, p0 + p1)):
-                rows.extend((t, x, p) for x, p in enumerate(column.tolist()))
+            for (ts, xs, ps), column in zip(series.values(),
+                                            (p0, p1, p0 + p1)):
+                ts.extend([t] * (t + 1))
+                xs.extend(range(t + 1))
+                ps.extend(column.tolist())
     return [
         OutputTable(
             meta=table_meta(WalkKind.HALF_LINE.value, coin.theta, None,
                             "evolve"),
-            columns=("t", "x", "p"), rows=tuple(rows),
+            columns=("t", "x", "p"), values=tuple(map(tuple, values)),
             label=f"fig2_{name}_series",
         )
-        for name, rows in series.items()
+        for name, values in series.items()
     ]
 
 

@@ -114,16 +114,16 @@ def reference_render_json(table: OutputTable) -> str:
 
 
 def reference_read_table_json(path) -> OutputTable:
-    """A table read back one row at a time: what read_table_json must equal."""
+    """A table read back one cell at a time: what read_table_json must equal."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     columns = tuple(doc["columns"])
-    rows = []
-    for obj in doc["rows"]:
-        rows.append(tuple(
+    values = []
+    for c in columns:
+        values.append(tuple(
             Fraction(obj[c + "_exact"])
             if c + "_exact" in obj and c + "_exact" not in columns else obj[c]
-            for c in columns))
-    return OutputTable(meta=doc["meta"], columns=columns, rows=tuple(rows))
+            for obj in doc["rows"]))
+    return OutputTable(meta=doc["meta"], columns=columns, values=tuple(values))
 
 
 def hand_half_t1() -> Distribution:
@@ -321,7 +321,8 @@ class TestEmit:
 
     def test_empty_table_is_header_only(self, tmp_path):
         table = OutputTable(meta=table_meta("halfline", 1.0, 0, "evolve"),
-                            columns=("x", "p0", "p1", "p"), rows=())
+                            columns=("x", "p0", "p1", "p"),
+                            values=((),) * 4)
         path = tmp_path / "empty.csv"
         emit(table, "csv", path)
         assert path.read_text() == "x,p0,p1,p\n"
@@ -452,7 +453,8 @@ class TestEmit:
         emit(long, "csv", path)
         old = path.read_bytes()
         # a lone surrogate has no UTF-8 form (JSON writes it as an escape)
-        bad = OutputTable(meta=long.meta, columns=("x\ud800",), rows=((1,),))
+        bad = OutputTable(meta=long.meta, columns=("x\ud800",),
+                          values=((1,),))
         with pytest.raises(UnicodeEncodeError):
             emit(bad, "csv", path)
         assert path.read_bytes() == old
@@ -513,31 +515,32 @@ def _tables(draw) -> OutputTable:
     # the first ``width`` columns hold any values, the rest Fractions that
     # have a double
     fractions = st.fractions(min_value=-2**64, max_value=2**64)
-    cells = {name: draw(st.lists(draw(_COLUMN_VALUES) if i < width
-                                 else fractions, min_size=n, max_size=n))
+    cells = {name: tuple(draw(st.lists(draw(_COLUMN_VALUES) if i < width
+                                       else fractions,
+                                       min_size=n, max_size=n)))
              for i, name in enumerate(names)}
     columns = tuple(draw(st.permutations(names)))
     return OutputTable(
         meta=table_meta(draw(st.text()), draw(st.floats()),
                         draw(st.none() | st.integers()), draw(st.text())),
-        columns=columns, rows=tuple(zip(*(cells[c] for c in columns))))
+        columns=columns, values=tuple(cells[c] for c in columns))
 
 
-def _table(columns, rows) -> OutputTable:
+def _table(columns, values) -> OutputTable:
     return OutputTable(meta=table_meta("line", 1.0, 3, "evolve"),
-                       columns=columns, rows=rows)
+                       columns=columns, values=values)
 
 
 def _has_nan(table: OutputTable) -> bool:
-    values = (table.meta["theta"], *(v for row in table.rows for v in row))
+    values = (table.meta["theta"], *(v for col in table.values for v in col))
     return any(isinstance(v, float) and math.isnan(v) for v in values)
 
 
 def _as_read(table: OutputTable) -> OutputTable:
     """The table as JSON gives it back: numpy doubles become floats."""
-    rows = tuple(tuple(float(v) if isinstance(v, np.floating) else v
-                       for v in row) for row in table.rows)
-    return OutputTable(meta=table.meta, columns=table.columns, rows=rows)
+    values = tuple(tuple(float(v) if isinstance(v, np.floating) else v
+                         for v in column) for column in table.values)
+    return OutputTable(meta=table.meta, columns=table.columns, values=values)
 
 
 class TestColumnRenderers:
@@ -548,12 +551,13 @@ class TestColumnRenderers:
         return tmp_path_factory.mktemp("tables") / "table.json"
 
     @given(table=_tables())
-    @example(table=_table(("p",), ((0.0,), (-0.0,), (1,), (1.0,), (-0.0,))))
-    @example(table=_table(("x", "p0", "p"), ()))
-    @example(table=_table(("x", "p0", "p"), ((-1, None, 0.5), (0, None, 0.5))))
+    @example(table=_table(("p",), ((0.0, -0.0, 1, 1.0, -0.0),)))
+    @example(table=_table(("x", "p0", "p"), ((),) * 3))
+    @example(table=_table(("x", "p0", "p"), ((-1, 0), (None, None),
+                                             (0.5, 0.5))))
     @example(table=_table(
-        ("x", "p", "q"), ((0, Fraction(1, 2), Fraction(0)),
-                          (1, Fraction(1, 3), Fraction(1)))))
+        ("x", "p", "q"), ((0, 1), (Fraction(1, 2), Fraction(1, 3)),
+                          (Fraction(0), Fraction(1)))))
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_reference_and_read_back(self, table, json_path):
         assert render_csv(table) == reference_render_csv(table)
@@ -570,21 +574,21 @@ class TestColumnRenderers:
             assert back == table
 
     def test_a_one_column_table_reads_back(self, json_path):
-        table = _table(("x",), ((1,), (2,)))
+        table = _table(("x",), ((1, 2),))
         json_path.write_text(render_json(table), encoding="utf-8")
         assert read_table_json(json_path).rows == table.rows
 
     def test_signed_zeros_and_ints_keep_their_own_text(self):
-        table = _table(("p",), ((0.0,), (-0.0,), (1,), (1.0,), (-0.0,)))
+        table = _table(("p",), ((0.0, -0.0, 1, 1.0, -0.0),))
         assert render_json(table).endswith(
             '"rows":[{"p":0.0},{"p":-0.0},{"p":1},{"p":1.0},{"p":-0.0}]}\n')
         assert render_csv(table) == "p\n0\n0\n1\n1.0\n0\n"
-        floats = _table(("p",), ((0.0,), (-0.0,), (0.5,), (-0.0,)))
+        floats = _table(("p",), ((0.0, -0.0, 0.5, -0.0),))
         assert render_json(floats).endswith(
             '"rows":[{"p":0.0},{"p":-0.0},{"p":0.5},{"p":-0.0}]}\n')
 
     def test_a_fraction_among_other_values_is_its_double(self):
-        table = _table(("p",), ((Fraction(1, 2),), (None,), (0.25,)))
+        table = _table(("p",), ((Fraction(1, 2), None, 0.25),))
         assert render_json(table) == reference_render_json(table)
         assert render_json(table).endswith(
             '"rows":[{"p":0.5},{"p":null},{"p":0.25}]}\n')
@@ -600,6 +604,37 @@ class TestColumnRenderers:
         table = figure_data("fig2")[0]
         assert render_csv(table) == reference_render_csv(table)
         assert render_json(table) == reference_render_json(table)
+
+
+class TestTableColumns:
+    """A table holds one tuple of cells per column; its rows are derived."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_table_with_no_rows_holds_empty_columns(self, k, tmp_path):
+        names = ("x", "p0", "p1", "p")[:k]
+        table = _table(names, ((),) * k)
+        assert table.values == ((),) * k and table.rows == ()
+        assert render_csv(table) == ",".join(names) + "\n"
+        assert render_json(table).endswith('"rows":[]}\n')
+        path = tmp_path / "empty.json"
+        emit(table, "json", path)
+        back = read_table_json(path)
+        assert back == table and back.values == ((),) * k
+
+    @pytest.mark.parametrize("build", [
+        lambda: distribution(evolve(WalkKind.LINE, make_coin(1.0), 9)),
+        lambda: distribution(evolve(WalkKind.HALF_LINE, make_coin(1.0), 9)),
+        lambda: q2_oracle_distribution(WalkKind.LINE, 9),
+        lambda: q2_oracle_distribution(WalkKind.HALF_LINE, 9),
+    ], ids=["evolve-line", "evolve-halfline", "oracle-line",
+            "oracle-halfline"])
+    def test_a_distribution_table_holds_its_columns(self, build):
+        dist = build()
+        table = table_from_distribution(dist, "evolve", 1.0)
+        assert table.values == (tuple(dist.positions()), dist.p0, dist.p1,
+                                dist.p)
+        assert table.rows == tuple(zip(dist.positions(), dist.p0, dist.p1,
+                                       dist.p))
 
 
 class TestFigureData:
